@@ -27,6 +27,7 @@ import numpy as np
 
 from ..nn import functional as F
 from ..nn.tensor import Tensor, no_grad
+from ..obs.memory import default_ledger, track_object
 from ..utils.rng import to_rng
 from .buffer import RawBuffer
 
@@ -281,31 +282,95 @@ class Herding(SelectionStrategy):
     every class present are re-selected greedily so that the partial means
     of the kept set approach the class mean, with the per-class quota
     fixed at capacity / num_classes.
+
+    The candidate pools (up to 4x quota raw images per class) carry one
+    encoder feature row per sample, computed once per model state: cached
+    rows stay valid while the model is the same object and its
+    ``state_dict()`` is byte-equal to the one they were computed under,
+    and are all dropped otherwise (the every-beta retrain, a restore).  The
+    encoder is per-sample (instance norm), so a cached row is bitwise the
+    row a fresh encode of the whole pool would give.  The rows are derived
+    state: never checkpointed, and empty after :meth:`load_state_dict`.
+    Pools, rows and the weight snapshot are recorded under the
+    ``selection.pool`` ledger account.
     """
 
     name = "herding"
+    ledger_account = "selection.pool"
 
     def __init__(self) -> None:
         self._pool_x: dict[int, list[np.ndarray]] = {}
+        # Feature rows of the leading entries of each pool, computed under
+        # the model state below; entries past them await encoding.
+        self._pool_f: dict[int, np.ndarray] = {}
+        self._feat_model = None
+        self._feat_weights: tuple | None = None
+        self._ledger_key = track_object(self.ledger_account, self, 0)
 
     @staticmethod
     def _herd(feats: np.ndarray, quota: int) -> list[int]:
-        """Greedy herding order: argmin ||mean - running_mean||."""
+        """Greedy herding order: argmin ||mean - running_mean||.
+
+        Each step scores every still-available candidate at once.  A row's
+        distance is the square root of its own dot product, which is bitwise
+        ``np.linalg.norm`` of the row, and ``argmin`` over the available
+        indices in ascending order gives exact ties to the lowest index.
+        """
         mean = feats.mean(axis=0)
         chosen: list[int] = []
         running = np.zeros_like(mean)
-        available = set(range(len(feats)))
+        available = np.arange(len(feats))
         for k in range(min(quota, len(feats))):
-            best, best_dist = -1, np.inf
-            for i in available:
-                candidate = (running * k + feats[i]) / (k + 1)
-                dist = float(np.linalg.norm(mean - candidate))
-                if dist < best_dist:
-                    best, best_dist = i, dist
+            gap = mean - (running * k + feats[available]) / (k + 1)
+            dist = np.sqrt(np.matmul(gap[:, None, :], gap[:, :, None]))
+            best = int(available[dist.argmin()])
             chosen.append(best)
-            available.remove(best)
+            available = available[available != best]
             running = (running * k + feats[best]) / (k + 1)
         return chosen
+
+    @staticmethod
+    def _weights(model) -> tuple:
+        """Names, shapes, dtypes and bytes of ``model.state_dict()``."""
+        state = model.state_dict()
+        return (tuple((key, value.shape, value.dtype.str)
+                      for key, value in state.items()),
+                b"".join(value.tobytes() for value in state.values()))
+
+    def _refresh_features(self, model) -> None:
+        """Give every pool entry a feature row under ``model``'s weights.
+
+        Drops all cached rows when the model state changed, then encodes
+        every entry still missing a row in one batched call.
+        """
+        weights = self._weights(model)
+        if model is not self._feat_model or weights != self._feat_weights:
+            self._pool_f = {}
+            self._feat_model, self._feat_weights = model, weights
+        pending = [(cls, len(self._pool_f.get(cls, ()))) for cls in self._pool_x]
+        missing = [x for cls, done in pending for x in self._pool_x[cls][done:]]
+        if not missing:
+            return
+        feats = _encode(model, np.stack(missing))
+        offset = 0
+        for cls, done in pending:
+            n = len(self._pool_x[cls]) - done
+            if n:
+                self._pool_f[cls] = np.concatenate(
+                    [self._pool_f.get(cls, feats[:0]), feats[offset:offset + n]])
+                offset += n
+
+    def _retrack(self) -> None:
+        """Refresh the ledger entry after the pools or their rows changed.
+
+        Counts the pooled images, their feature rows and the weight bytes
+        the rows are keyed by.
+        """
+        default_ledger.record(
+            self.ledger_account, self._ledger_key,
+            sum(x.nbytes for pool in self._pool_x.values() for x in pool)
+            + sum(f.nbytes for f in self._pool_f.values())
+            + (len(self._feat_weights[1]) if self._feat_weights else 0))
 
     def process_segment(self, buffer, images, labels, confidences, *,
                         model=None, rng=None):
@@ -313,18 +378,19 @@ class Herding(SelectionStrategy):
             raise ValueError("Herding requires the deployed model for features")
         quota = max(1, buffer.capacity // model.num_classes)
         for x, y in zip(images, labels):
-            self._pool_x.setdefault(int(y), []).append(x)
+            self._pool_x.setdefault(int(y), []).append(np.array(x))
+        self._refresh_features(model)
         # Bound the per-class candidate pool so memory stays O(buffer).
         for cls, pool in self._pool_x.items():
             if len(pool) > 4 * quota:
-                feats = _encode(model, np.stack(pool))
-                keep = self._herd(feats, 2 * quota)
+                keep = self._herd(self._pool_f[cls], 2 * quota)
                 self._pool_x[cls] = [pool[i] for i in keep]
+                self._pool_f[cls] = self._pool_f[cls][keep]
+        self._retrack()
         # Re-select the buffer contents from the herded pools.
         buffer.count = 0
         for cls, pool in sorted(self._pool_x.items()):
-            feats = _encode(model, np.stack(pool))
-            for i in self._herd(feats, quota):
+            for i in self._herd(self._pool_f[cls], quota):
                 if buffer.is_full:
                     return
                 buffer.add(pool[i], cls)
@@ -340,9 +406,12 @@ class Herding(SelectionStrategy):
         for key, value in state.items():
             if key.startswith("pool."):
                 cls = int(key[len("pool."):])
-                pools[cls] = [np.asarray(sample) for sample in value]
+                pools[cls] = [np.array(sample) for sample in value]
         if pools:
             self._pool_x = pools
+        self._pool_f = {}
+        self._feat_model = self._feat_weights = None
+        self._retrack()
 
 
 STRATEGY_NAMES = ("random", "fifo", "selective_bp", "k_center", "gss_greedy")

@@ -14,6 +14,8 @@ account                what it holds
                        FactorizedSyntheticBuffer`)
 ``buffer.raw``         :class:`~repro.buffer.buffer.RawBuffer` payloads
 ``model.params``       deployed/scratch model parameter arrays
+``selection.pool``     herding's per-class candidate pools (raw images),
+                       their cached encoder feature rows and weight snapshot
 ``shm.pack``           shared-memory sweep packs (owner side)
 ``workspace.arena``    pooled scratch buffers (pull provider)
 ``cache.conv_plans``   ConvPlan LRU resident bytes (pull provider)

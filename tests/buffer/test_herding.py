@@ -1,11 +1,17 @@
 """Unit tests for the herding selection strategy (iCaRL-style, [23])."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.buffer.buffer import RawBuffer
 from repro.buffer.selection import Herding, make_strategy
+from repro.core.replay import ReplayLearner
 from repro.nn.convnet import ConvNet
+from repro.nn.tensor import Tensor, no_grad
+from repro.obs.memory import default_ledger
+from repro.parallel import intra_op
 
 SHAPE = (1, 8, 8)
 
@@ -86,3 +92,240 @@ class TestHerdingStrategy:
                                      np.ones(4, dtype=np.float32),
                                      model=model, rng=rng)
         assert len(strategy._pool_x[0]) <= 8  # 4x quota bound
+
+
+# ----------------------------------------------------------------------
+# Feature cache + vectorised greedy pick: same picks as the plain loop that
+# re-encodes every pool on every segment.
+# ----------------------------------------------------------------------
+def reference_herd(feats, quota):
+    """Plain greedy loop: scan the available rows in ascending order."""
+    mean = feats.mean(axis=0)
+    chosen = []
+    running = np.zeros_like(mean)
+    available = list(range(len(feats)))
+    for k in range(min(quota, len(feats))):
+        best, best_dist = -1, np.inf
+        for i in available:
+            candidate = (running * k + feats[i]) / (k + 1)
+            dist = float(np.linalg.norm(mean - candidate))
+            if dist < best_dist:
+                best, best_dist = i, dist
+        chosen.append(best)
+        available.remove(best)
+        running = (running * k + feats[best]) / (k + 1)
+    return chosen
+
+
+def encode_pool(model, pool):
+    with no_grad():
+        return model.features(Tensor(np.stack(pool))).data
+
+
+class ReferenceHerding:
+    """Herding that re-encodes every candidate pool on every segment."""
+
+    def __init__(self):
+        self.pools = {}
+
+    def process_segment(self, buffer, images, labels, model):
+        quota = max(1, buffer.capacity // model.num_classes)
+        for x, y in zip(images, labels):
+            self.pools.setdefault(int(y), []).append(x)
+        for cls, pool in self.pools.items():
+            if len(pool) > 4 * quota:
+                keep = reference_herd(encode_pool(model, pool), 2 * quota)
+                self.pools[cls] = [pool[i] for i in keep]
+        buffer.count = 0
+        for cls, pool in sorted(self.pools.items()):
+            for i in reference_herd(encode_pool(model, pool), quota):
+                if buffer.is_full:
+                    return
+                buffer.add(pool[i], cls)
+
+
+class RowSpy:
+    """Stands in for ``model.features``; records the rows of every call."""
+
+    def __init__(self, model):
+        self.inner = model.features
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(len(x.data))
+        return self.inner(x)
+
+    def take(self):
+        calls, self.calls = self.calls, []
+        return calls
+
+
+def perturb_in_place(model, scale=1.05):
+    for p in model.parameters():
+        p.data *= np.float32(scale)
+
+
+def segment(rng, n=6, classes=2):
+    images = rng.standard_normal((n, *SHAPE)).astype(np.float32)
+    return images, rng.integers(0, classes, n), np.ones(n, dtype=np.float32)
+
+
+def pool_rows(strategy):
+    return sum(len(pool) for pool in strategy._pool_x.values())
+
+
+@pytest.fixture
+def threads():
+    saved = (intra_op.get_num_threads(), intra_op.shard_threshold())
+    yield
+    intra_op.set_num_threads(saved[0])
+    intra_op.set_shard_threshold(saved[1])
+
+
+class TestHerdEquivalence:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,dim,quota", [(30, 16, 5), (9, 4, 20),
+                                             (12, 7, 1), (40, 64, 40)])
+    def test_matches_plain_loop(self, dtype, n, dim, quota):
+        feats = np.random.default_rng(n * dim).standard_normal((n, dim))
+        feats = (feats * 3.0).astype(dtype)
+        assert Herding._herd(feats, quota) == reference_herd(feats, quota)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [16, 33, 128])
+    def test_matches_plain_loop_on_rounding_ties(self, dtype, dim):
+        # Cyclic shifts of one vector are equidistant from their (constant)
+        # mean in exact arithmetic, so every pick is decided by how the row
+        # norm rounds: it must round exactly as ``np.linalg.norm`` does.
+        v = np.random.default_rng(dim).standard_normal(dim).astype(dtype)
+        feats = np.stack([np.roll(v, shift) for shift in range(dim)])
+        assert Herding._herd(feats, 8) == reference_herd(feats, 8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_duplicate_rows_tie_to_lowest_index(self, dtype):
+        base = np.random.default_rng(5).standard_normal((4, 6)).astype(dtype)
+        feats = np.concatenate([base, base, base[::-1]])
+        assert (Herding._herd(feats, len(feats))
+                == reference_herd(feats, len(feats)))
+
+    def test_all_rows_identical(self):
+        feats = np.ones((5, 3), dtype=np.float32)
+        assert Herding._herd(feats, 3) == [0, 1, 2]
+
+
+class TestFeatureCache:
+    @pytest.mark.parametrize("num_threads", [1, 2])
+    def test_trajectory_matches_full_reencode(self, rng, num_threads, threads):
+        intra_op.set_num_threads(num_threads)
+        intra_op.set_shard_threshold(2)
+        model = ConvNet(1, 2, 8, width=4, depth=2, rng=rng)
+        buf, ref_buf = RawBuffer(4, SHAPE), RawBuffer(4, SHAPE)  # quota 2
+        strategy, reference = Herding(), ReferenceHerding()
+        offered = np.zeros(2, dtype=np.int64)
+        for step in range(14):
+            if step == 5:  # a retrain: weights change in place
+                perturb_in_place(model)
+            if step == 9:  # a restore: the pools move to a fresh instance
+                fresh = Herding()
+                fresh.load_state_dict(strategy.state_dict())
+                strategy = fresh
+            if step == 11:  # a retrain that swaps the parameter arrays
+                for p in model.parameters():
+                    p.data = p.data + np.float32(0.01)
+            images, labels, conf = segment(rng, n=7)
+            strategy.process_segment(buf, images, labels, conf, model=model)
+            reference.process_segment(ref_buf, images, labels, model)
+            offered += np.bincount(labels, minlength=2)
+            got, want = buf.as_training_set(), ref_buf.as_training_set()
+            assert got[0].tobytes() == want[0].tobytes(), f"segment {step}"
+            assert got[1].tobytes() == want[1].tobytes(), f"segment {step}"
+            state = strategy.state_dict()
+            assert set(state) == {f"pool.{c}" for c in reference.pools}
+            for cls, pool in reference.pools.items():
+                assert state[f"pool.{cls}"].tobytes() == np.stack(pool).tobytes()
+        # Both classes were offered more than the 4x quota bound (8) yet
+        # their pools are within it, so pruning ran.
+        assert offered.min() > 8
+        assert max(len(p) for p in reference.pools.values()) <= 8
+
+    def test_encodes_each_new_sample_once(self, rng, model):
+        spy = model.features = RowSpy(model)
+        strategy, buf = Herding(), RawBuffer(4, SHAPE)
+        for _ in range(6):
+            images, labels, conf = segment(rng)
+            strategy.process_segment(buf, images, labels, conf, model=model)
+            assert spy.take() == [len(images)]
+
+    def test_weight_change_reencodes_every_pool_row_once(self, rng, model):
+        spy = model.features = RowSpy(model)
+        strategy, buf = Herding(), RawBuffer(4, SHAPE)
+        for _ in range(4):
+            strategy.process_segment(buf, *segment(rng), model=model)
+        spy.take()
+        before = pool_rows(strategy)
+        perturb_in_place(model)
+        images, labels, conf = segment(rng)
+        strategy.process_segment(buf, images, labels, conf, model=model)
+        assert spy.take() == [before + len(images)]
+        strategy.process_segment(buf, *segment(rng), model=model)
+        assert spy.take() == [6]
+
+    def test_restore_reencodes_restored_pools_once(self, rng, model):
+        spy = model.features = RowSpy(model)
+        strategy, buf = Herding(), RawBuffer(4, SHAPE)
+        for _ in range(4):
+            strategy.process_segment(buf, *segment(rng), model=model)
+        restored = Herding()
+        restored.load_state_dict(strategy.state_dict())
+        spy.take()
+        images, labels, conf = segment(rng)
+        restored.process_segment(buf, images, labels, conf, model=model)
+        assert spy.take() == [pool_rows(strategy) + len(images)]
+        restored.process_segment(buf, *segment(rng), model=model)
+        assert spy.take() == [6]
+
+    def test_restore_over_live_instance_drops_cache(self, rng, model):
+        spy = model.features = RowSpy(model)
+        strategy, buf = Herding(), RawBuffer(4, SHAPE)
+        for _ in range(3):
+            strategy.process_segment(buf, *segment(rng), model=model)
+        saved = strategy.state_dict()
+        saved_rows = pool_rows(strategy)
+        for _ in range(3):
+            strategy.process_segment(buf, *segment(rng), model=model)
+        strategy.load_state_dict(saved)
+        spy.take()
+        images, labels, conf = segment(rng)
+        strategy.process_segment(buf, images, labels, conf, model=model)
+        assert spy.take() == [saved_rows + len(images)]
+
+
+class TestPoolLedger:
+    def test_pools_and_rows_are_tracked(self, rng, model):
+        account = Herding.ledger_account
+        gc.collect()
+        before = default_ledger.totals(pull=False).get(account, 0)
+        weights = sum(p.data.nbytes for p in model.parameters())
+        strategy, buf = Herding(), RawBuffer(4, SHAPE)
+        for _ in range(12):
+            strategy.process_segment(buf, *segment(rng), model=model)
+            pools = sum(x.nbytes for p in strategy._pool_x.values() for x in p)
+            rows = pool_rows(strategy) * model.feature_dim * 4
+            assert (default_ledger.totals(pull=False)[account]
+                    == before + pools + rows + weights)
+        restored = Herding()
+        restored.load_state_dict(strategy.state_dict())
+        assert (default_ledger.totals(pull=False)[account]
+                == before + 2 * pools + rows + weights)
+        del strategy, restored
+        gc.collect()
+        assert default_ledger.totals(pull=False).get(account, 0) == before
+
+    def test_footprint_excludes_pools(self, rng, model):
+        buf = RawBuffer(4, SHAPE)
+        learner = ReplayLearner(model, buf, Herding(), rng=rng)
+        for _ in range(3):
+            learner.strategy.process_segment(buf, *segment(rng), model=model)
+        foot = learner.memory_footprint()
+        assert foot["total_bytes"] == buf.memory_bytes + sum(
+            p.data.nbytes for p in model.parameters())
