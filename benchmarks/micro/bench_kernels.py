@@ -70,14 +70,14 @@ def _append_history(section: str, data: dict) -> None:
 
     from repro.obs.regress import (HISTORY_FILENAME, append_history,
                                    metrics_from_snapshot)
-    from repro.parallel import intra_op
 
     metrics = metrics_from_snapshot(data, sections=(section,))
     if not metrics:
         return
+    # The nn kernels have no intra-op parallelism: one thread per process.
     tags = {"platform": data["meta"]["platform"],
             "numpy": data["meta"]["numpy"],
-            "threads": intra_op.get_num_threads(),
+            "threads": 1,
             "cpu_count": os.cpu_count()}
     append_history(RESULTS_PATH.parent / HISTORY_FILENAME, section,
                    metrics, tags)

@@ -4,55 +4,45 @@
 equivalent for this repo.  It runs, in order:
 
 1. the tier-1 test suite (``python -m pytest -q``);
-2. the ``perf_smoke`` wall-clock tripwires (``pytest -m perf_smoke``);
-3. the kernel + parallel suites again with the intra-op thread pool forced
-   on (``REPRO_NUM_THREADS=4``, ``REPRO_SHARD_MIN_BATCH=8``) so the
-   sharded code paths are covered even on single-core boxes;
-4. the crash/resume selfcheck (``python -m repro.persist.selfcheck``): a
+2. the ``perf_smoke`` tripwires (``pytest -m perf_smoke``);
+3. the crash/resume selfcheck (``python -m repro.persist.selfcheck``): a
    2-job grid is crashed after its first completed point and resumed; the
    merged results must be bit-identical to a clean serial run;
-5. the observability selfcheck (``python -m repro.obs.selfcheck``): a
+4. the observability selfcheck (``python -m repro.obs.selfcheck``): a
    2-job grid runs with telemetry on; its merged worker shards must
    aggregate to the serial run's counters, byte-deterministically;
-5b. the numerical-health selfcheck (``python -m
+5. the numerical-health selfcheck (``python -m
    repro.obs.health_selfcheck``): an injected NaN in a matcher pass must
    be detected and attributed within one segment under every policy, a
    clean micro run must record zero incidents, and ``repro obs report``
    must render a self-contained HTML report from its telemetry;
 6. the fused-FD selfcheck (``python -m repro.condensation.fd_selfcheck``):
    the lane-grouped ±ε evaluator must be byte-identical to the sequential
-   two-pass path with clean probe/verification counters, and a micro
+   two-pass path with clean verification counters, and a micro
    condense segment must produce identical pixels fused vs. unfused;
 7. the memory-ledger selfcheck (``python -m repro.obs.ledger_selfcheck``):
    ledger byte accounts must agree with tracemalloc within tolerance,
    jobs=2 memory footprints must equal serial, and exported Chrome traces
    must pass schema validation with memory counter tracks;
-8. the tree-reduction selfcheck
-   (``python -m repro.parallel.reduce_selfcheck``): the batch-reduced
-   gradients, norm statistics, and loss sums must be byte-identical at
-   threads=1 vs threads=4 on the learner-test shapes (engaging the tree
-   where the probes admit it, falling back honestly where they don't),
-   and a micro DECO learner segment must reproduce its serial
-   fingerprint;
-9. the factorized-storage selfcheck
+8. the factorized-storage selfcheck
    (``python -m repro.buffer.factorized_selfcheck``): the f=2 buffer's
    payload must be exactly ``ceil(H/f)*ceil(W/f)/(H*W)`` of the f=1
    payload, ``encode_grad`` must be the exact decode transpose, an f=2
    condense segment must store byte-identical payloads under both
    ``REPRO_FD_FUSE`` settings, and state round-trips must be
    byte-for-byte with mismatched decode factors rejected;
-10. a one-repeat pass of the micro-benchmarks (kernel cases, one condense
-   segment, the fused-FD comparison, the parallel scaling matrix, the
-   serial-vs-tree reduction comparison, and the f=1 vs f=2 factorized
+9. a one-repeat pass of the micro-benchmarks (kernel cases, one condense
+   segment, the fused-FD comparison, and the f=1 vs f=2 factorized
    accuracy-per-MiB comparison), which also refreshes the counter
    snapshots attached to ``bench_results/micro_kernels.json`` and appends
    to the bench history;
-11. a bench-history regression dry-run (``python -m repro obs regress
+10. a bench-history regression dry-run (``python -m repro obs regress
    --dry-run``): the trajectory verdict is printed; regressions are
    reported but only fail ``repro-check`` when ``--strict-bench`` is set.
 
-Steps 2-3 need the repo checkout (``tests/`` and ``benchmarks/`` are not
-installed); they are skipped with a notice when run from elsewhere.
+The pytest and micro-bench steps need the repo checkout (``tests/`` and
+``benchmarks/`` are not installed); they are skipped with a notice when run
+from elsewhere.
 
 Usage::
 
@@ -79,15 +69,12 @@ def _repo_root() -> pathlib.Path | None:
     return None
 
 
-def _run(cmd: list[str], cwd: pathlib.Path, title: str,
-         extra_env: dict[str, str] | None = None) -> int:
+def _run(cmd: list[str], cwd: pathlib.Path, title: str) -> int:
     print(f"== {title}: {' '.join(cmd)}")
     env = dict(os.environ)
     src = str(cwd / "src")
     env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
                          if env.get("PYTHONPATH") else src)
-    if extra_env:
-        env.update(extra_env)
     result = subprocess.run(cmd, cwd=cwd, env=env)
     status = "ok" if result.returncode == 0 else f"FAILED ({result.returncode})"
     print(f"== {title}: {status}\n")
@@ -119,15 +106,6 @@ def main(argv: list[str] | None = None) -> int:
                          "tier-1 tests") != 0
         failures += _run([sys.executable, "-m", "pytest", "-q",
                           "-m", "perf_smoke"], root, "perf smoke") != 0
-        # Parallel matrix leg: rerun the kernel + parallel suites with the
-        # intra-op pool forced on (4 threads, aggressive shard threshold) so
-        # the sharded code paths are exercised even where the default
-        # configuration would stay serial.
-        failures += _run([sys.executable, "-m", "pytest", "-q",
-                          "tests/parallel", "tests/nn"], root,
-                         "parallel matrix (threads=4)",
-                         extra_env={"REPRO_NUM_THREADS": "4",
-                                    "REPRO_SHARD_MIN_BATCH": "8"}) != 0
         # Resume leg: crash a 2-job grid after its first completed point,
         # then resume it and assert the merged results are bit-identical
         # to a clean serial run (see repro.persist.selfcheck).
@@ -159,13 +137,6 @@ def main(argv: list[str] | None = None) -> int:
         failures += _run([sys.executable, "-m",
                           "repro.obs.ledger_selfcheck"],
                          root, "memory ledger + trace export selfcheck") != 0
-        # Reduction leg: tree-reduced gradients/statistics must be
-        # byte-identical to the serial reductions at every thread count,
-        # with honest fallback accounting (see
-        # repro.parallel.reduce_selfcheck).
-        failures += _run([sys.executable, "-m",
-                          "repro.parallel.reduce_selfcheck"],
-                         root, "deterministic reduction selfcheck") != 0
         # Factorized-storage leg: the f=2 buffer's byte footprint must be
         # exactly 1/f^2 of full resolution, decode/encode_grad must be an
         # exact transpose pair, and an f=2 segment must be byte-identical
@@ -191,14 +162,6 @@ def main(argv: list[str] | None = None) -> int:
                               str(bench_dir / "bench_fd_fuse.py"),
                               "--repeats", repeats], root,
                              "micro-bench fused FD") != 0
-            failures += _run([sys.executable,
-                              str(bench_dir / "bench_parallel.py"),
-                              "--repeats", repeats], root,
-                             "micro-bench parallel scaling") != 0
-            failures += _run([sys.executable,
-                              str(bench_dir / "bench_reduce.py"),
-                              "--repeats", repeats], root,
-                             "micro-bench tree reductions") != 0
             failures += _run([sys.executable,
                               str(bench_dir / "bench_factorized.py")], root,
                              "micro-bench factorized storage") != 0

@@ -73,9 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for experiment grids "
                              "(table1/table2/fig4a/fig4b/ablations); "
                              "1 = run serially in-process (default)")
-    parser.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="intra-op worker threads for batch-sharded "
-                             "kernels (default: REPRO_NUM_THREADS or 1)")
     parser.add_argument("--checkpoint-dir", type=pathlib.Path, default=None,
                         metavar="DIR",
                         help="persist prepared experiments and completed "
@@ -339,9 +336,6 @@ def _dispatch(args: argparse.Namespace) -> str:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        from .parallel import intra_op
-        intra_op.set_num_threads(args.threads)
     tracing = ((args.telemetry is not None or args.trace is not None)
                and args.command != "obs")
     run_dir = args.telemetry

@@ -139,8 +139,8 @@ def gradient_cosine(g_syn: Sequence[np.ndarray],
 # ----------------------------------------------------------------------
 # Module-level bookkeeping for the fused path.  ``_FUSE_VERDICTS`` caches,
 # per (architecture, input shape) signature, whether the fused evaluation
-# reproduced the sequential two-pass bytes on its first use — the same
-# probe-then-trust pattern as ``ConvPlan.shard_safe``, one level up.
+# reproduced the sequential two-pass bytes on its first use (verify once,
+# then trust).
 _FD_STATS = {"fused_dispatches": 0, "serial_fallbacks": 0,
              "verifications": 0, "verification_failures": 0}
 _FUSE_VERDICTS: dict[tuple, bool] = {}
@@ -202,8 +202,8 @@ def _fuse_key(layers, clf, x_shape) -> tuple:
             desc.append(("flat", layer.start_dim))
     desc.append(("linear", clf.out_features, clf.in_features,
                  clf.bias is not None))
-    # The composite col2im / contraction routes are probed per scatter mode;
-    # the whole-evaluation verdict must not outlive a mode switch either.
+    # The composite col2im runs under the active scatter mode; a verdict
+    # must not outlive a mode switch.
     return (tuple(desc), tuple(int(s) for s in x_shape),
             kernels.scatter_mode())
 
@@ -227,8 +227,7 @@ def _fused_input_gradients(layers, clf, syn_x, syn_y, plus, minus, index_of):
     ``[n, 2n)``.  The first conv shares one im2col of ``syn_x`` between the
     lanes (and, via the StepCache, with ``pass.g_syn``); the classifier tail
     runs per lane so each loss graph matches the sequential one node for
-    node.  Raises :class:`~repro.nn.functional.FusedPathUnavailable` when
-    the composite layout cannot reproduce the serial bytes for this shape.
+    node.
     """
     n = syn_x.shape[0]
     lanes = (plus, minus)
@@ -263,15 +262,8 @@ def _fused_input_gradients(layers, clf, syn_x, syn_y, plus, minus, index_of):
             bwd = (lambda g, src=src: g * (src > 0))
         elif isinstance(layer, AvgPool2d):
             k = int(layer.kernel_size)
-            nt, c, hh, ww = h.shape
-            oh, ow = hh // k, ww // k
-            h = h.reshape(nt, c, oh, k, ow, k).mean(axis=(3, 5))
-
-            def bwd(g, k=k, nt=nt, c=c, oh=oh, ow=ow, hh=hh, ww=ww):
-                scaled = g * np.float32(1.0 / (k * k))
-                return np.broadcast_to(
-                    scaled[:, :, :, None, :, None],
-                    (nt, c, oh, k, ow, k)).reshape(nt, c, hh, ww)
+            h = F.avg_pool_forward(h, k)
+            bwd = (lambda g, k=k: F.avg_pool_backward(g, k))
         else:  # Flatten
             shape = h.shape
             h = h.reshape(shape[:layer.start_dim] + (-1,))
@@ -428,13 +420,9 @@ def _fd_matching_grad(model, syn_x, syn_y, direction, *, augmentation,
                 # byte identity before trusting the fused one.
                 _FD_STATS["verifications"] += 1
                 plus, minus = _lane_param_sets(params, direction, eps)
-                try:
-                    with obs.span("pass.fd_fused"):
-                        fused_pm = _fused_input_gradients(
-                            layers, clf, syn_x32, syn_y, plus, minus,
-                            index_of)
-                except F.FusedPathUnavailable:
-                    fused_pm = None
+                with obs.span("pass.fd_fused"):
+                    fused_pm = _fused_input_gradients(
+                        layers, clf, syn_x32, syn_y, plus, minus, index_of)
                 # The sequential reference is probe work: it only exists to
                 # validate the fused bytes, and it runs in whichever process
                 # first sees this signature (verdicts ride along fork into
@@ -444,8 +432,7 @@ def _fd_matching_grad(model, syn_x, syn_y, direction, *, augmentation,
                     serial_pm = _serial_fd_passes(
                         model, params, syn_x32, syn_y, direction, eps,
                         augmentation)
-                ok = (fused_pm is not None
-                      and np.array_equal(fused_pm[0], serial_pm[0])
+                ok = (np.array_equal(fused_pm[0], serial_pm[0])
                       and np.array_equal(fused_pm[1], serial_pm[1]))
                 if not ok:
                     _FD_STATS["verification_failures"] += 1
@@ -454,16 +441,10 @@ def _fd_matching_grad(model, syn_x, syn_y, direction, *, augmentation,
                 grad_plus, grad_minus = serial_pm
             elif verdict:
                 plus, minus = _lane_param_sets(params, direction, eps)
-                try:
-                    with obs.span("pass.fd_fused"):
-                        grad_plus, grad_minus = _fused_input_gradients(
-                            layers, clf, syn_x32, syn_y, plus, minus,
-                            index_of)
-                    fused = True
-                except F.FusedPathUnavailable:  # pragma: no cover - defensive
-                    grad_plus, grad_minus = _serial_fd_passes(
-                        model, params, syn_x32, syn_y, direction, eps,
-                        augmentation)
+                with obs.span("pass.fd_fused"):
+                    grad_plus, grad_minus = _fused_input_gradients(
+                        layers, clf, syn_x32, syn_y, plus, minus, index_of)
+                fused = True
             else:
                 grad_plus, grad_minus = _serial_fd_passes(
                     model, params, syn_x32, syn_y, direction, eps,

@@ -5,8 +5,10 @@ softmax-family) that the :mod:`repro.nn.layers` modules wrap.
 
 The hot paths run on the kernel layer in :mod:`repro.nn.kernels`:
 convolution fetches a cached :class:`~repro.nn.kernels.ConvPlan` (im2col
-geometry, col2im scatter tables, einsum contraction paths) and serves its
-column scratch from the :mod:`repro.nn.workspace` arena; every op skips
+geometry, col2im scatter tables), serves its column scratch from the
+:mod:`repro.nn.workspace` arena, and contracts with plain ``np.matmul``, so
+every activation and gradient is C-contiguous NCHW and the norm, ReLU and
+pooling ops after a conv never run on strided views.  Every op skips
 redundant ``astype(float32)`` copies and skips gradient work for parents
 with ``requires_grad=False``.  Under
 :func:`repro.nn.kernels.reference_mode` the ops dispatch to the frozen seed
@@ -19,16 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels, reference
-from ..parallel import intra_op, tree_reduce
 from .tensor import Tensor
 from .workspace import default_arena, default_step_cache
 
 __all__ = [
-    "FusedPathUnavailable",
     "conv2d",
     "conv2d_lanes",
     "conv2d_lanes_shared",
     "instance_norm2d_lanes",
+    "avg_pool_forward",
+    "avg_pool_backward",
     "avg_pool2d",
     "max_pool2d",
     "global_avg_pool2d",
@@ -47,12 +49,6 @@ __all__ = [
 def _f32(a: np.ndarray) -> np.ndarray:
     """Cast to float32 only when needed (avoids astype's unconditional copy)."""
     return a if a.dtype == np.float32 else a.astype(np.float32)
-
-
-class FusedPathUnavailable(RuntimeError):
-    """Raised by the lane-grouped ops when the composite layout cannot
-    reproduce the serial bytes for this shape; the caller falls back to the
-    sequential two-pass evaluation."""
 
 
 # ----------------------------------------------------------------------
@@ -79,119 +75,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         return reference.conv2d(x, weight, bias, stride=stride, padding=padding)
 
     plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
-    ckk = plan.ckk_safe(oc)
     xd = _f32(x.data)
     w2 = weight.data.reshape(oc, -1)                 # (OC, CKK)
-    bounds = intra_op.shard_bounds(n)
-    if bounds is not None and not plan.shard_safe(oc, ckk, len(bounds)):
-        intra_op.note_serial_fallback("probe")
-        bounds = None
     # A StepCache scope (opened by the condense loop around the Eq. 7
     # passes) serves the same input array's columns to every conv over it;
-    # the fill below is identical whichever pass computed them first.
-    cache_key = (plan.key, bool(ckk))
-    cached6 = default_step_cache.lookup(xd, cache_key)
-    if bounds is None:
-        if cached6 is None:
-            cols6 = kernels.im2col(xd, plan, ckk=ckk)  # arena buffer (N,C,KH,KW,OH,OW)
-        else:
-            cols6 = cached6
-        cols = cols6.reshape(plan.cols_shape)        # (N, CKK, L) view
-        # Seed-exact contraction (including output memory layout — downstream
-        # float32 reductions are layout-sensitive); only the path search is cached.
-        out = np.einsum("ok,nkl->nol", w2, cols,
-                        optimize=plan.fwd_path(w2, cols))
-    else:
-        cols6 = kernels.alloc_cols(plan, xd.dtype, ckk=ckk) \
-            if cached6 is None else cached6
-        cols = cols6.reshape(plan.cols_shape)
-        # Allocate the contraction output in the exact memory layout the
-        # serial einsum would return (often an (n, l, o)-major transpose):
-        # downstream reductions are layout-sensitive, so matching values is
-        # not enough — the strides must match too.
-        shape3 = (n, oc, plan.oh * plan.ow)
-        order = plan.fwd_out_order(oc, ckk, len(bounds))
-        mem = np.empty(tuple(shape3[i] for i in order), dtype=np.float32)
-        out = mem.transpose(tuple(int(i) for i in np.argsort(order)))
-        fpath = plan.fwd_path(w2, cols)
-        fill = cached6 is None
-
-        def fwd_shard(a: int, b: int) -> None:
-            if fill:
-                kernels.im2col_fill(xd, plan, cols6, a, b,
-                                    intra_op.thread_arena())
-            np.einsum("ok,nkl->nol", w2, cols[a:b], out=out[a:b],
-                      optimize=fpath)
-
-        intra_op.run_sharded(fwd_shard, bounds)
-    cache_owned = (cached6 is not None
-                   or default_step_cache.store(xd, cache_key, cols6))
+    # the fill is identical whichever pass computed them first.
+    cols6 = default_step_cache.lookup(xd, plan.key)
+    cache_owned = cols6 is not None
+    if cols6 is None:
+        cols6 = kernels.im2col(xd, plan)             # arena buffer (N,C,KH,KW,OH,OW)
+        cache_owned = default_step_cache.store(xd, plan.key, cols6)
+    cols = cols6.reshape(plan.cols_shape)            # (N, CKK, L) view
+    out = np.matmul(w2, cols)                        # C-contiguous (N, OC, L)
     out = out.reshape(n, oc, plan.oh, plan.ow)
     if bias is not None:
-        # In-place on the (freshly owned) contraction output: same values,
-        # same memory layout as the seed's fresh add, one big alloc fewer.
         out += bias.data.reshape(1, oc, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
         gflat = g.reshape(n, oc, plan.oh * plan.ow)
-        need_db = bias is not None and bias.requires_grad
-        need_dw = weight.requires_grad
-        red = intra_op.shard_bounds(n) if (need_db or need_dw) else None
-        rinfo = (plan.reduce_safe(oc, ckk, len(red), gflat.strides)
-                 if red is not None and gflat.dtype == np.float32 else None)
-        if need_db:
-            if rinfo is not None and rinfo["db"]:
-                db = tree_reduce.tree_reduce(
-                    lambda a, b, out: np.sum(gflat[a:b], axis=(0, 2),
-                                             out=out),
-                    (oc,), np.float32, red, label="conv2d.db")
-            else:
-                if red is not None:
-                    tree_reduce.note_reduce_fallback()
-                db = gflat.sum(axis=(0, 2))
-            bias._accumulate(db, own=True)
-        if need_dw:
-            dpath = plan.dw_path(gflat, cols)
-            if rinfo is not None and rinfo["dw"]:
-                dw = tree_reduce.tree_reduce(
-                    lambda a, b, out: np.einsum(
-                        "nol,nkl->ok", gflat[a:b], cols[a:b], out=out,
-                        optimize=dpath),
-                    (oc, c * kh * kw), np.float32, red,
-                    label="conv2d.dw", order=rinfo["dw_order"])
-            else:
-                if red is not None:
-                    tree_reduce.note_reduce_fallback()
-                dw = np.einsum("nol,nkl->ok", gflat, cols, optimize=dpath)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(gflat.sum(axis=(0, 2)), own=True)
+        if weight.requires_grad:
+            dw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(_f32(dw).reshape(weight.shape), own=True)
         if x.requires_grad:
-            bwd_bounds = intra_op.shard_bounds(n)
-            if bwd_bounds is not None and kernels.scatter_mode() != "slices":
-                intra_op.note_serial_fallback("caller")
-                bwd_bounds = None
-            if bwd_bounds is not None and not plan.shard_safe(
-                    oc, ckk, len(bwd_bounds)):
-                intra_op.note_serial_fallback("probe")
-                bwd_bounds = None
-            if bwd_bounds is None:
-                dcols = np.einsum("ok,nol->nkl", w2, gflat,
-                                  optimize=plan.dcols_path(w2, gflat))
-                x._accumulate(kernels.col2im(dcols, plan), own=True)
-            else:
-                dcols = default_arena.acquire(plan.cols_shape, np.float32)
-                dx = np.zeros((n, c, h, w), dtype=np.float32)
-                dpath = plan.dcols_path(w2, gflat)
-
-                def bwd_shard(a: int, b: int) -> None:
-                    np.einsum("ok,nol->nkl", w2, gflat[a:b],
-                              out=dcols[a:b], optimize=dpath)
-                    kernels.col2im_add(dcols, plan, dx, a, b)
-
-                intra_op.run_sharded(bwd_shard, bwd_bounds)
-                default_arena.release(dcols)
-                x._accumulate(dx, own=True)
+            dcols = np.matmul(w2.T, gflat)           # (N, CKK, L)
+            x._accumulate(kernels.col2im(dcols, plan), own=True)
         if not default_step_cache.owns(cols6):
             default_arena.release(cols6)
 
@@ -213,98 +124,39 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 # hand instead of paying Tensor-graph bookkeeping per node; weights are
 # plain arrays because the fused passes are input-gradient only.
 #
-# Bit-identity with the sequential per-lane evaluation holds because
-# (a) composite results are allocated in the serial output layout
-# (``lane_plan()["order"]``), so lane slices carry the exact strides
-# downstream float32 reductions are sensitive to, and (b) every
-# contraction route (matmul vs einsum, composite-sliced vs per-lane
-# operands, composite col2im) is proven byte-identical by the
-# ``ConvPlan.lane_plan`` probe, with per-lane copy fallbacks otherwise.
-def _lane_fwd(plan, info, route, cols_list, weights, biases, lanes, n, oc):
-    """Shared forward for the lane convs: per-lane contractions into lane
-    slices of a serial-layout composite.  ``cols_list[t]`` is lane ``t``'s
-    ``(n, k, l)`` column view; ``route`` is the probe-proven contraction
-    dispatch for these operands.  Returns the (lanes*n, oc, oh, ow)
-    composite."""
-    l = plan.oh * plan.ow
-    out = kernels.alloc_lane_out((lanes * n, oc, l), info["order"],
-                                 arena=None)
+# Bit-identity with the sequential per-lane evaluation holds because every
+# op is per-sample: im2col and col2im touch each batch row on its own, and
+# ``matmul`` of a C-contiguous ``(n, k, l)`` stack runs one GEMM per
+# sample, so a lane's rows of a C-contiguous composite see exactly the
+# operands the sequential pass sees.  The matcher still byte-compares the
+# fused result against the sequential one on first use per signature.
+def _lane_conv(plan2, cols_list, weights, biases, n, oc):
+    """Per-lane ``matmul(w2, cols)`` into lane slices of one C-contiguous
+    ``(lanes*n, oc, oh, ow)`` composite, plus the per-lane biases, and the
+    backward mapping the composite output gradient to the composite input
+    gradient through a single ``(lanes*n)``-row col2im (``plan2`` is the
+    composite's conv plan)."""
+    lanes = len(weights)
+    l = plan2.oh * plan2.ow
+    w2s = [wt.reshape(oc, -1) for wt in weights]
+    out = np.empty((lanes * n, oc, l), dtype=np.float32)
     for t in range(lanes):
-        w2 = weights[t].reshape(oc, -1)
-        cols = cols_list[t]
-        lane = out[t * n:(t + 1) * n]
-        if route == "matmul":
-            np.matmul(w2, cols, out=lane)
-        elif route == "matmul_copy":
-            np.copyto(lane, np.matmul(w2, cols))
-        elif route == "einsum_direct":
-            np.einsum("ok,nkl->nol", w2, cols, out=lane, optimize=False)
-        elif route == "einsum":
-            np.einsum("ok,nkl->nol", w2, cols, out=lane,
-                      optimize=plan.fwd_path(w2, cols))
-        else:  # per-lane copy: always byte-safe, never layout-dependent
-            np.copyto(lane, np.einsum("ok,nkl->nol", w2, cols,
-                                      optimize=plan.fwd_path(w2, cols)))
-    out4 = out.reshape(lanes * n, oc, plan.oh, plan.ow)
+        np.matmul(w2s[t], cols_list[t], out=out[t * n:(t + 1) * n])
+    out4 = out.reshape(lanes * n, oc, plan2.oh, plan2.ow)
     for t in range(lanes):
         if biases[t] is not None:
             out4[t * n:(t + 1) * n] += biases[t].reshape(1, oc, 1, 1)
-    return out4
 
-
-def _lane_bwd_dx(plan, plan2, info, weights, g, lanes, n, oc):
-    """Composite ``(lanes*n, c, h, w)`` input gradient for the lane convs.
-
-    When the probe proved the composite route (``comp_dcols``), the per-lane
-    gradient columns are contracted into lane slots of one ``plan2``-sized
-    buffer and scattered by a *single* col2im (the scatter is batch-row
-    independent, and byte-identity of the whole chain was verified by
-    :meth:`ConvPlan.lane_plan`).  Otherwise falls back to per-lane
-    col2im canvases copied into the composite."""
-    l = plan.oh * plan.ow
-    nt = lanes * n
-    if info["comp_dcols"]:
-        route = info["dcols"]
+    def backward(g: np.ndarray) -> np.ndarray:
         dcols2 = default_arena.acquire(plan2.cols_shape, np.float32)
         for t in range(lanes):
-            w2 = weights[t].reshape(oc, -1)
-            gflat = g[t * n:(t + 1) * n].reshape(n, oc, l)
-            slot = dcols2[t * n:(t + 1) * n]
-            if route == "matmul":
-                np.matmul(w2.T, gflat, out=slot)
-            elif route == "einsum_direct":
-                np.einsum("ok,nol->nkl", w2, gflat, out=slot,
-                          optimize=False)
-            else:
-                np.einsum("ok,nol->nkl", w2, gflat, out=slot,
-                          optimize=plan.dcols_path(w2, gflat))
-        bounds = intra_op.shard_bounds(nt)
-        if bounds is not None and kernels.scatter_mode() != "slices":
-            intra_op.note_serial_fallback("caller")
-            bounds = None
-        if bounds is None:
-            dx2 = kernels.col2im(dcols2, plan2)
-        else:
-            # The slice-table scatter never touches the batch axis, so
-            # disjoint batch spans compose to exactly the serial col2im
-            # (see kernels.col2im_add); the zeroed canvas matches the
-            # serial one byte-for-byte.
-            dx2 = np.zeros((nt, plan.c, plan.h, plan.w), dtype=np.float32)
-
-            def scatter_shard(a: int, b: int) -> None:
-                kernels.col2im_add(dcols2, plan2, dx2, a, b)
-
-            intra_op.run_sharded(scatter_shard, bounds)
+            np.matmul(w2s[t].T, g[t * n:(t + 1) * n].reshape(n, oc, l),
+                      out=dcols2[t * n:(t + 1) * n])
+        dx2 = kernels.col2im(dcols2, plan2)
         default_arena.release(dcols2)
         return dx2
-    dx2 = np.empty((nt, plan.c, plan.h, plan.w), dtype=np.float32)
-    for t in range(lanes):
-        w2 = weights[t].reshape(oc, -1)
-        gflat = g[t * n:(t + 1) * n].reshape(n, oc, l)
-        dcols = np.einsum("ok,nol->nkl", w2, gflat,
-                          optimize=plan.dcols_path(w2, gflat))
-        dx2[t * n:(t + 1) * n] = kernels.col2im(dcols, plan)
-    return dx2
+
+    return out4, backward
 
 
 def conv2d_lanes_shared(x: np.ndarray, weights, biases, *, stride: int = 1,
@@ -317,8 +169,7 @@ def conv2d_lanes_shared(x: np.ndarray, weights, biases, *, stride: int = 1,
     The single im2col of ``x`` is served from (and shared via) the active
     :class:`~repro.nn.workspace.StepCache` scope, so ``pass.g_syn`` and the
     fused ±ε pass derive the first-layer columns exactly once per condense
-    iteration.  Raises :class:`FusedPathUnavailable` when the probe found
-    no batch-sliceable serial layout for this shape.
+    iteration.
     """
     lanes = len(weights)
     n, c, h, w = x.shape
@@ -326,24 +177,18 @@ def conv2d_lanes_shared(x: np.ndarray, weights, biases, *, stride: int = 1,
     if ic != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ic}")
     plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
-    ckk = plan.ckk_safe(oc)
-    info = plan.lane_plan(oc, ckk, lanes)
-    if not info["available"]:
-        raise FusedPathUnavailable(
-            f"batch axis not slowest in forward output layout {info['order']}")
     plan2 = kernels.get_conv_plan(lanes * n, c, h, w, kh, kw, stride, padding)
     xd = _f32(x)
-    cache_key = (plan.key, bool(ckk))
-    cols6 = default_step_cache.lookup(xd, cache_key)
+    cols6 = default_step_cache.lookup(xd, plan.key)
     if cols6 is None:
-        cols6 = kernels.im2col(xd, plan, ckk=ckk)
-        default_step_cache.store(xd, cache_key, cols6)
+        cols6 = kernels.im2col(xd, plan)
+        default_step_cache.store(xd, plan.key, cols6)
     cols = cols6.reshape(plan.cols_shape)
-    out4 = _lane_fwd(plan, info, info["fwd_shared"], [cols] * lanes,
-                     weights, biases, lanes, n, oc)
+    out4, lane_backward = _lane_conv(plan2, [cols] * lanes, weights, biases,
+                                     n, oc)
 
     def backward(g: np.ndarray) -> np.ndarray:
-        dx2 = _lane_bwd_dx(plan, plan2, info, weights, g, lanes, n, oc)
+        dx2 = lane_backward(g)
         if not default_step_cache.owns(cols6):
             default_arena.release(cols6)
         return dx2
@@ -357,97 +202,46 @@ def conv2d_lanes(x: np.ndarray, weights, biases, *, stride: int = 1,
     rows of the composite input; returns ``(out4, backward)`` like
     :func:`conv2d_lanes_shared`.  Input-gradient only (the perturbed
     weights are plain arrays, mirroring ``frozen_parameters`` in the
-    sequential FD passes).
-
-    When the probe proved it byte-safe (``comp_cols``), the columns for
-    *all* lanes come from a single composite im2col (the patch expansion is
-    batch-row independent) and the contractions take batch-sliced operand
-    views; otherwise each lane fills its own buffer exactly as the
-    sequential pass would."""
+    sequential FD passes).  One composite im2col serves every lane: the
+    patch expansion is batch-row independent."""
     lanes = len(weights)
     nt, c, h, w = x.shape
     n = nt // lanes
     oc, ic, kh, kw = weights[0].shape
     if ic != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ic}")
-    plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
-    ckk = plan.ckk_safe(oc)
-    info = plan.lane_plan(oc, ckk, lanes)
-    if not info["available"]:
-        raise FusedPathUnavailable(
-            f"batch axis not slowest in forward output layout {info['order']}")
     plan2 = kernels.get_conv_plan(nt, c, h, w, kh, kw, stride, padding)
-    xd = _f32(x)
-    if info["comp_cols"]:
-        bufs = [kernels.im2col(xd, plan2, ckk=ckk)]
-        comp_cols = bufs[0].reshape(plan2.cols_shape)
-        cols_list = [comp_cols[t * n:(t + 1) * n] for t in range(lanes)]
-    else:
-        bufs = [kernels.im2col(xd[t * n:(t + 1) * n], plan, ckk=ckk)
-                for t in range(lanes)]
-        cols_list = [b.reshape(plan.cols_shape) for b in bufs]
-    out4 = _lane_fwd(plan, info, info["fwd"], cols_list, weights, biases,
-                     lanes, n, oc)
+    buf = kernels.im2col(_f32(x), plan2)
+    comp_cols = buf.reshape(plan2.cols_shape)
+    out4, lane_backward = _lane_conv(
+        plan2, [comp_cols[t * n:(t + 1) * n] for t in range(lanes)],
+        weights, biases, n, oc)
 
     def backward(g: np.ndarray) -> np.ndarray:
-        dx2 = _lane_bwd_dx(plan, plan2, info, weights, g, lanes, n, oc)
-        for b in bufs:
-            default_arena.release(b)
+        dx2 = lane_backward(g)
+        default_arena.release(buf)
         return dx2
 
     return out4, backward
 
 
-def _norm_backward_into(g, xhat, inv_std, axes, out):
-    """:func:`_norm_backward`, but writing into ``out`` (a composite lane
-    slice).  Every step is elementwise or reduces over ``g``/``xhat``
-    (fresh per-lane arrays), so the destination layout cannot perturb the
-    float32 summation order — the bytes match the fresh-array variant."""
-    m = 1
-    for a in axes:
-        m *= xhat.shape[a]
-    sum_g = g.sum(axis=axes, keepdims=True)
-    sum_gx = (g * xhat).sum(axis=axes, keepdims=True)
-    np.multiply(g, m, out=out)
-    out -= sum_g
-    out -= xhat * sum_gx
-    out *= inv_std * np.float32(1.0 / m)
-
-
 def instance_norm2d_lanes(x: np.ndarray, gammas, betas, eps: float = 1e-5):
     """Lane-grouped instance normalization: lane ``t`` of the composite is
     normalized with its own gamma/beta arrays; returns ``(out, backward)``.
-    Per-sample reductions run on lane slices of the composite, whose
-    strides match the sequential pass by construction (serial-layout conv
-    output, C-contiguous elsewhere); results are written straight into lane
-    slices of the composite output (elementwise stores are layout-safe)."""
+    Per-sample reductions run on C-contiguous lane slices of the composite,
+    exactly the operands of the sequential pass; results are written
+    straight into lane slices of the composite output."""
     lanes = len(gammas)
     nt, c = x.shape[0], x.shape[1]
     n = nt // lanes
     axes = (2, 3)
     xd = _f32(x)
+    out = np.empty(xd.shape, dtype=np.float32)
     lane_ctx = []
-    out = None
     for t in range(lanes):
-        xhat, var = _instance_norm_stats(xd[t * n:(t + 1) * n])
+        xhat, var = _norm_stats(xd[t * n:(t + 1) * n], axes)
         inv_std = 1.0 / np.sqrt(var + np.float32(eps))
         xhat *= inv_std
-        if out is None:
-            # The serial op returns a fresh ufunc result, whose memory
-            # order follows ``xhat`` — typically the conv output's
-            # (n, l, c)-major layout, *not* C order.  Allocate the
-            # composite in that exact layout so lane slices reproduce the
-            # serial strides for the downstream (layout-sensitive) pooling
-            # and norm reductions.
-            order = tuple(int(i) for i in
-                          np.argsort([-s for s in xhat.strides],
-                                     kind="stable"))
-            if order[0] != 0:
-                raise FusedPathUnavailable(
-                    f"batch axis not slowest in norm layout {order}")
-            mem = np.empty(tuple(xd.shape[i] for i in order),
-                           dtype=np.float32)
-            out = mem.transpose(tuple(int(i) for i in np.argsort(order)))
         gamma_r = (gammas[t].reshape(1, c, 1, 1)
                    if gammas[t] is not None else None)
         beta_r = (betas[t].reshape(1, c, 1, 1)
@@ -464,14 +258,11 @@ def instance_norm2d_lanes(x: np.ndarray, gammas, betas, eps: float = 1e-5):
         lane_ctx.append((xhat, inv_std, gamma_r))
 
     def backward(g: np.ndarray) -> np.ndarray:
-        # The serial backward returns ``m * g`` reworked in place — a fresh
-        # array following ``g``'s memory order; ``empty_like`` replicates it.
-        dx = np.empty_like(g, dtype=np.float32)
+        dx = np.empty(g.shape, dtype=np.float32)
         for t, (xhat, inv_std, gamma_r) in enumerate(lane_ctx):
             gl = g[t * n:(t + 1) * n]
             gy = gl * gamma_r if gamma_r is not None else gl
-            _instance_norm_backward_into(gy, xhat, inv_std,
-                                         dx[t * n:(t + 1) * n])
+            _norm_backward(gy, xhat, inv_std, axes, out=dx[t * n:(t + 1) * n])
         return dx
 
     return out, backward
@@ -480,25 +271,44 @@ def instance_norm2d_lanes(x: np.ndarray, gammas, betas, eps: float = 1e-5):
 # ----------------------------------------------------------------------
 # Pooling
 # ----------------------------------------------------------------------
+def avg_pool_forward(xd: np.ndarray, k: int) -> np.ndarray:
+    """Non-overlapping k x k average of NCHW ``xd`` as a sum of the k*k
+    strided tap slices: a fresh C-contiguous (n, c, h/k, w/k) array."""
+    taps = [xd[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+    out = taps[0] + taps[1] if len(taps) > 1 else taps[0].copy()
+    for tap in taps[2:]:
+        out += tap
+    out *= np.float32(1.0 / (k * k))
+    return out
+
+
+def avg_pool_backward(g: np.ndarray, k: int) -> np.ndarray:
+    """Input gradient of :func:`avg_pool_forward`: each output gradient,
+    scaled by 1/(k*k), spread over its window (C-contiguous NCHW)."""
+    n, c, oh, ow = g.shape
+    scaled = g * np.float32(1.0 / (k * k))
+    out = np.empty((n, c, oh * k, ow * k), dtype=np.float32)
+    for i in range(k):
+        for j in range(k):
+            out[:, :, i::k, j::k] = scaled
+    return out
+
+
 def avg_pool2d(x: Tensor, kernel_size: int = 2) -> Tensor:
     """Non-overlapping average pooling; spatial dims must divide evenly."""
     if not kernels.fast_kernels_enabled():
         return reference.avg_pool2d(x, kernel_size)
     k = int(kernel_size)
-    n, c, h, w = x.shape
+    h, w = x.shape[2], x.shape[3]
     if h % k or w % k:
         raise ValueError(f"avg_pool2d: spatial dims ({h},{w}) not divisible by {k}")
-    oh, ow = h // k, w // k
-    out = x.data.reshape(n, c, oh, k, ow, k).mean(axis=(3, 5))
+    out = avg_pool_forward(_f32(x.data), k)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            scaled = g * np.float32(1.0 / (k * k))
-            grad = np.broadcast_to(scaled[:, :, :, None, :, None],
-                                   (n, c, oh, k, ow, k)).reshape(n, c, h, w)
-            x._accumulate(_f32(grad), own=True)
+            x._accumulate(avg_pool_backward(g, k), own=True)
 
-    return Tensor._make(_f32(out), (x,), "avg_pool2d", backward)
+    return Tensor._make(out, (x,), "avg_pool2d", backward)
 
 
 def max_pool2d(x: Tensor, kernel_size: int = 2) -> Tensor:
@@ -519,61 +329,23 @@ def max_pool2d(x: Tensor, kernel_size: int = 2) -> Tensor:
     oh, ow = h // k, w // k
     kk = k * k
     idx_dtype = np.uint8 if kk <= 255 else np.int32
-    bounds = intra_op.shard_bounds(n)
-    if bounds is None:
-        windows = np.ascontiguousarray(
-            x.data.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
-        ).reshape(n, c, oh, ow, kk)
-        idx = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        # Compact retention: one small integer per output pixel.
-        idx = idx.astype(idx_dtype)
-    else:
-        # Per-window argmax/gather is batch-elementwise, so disjoint batch
-        # spans compose to exactly the serial result.
-        xd = x.data
-        out = np.empty((n, c, oh, ow), dtype=xd.dtype)
-        idx = np.empty((n, c, oh, ow), dtype=idx_dtype)
-
-        def pool_shard(a: int, b: int) -> None:
-            arena = intra_op.thread_arena()
-            win = arena.acquire((b - a, c, oh, ow, kk), xd.dtype)
-            np.copyto(
-                win.reshape(b - a, c, oh, ow, k, k),
-                xd[a:b].reshape(b - a, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5))
-            loc = win.argmax(axis=-1)
-            out[a:b] = np.take_along_axis(win, loc[..., None], axis=-1)[..., 0]
-            idx[a:b] = loc
-            arena.release(win)
-
-        intra_op.run_sharded(pool_shard, bounds)
+    windows = np.ascontiguousarray(
+        x.data.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
+    ).reshape(n, c, oh, ow, kk)
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    # Compact retention: one small integer per output pixel.
+    idx = idx.astype(idx_dtype)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             g32 = _f32(np.asarray(g))
-            bwd_bounds = intra_op.shard_bounds(n)
-            if bwd_bounds is None:
-                buf = np.zeros((n, c, oh, ow, kk), dtype=np.float32)
-                np.put_along_axis(buf, idx[..., None].astype(np.int64),
-                                  g32[..., None], axis=-1)
-                grad = np.ascontiguousarray(
-                    buf.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
-                ).reshape(n, c, h, w)
-            else:
-                grad = np.empty((n, c, h, w), dtype=np.float32)
-
-                def pool_bwd_shard(a: int, b: int) -> None:
-                    arena = intra_op.thread_arena()
-                    buf = arena.acquire((b - a, c, oh, ow, kk), np.float32,
-                                        zero=True)
-                    np.put_along_axis(buf, idx[a:b][..., None].astype(np.int64),
-                                      g32[a:b][..., None], axis=-1)
-                    np.copyto(
-                        grad[a:b].reshape(b - a, c, oh, k, ow, k),
-                        buf.reshape(b - a, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5))
-                    arena.release(buf)
-
-                intra_op.run_sharded(pool_bwd_shard, bwd_bounds)
+            buf = np.zeros((n, c, oh, ow, kk), dtype=np.float32)
+            np.put_along_axis(buf, idx[..., None].astype(np.int64),
+                              g32[..., None], axis=-1)
+            grad = np.ascontiguousarray(
+                buf.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
+            ).reshape(n, c, h, w)
             x._accumulate(grad, own=True)
 
     return Tensor._make(_f32(out), (x,), "max_pool2d", backward)
@@ -587,18 +359,20 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # Normalization (fused forward/backward for speed)
 # ----------------------------------------------------------------------
-def _norm_backward(g, xhat, inv_std, axes):
+def _norm_backward(g, xhat, inv_std, axes, out=None):
     """Gradient of y = xhat for normalization over ``axes``.
 
-    In-place formulation of the seed's fused expression; returns a fresh
-    array the caller may take ownership of.
+    In-place formulation of the seed's fused expression, into ``out`` (a
+    composite lane slice) or a fresh array the caller may take ownership
+    of.  Every step is elementwise or reduces over ``g``/``xhat``, so the
+    destination cannot perturb the float32 summation order.
     """
     m = 1
     for a in axes:
         m *= xhat.shape[a]
     sum_g = g.sum(axis=axes, keepdims=True)
     sum_gx = (g * xhat).sum(axis=axes, keepdims=True)
-    t = m * g
+    t = np.multiply(g, m, out=out)
     t -= sum_g
     t -= xhat * sum_gx
     t *= inv_std * np.float32(1.0 / m)
@@ -613,117 +387,12 @@ def _norm_stats(x2d: np.ndarray, axes):
     return xc, var
 
 
-def _tree_batch_sum(arr: np.ndarray, axes, label: str,
-                    mul: np.ndarray | None = None) -> np.ndarray | None:
-    """Tree-reduced ``arr.sum(axis=axes)`` / ``(arr * mul).sum(axis=axes)``.
-
-    Returns None when the batch is below the shard threshold, a single
-    thread is configured, or the :func:`~repro.nn.kernels.tree_sum_safe`
-    probe declined the shape (counted via ``parallel.reduce.fallbacks``);
-    the caller then runs the serial reduction, byte-unchanged.
-    """
-    bounds = intra_op.shard_bounds(arr.shape[0])
-    if bounds is None:
-        return None
-    if not kernels.tree_sum_safe(arr, axes, len(bounds), mul):
-        tree_reduce.note_reduce_fallback()
-        return None
-    shape = tuple(s for i, s in enumerate(arr.shape) if i not in axes)
-    if mul is None:
-        def partial(a, b, out):
-            np.sum(arr[a:b], axis=axes, out=out)
-    else:
-        def partial(a, b, out):
-            np.sum(arr[a:b] * mul[a:b], axis=axes, out=out)
-    return tree_reduce.tree_reduce(partial, shape, np.float32, bounds,
-                                   label=label)
-
-
-def _norm_param_grads(g, xhat, beta, gamma, label: str) -> None:
-    """Accumulate dbeta/dgamma for a norm op, tree-reducing when probed
-    safe (the serial sums are the exact pre-engine code paths)."""
+def _norm_param_grads(g, xhat, beta, gamma) -> None:
+    """Accumulate dbeta/dgamma for a norm op."""
     if beta is not None and beta.requires_grad:
-        db = _tree_batch_sum(g, (0, 2, 3), f"{label}.dbeta")
-        beta._accumulate(db if db is not None
-                         else _f32(g.sum(axis=(0, 2, 3))), own=True)
+        beta._accumulate(_f32(g.sum(axis=(0, 2, 3))), own=True)
     if gamma is not None and gamma.requires_grad:
-        dg = _tree_batch_sum(g, (0, 2, 3), f"{label}.dgamma", mul=xhat)
-        gamma._accumulate(dg if dg is not None
-                          else _f32((g * xhat).sum(axis=(0, 2, 3))),
-                          own=True)
-
-
-def _instance_norm_stats(xd: np.ndarray):
-    """:func:`_norm_stats` over axes (2, 3), sharded over disjoint batch
-    spans when configured and probe-proven byte-identical (per-sample
-    reductions never cross a batch boundary; the probe verifies the
-    composite ``out=`` fill reproduces the serial bytes and layout)."""
-    axes = (2, 3)
-    bounds = intra_op.shard_bounds(xd.shape[0])
-    if bounds is not None:
-        info = kernels.norm_stats_shard_safe(xd, len(bounds))
-        if not info["ok"]:
-            intra_op.note_serial_fallback("probe")
-            bounds = None
-    if bounds is None:
-        return _norm_stats(xd, axes)
-    n, c = xd.shape[0], xd.shape[1]
-    xc = kernels._ordered_empty(xd.shape, info["xc_order"])
-    var = kernels._ordered_empty((n, c, 1, 1), info["var_order"])
-
-    def stats_shard(a: int, b: int) -> None:
-        m = xd[a:b].mean(axis=axes, keepdims=True)
-        np.subtract(xd[a:b], m, out=xc[a:b])
-        sq = xc[a:b] * xc[a:b]
-        np.mean(sq, axis=axes, keepdims=True, out=var[a:b])
-
-    intra_op.run_sharded(stats_shard, bounds)
-    return xc, var
-
-
-def _instance_norm_backward(gy, xhat, inv_std) -> np.ndarray:
-    """:func:`_norm_backward` over axes (2, 3), sharded over disjoint
-    batch spans when configured and probe-proven byte-identical."""
-    axes = (2, 3)
-    bounds = intra_op.shard_bounds(gy.shape[0])
-    if bounds is not None:
-        info = kernels.norm_bwd_shard_safe(gy, xhat, inv_std, len(bounds))
-        if not info["ok"]:
-            intra_op.note_serial_fallback("probe")
-            bounds = None
-    if bounds is None:
-        return _norm_backward(gy, xhat, inv_std, axes)
-    dx = kernels._ordered_empty(gy.shape, info["dx_order"])
-
-    def bwd_shard(a: int, b: int) -> None:
-        _norm_backward_into(gy[a:b], xhat[a:b], inv_std[a:b], axes,
-                            dx[a:b])
-
-    intra_op.run_sharded(bwd_shard, bounds)
-    return dx
-
-
-def _instance_norm_backward_into(gy, xhat, inv_std, out) -> None:
-    """:func:`_norm_backward_into` over axes (2, 3), sharded over disjoint
-    batch spans when probe-proven (the destination layout cannot perturb
-    the bytes — see :func:`_norm_backward_into` — so the fresh-layout probe
-    verdict carries over to composite lane slices)."""
-    axes = (2, 3)
-    bounds = intra_op.shard_bounds(gy.shape[0])
-    if bounds is not None:
-        info = kernels.norm_bwd_shard_safe(gy, xhat, inv_std, len(bounds))
-        if not info["ok"]:
-            intra_op.note_serial_fallback("probe")
-            bounds = None
-    if bounds is None:
-        _norm_backward_into(gy, xhat, inv_std, axes, out)
-        return
-
-    def bwd_shard(a: int, b: int) -> None:
-        _norm_backward_into(gy[a:b], xhat[a:b], inv_std[a:b], axes,
-                            out[a:b])
-
-    intra_op.run_sharded(bwd_shard, bounds)
+        gamma._accumulate(_f32((g * xhat).sum(axis=(0, 2, 3))), own=True)
 
 
 def instance_norm2d(x: Tensor, gamma: Tensor | None = None,
@@ -736,7 +405,7 @@ def instance_norm2d(x: Tensor, gamma: Tensor | None = None,
     if not kernels.fast_kernels_enabled():
         return reference.instance_norm2d(x, gamma, beta, eps=eps)
     axes = (2, 3)
-    xhat, var = _instance_norm_stats(_f32(x.data))
+    xhat, var = _norm_stats(_f32(x.data), axes)
     inv_std = 1.0 / np.sqrt(var + np.float32(eps))
     xhat *= inv_std
     c = x.shape[1]
@@ -758,10 +427,10 @@ def instance_norm2d(x: Tensor, gamma: Tensor | None = None,
         parents.append(beta)
 
     def backward(g: np.ndarray) -> None:
-        _norm_param_grads(g, xhat, beta, gamma, "instance_norm")
+        _norm_param_grads(g, xhat, beta, gamma)
         if x.requires_grad:
             gy = g * gamma_r if gamma_r is not None else g
-            x._accumulate(_f32(_instance_norm_backward(gy, xhat, inv_std)),
+            x._accumulate(_f32(_norm_backward(gy, xhat, inv_std, axes)),
                           own=True)
 
     return Tensor._make(_f32(out), parents, "instance_norm2d", backward)
@@ -799,7 +468,7 @@ def group_norm2d(x: Tensor, num_groups: int, gamma: Tensor | None = None,
         parents.append(beta)
 
     def backward(g: np.ndarray) -> None:
-        _norm_param_grads(g, xhat, beta, gamma, "group_norm")
+        _norm_param_grads(g, xhat, beta, gamma)
         if x.requires_grad:
             gy = g * gamma_r if gamma_r is not None else g
             gyg = gy.reshape(n, num_groups, c // num_groups, h, w)
@@ -837,7 +506,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor | None = None,
         parents.append(beta)
 
     def backward(g: np.ndarray) -> None:
-        _norm_param_grads(g, xhat, beta, gamma, "batch_norm")
+        _norm_param_grads(g, xhat, beta, gamma)
         if x.requires_grad:
             gy = g * gamma_r if gamma_r is not None else g
             x._accumulate(_f32(_norm_backward(gy, xhat, inv_std, axes)), own=True)
@@ -853,30 +522,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not kernels.fast_kernels_enabled():
         return reference.log_softmax(x, axis=axis)
     xd = _f32(x.data)
-    ax = axis if axis >= 0 else xd.ndim + axis
-    bounds = None
-    if ax == xd.ndim - 1 and xd.ndim >= 2 and xd.size >= 32768:
-        # Row-wise over the trailing axis: every batch row reduces
-        # independently, so batch shards reproduce the serial bits.  The
-        # size floor keeps classifier-head-sized inputs off the pool.
-        bounds = intra_op.shard_bounds(xd.shape[0])
-    if bounds is None:
-        out = xd - xd.max(axis=axis, keepdims=True)
-        e = np.exp(out)
-        out -= np.log(e.sum(axis=axis, keepdims=True))
-        softmax_vals = np.exp(out)
-    else:
-        out = np.empty_like(xd)
-        softmax_vals = np.empty_like(xd)
-
-        def ls_shard(a: int, b: int) -> None:
-            o = out[a:b]
-            np.subtract(xd[a:b], xd[a:b].max(axis=-1, keepdims=True), out=o)
-            e = np.exp(o)
-            o -= np.log(e.sum(axis=-1, keepdims=True))
-            np.exp(o, out=softmax_vals[a:b])
-
-        intra_op.run_sharded(ls_shard, bounds)
+    out = xd - xd.max(axis=axis, keepdims=True)
+    e = np.exp(out)
+    out -= np.log(e.sum(axis=axis, keepdims=True))
+    softmax_vals = np.exp(out)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:

@@ -1,11 +1,10 @@
 """Cached convolution kernel plans and the fast/reference kernel switch.
 
 Every conv call in the condensation hot loop used to re-derive its im2col
-geometry, allocate fresh column buffers, re-search einsum contraction paths,
-and run a Python ``kh x kw`` scatter loop for the input gradient.  This
-module centralizes all of that per-shape work in a :class:`ConvPlan` that is
-computed once and cached in a bounded LRU keyed on
-``(n, c, h, w, kh, kw, stride, pad)``:
+geometry, allocate fresh column buffers, and run a Python ``kh x kw``
+scatter loop for the input gradient.  This module centralizes that
+per-shape work in a :class:`ConvPlan` that is computed once and cached in a
+bounded LRU keyed on ``(n, c, h, w, kh, kw, stride, pad)``:
 
 * the im2col window geometry (strided-view shape plus column-buffer shape,
   with the buffer itself served from :mod:`repro.nn.workspace`);
@@ -15,8 +14,11 @@ computed once and cached in a bounded LRU keyed on
 * *flat scatter indices* for a single-call ``np.bincount`` col2im
   (selectable via :func:`set_scatter_mode`; kept because it is the fully
   vectorized formulation, but the precomputed slice table measures 2-4x
-  faster under numpy's strided adds, so it is the default);
-* cached einsum contraction paths for the conv weight-gradient reduction.
+  faster under numpy's strided adds, so it is the default).
+
+The column buffer is always C-contiguous ``(n, c*kh*kw, oh*ow)``, and the
+conv contractions in :mod:`repro.nn.functional` are plain ``np.matmul``
+calls on it, so every activation and gradient stays C-contiguous NCHW.
 
 The module also owns the **fast/reference switch**: the seed (pre-plan)
 implementations of ``_im2col``/``_col2im`` are preserved verbatim as
@@ -44,18 +46,9 @@ __all__ = [
     "clear_plan_cache",
     "set_plan_cache_limit",
     "im2col",
-    "alloc_cols",
-    "alloc_lane_out",
-    "im2col_fill",
     "col2im",
-    "col2im_add",
     "im2col_reference",
     "col2im_reference",
-    "stride_order",
-    "tree_sum_safe",
-    "norm_stats_shard_safe",
-    "norm_bwd_shard_safe",
-    "clear_probe_caches",
     "fast_kernels_enabled",
     "set_fast_kernels",
     "reference_mode",
@@ -147,10 +140,7 @@ class ConvPlan:
     __slots__ = (
         "key", "n", "c", "h", "w", "kh", "kw", "stride", "pad",
         "hp", "wp", "oh", "ow", "cols_shape6", "cols_shape",
-        "slices",
-        "_scatter_index", "_fwd_path", "_dw_path", "_dcols_path",
-        "_ckk_safe", "_shard_safe", "_fwd_out_order",
-        "_lane_plans", "_reduce_safe",
+        "slices", "_scatter_index",
     )
 
     def __init__(self, n: int, c: int, h: int, w: int, kh: int, kw: int,
@@ -168,14 +158,6 @@ class ConvPlan:
         self.cols_shape = (n, c * kh * kw, self.oh * self.ow)
         self.slices = self._build_slices()
         self._scatter_index: np.ndarray | None = None
-        self._fwd_path = None
-        self._dw_path = None
-        self._dcols_path = None
-        self._ckk_safe: dict[int, bool] = {}
-        self._shard_safe: dict[tuple, bool] = {}
-        self._fwd_out_order: dict[tuple, tuple[int, ...]] = {}
-        self._lane_plans: dict[tuple, dict] = {}
-        self._reduce_safe: dict[tuple, dict] = {}
 
     # -- scatter tables ----------------------------------------------------
     def _build_slices(self):
@@ -230,402 +212,16 @@ class ConvPlan:
                                    + base[None, :].astype(dtype)).ravel()
         return self._scatter_index
 
-    # -- cached einsum contraction paths -----------------------------------
-    # The three conv contractions keep the seed's exact einsum subscripts
-    # (the output memory layout, and hence downstream float32 reduction
-    # order, is part of the numerics being preserved); only the per-call
-    # ``einsum_path`` search is hoisted into the plan.
-    def fwd_path(self, w2: np.ndarray, cols: np.ndarray):
-        """Contraction path for the forward pass ``ok,nkl->nol``."""
-        if self._fwd_path is None:
-            self._fwd_path = np.einsum_path("ok,nkl->nol", w2, cols,
-                                            optimize=True)[0]
-        return self._fwd_path
-
-    def dw_path(self, gflat: np.ndarray, cols: np.ndarray):
-        """Contraction path for the weight gradient ``nol,nkl->ok``."""
-        if self._dw_path is None:
-            self._dw_path = np.einsum_path("nol,nkl->ok", gflat, cols,
-                                           optimize=True)[0]
-        return self._dw_path
-
-    def dcols_path(self, w2: np.ndarray, gflat: np.ndarray):
-        """Contraction path for the input gradient columns ``ok,nol->nkl``."""
-        if self._dcols_path is None:
-            self._dcols_path = np.einsum_path("ok,nol->nkl", w2, gflat,
-                                              optimize=True)[0]
-        return self._dcols_path
-
-    # -- column-buffer layout probe ----------------------------------------
-    def ckk_safe(self, oc: int) -> bool:
-        """Whether the KNL-major (CKK-first) column layout is bit-safe here.
-
-        When einsum takes its BLAS route for the conv contractions it first
-        *prepares* the columns by transposing them to ``knl`` and copying to
-        contiguous memory; storing the column buffer KNL-major up front makes
-        that preparation a free view and saves a full column-buffer copy per
-        forward.  But at small sizes einsum instead iterates the strided
-        operands directly, and its float32 summation order then depends on
-        the operand strides — changing the layout would change the bits.
-
-        Rather than mirror numpy's dispatch heuristics, probe it: run the
-        forward and weight-gradient contractions on deterministic random
-        operands in both layouts and require bit-identical results.  The
-        verdict is cached per output-channel count.
-        """
-        cached = self._ckk_safe.get(oc)
-        if cached is not None:
-            return cached
-        n = self.n
-        k = self.c * self.kh * self.kw
-        l = self.oh * self.ow
-        rng = np.random.default_rng(0x5EED)
-        w2 = rng.standard_normal((oc, k)).astype(np.float32)
-        base = rng.standard_normal((n, k, l)).astype(np.float32)
-        knl = np.empty((k, n, l), dtype=np.float32)
-        np.copyto(knl.transpose(1, 0, 2), base)
-        cols_knl = knl.transpose(1, 0, 2)  # logical (n, k, l), KNL-major
-        f0 = np.einsum("ok,nkl->nol", w2, base,
-                       optimize=self.fwd_path(w2, base))
-        f1 = np.einsum("ok,nkl->nol", w2, cols_knl,
-                       optimize=self.fwd_path(w2, cols_knl))
-        safe = np.array_equal(f0, f1) and f0.strides == f1.strides
-        if safe:
-            g = rng.standard_normal((n, oc, l)).astype(np.float32)
-            d0 = np.einsum("nol,nkl->ok", g, base,
-                           optimize=self.dw_path(g, base))
-            d1 = np.einsum("nol,nkl->ok", g, cols_knl,
-                           optimize=self.dw_path(g, cols_knl))
-            safe = np.array_equal(d0, d1) and d0.strides == d1.strides
-        self._ckk_safe[oc] = safe
-        return safe
-
-    # -- batch-shard decomposition probe -----------------------------------
-    def shard_safe(self, oc: int, ckk: bool, nshards: int) -> bool:
-        """Whether splitting the batch axis into ``nshards`` is bit-safe.
-
-        The sharded conv paths compute the forward (``ok,nkl->nol``) and
-        input-gradient (``ok,nol->nkl``) contractions per batch shard with
-        ``out=`` slices of a preallocated result.  Each shard's float32
-        reduction runs over exactly the same ``k`` (resp. ``o``) extent as
-        the full contraction, so the summation order *should* be unchanged —
-        but as with :meth:`ckk_safe` we refuse to mirror einsum's internal
-        dispatch heuristics and instead verify on deterministic random
-        operands in the actual column layout.  A failed probe sends the
-        shape down the serial path (recorded via
-        ``parallel.serial_fallbacks``); the verdict is cached per
-        ``(oc, ckk, nshards)``.
-        """
-        key = (oc, bool(ckk), int(nshards))
-        cached = self._shard_safe.get(key)
-        if cached is not None:
-            return cached
-        from ..parallel.intra_op import even_bounds
-        n = self.n
-        k = self.c * self.kh * self.kw
-        l = self.oh * self.ow
-        rng = np.random.default_rng(0x51A6D)
-        w2 = rng.standard_normal((oc, k)).astype(np.float32)
-        cols = rng.standard_normal((n, k, l)).astype(np.float32)
-        if ckk:
-            knl = np.empty((k, n, l), dtype=np.float32)
-            np.copyto(knl.transpose(1, 0, 2), cols)
-            cols = knl.transpose(1, 0, 2)  # logical (n, k, l), KNL-major
-        bounds = even_bounds(n, nshards)
-        full = np.einsum("ok,nkl->nol", w2, cols,
-                         optimize=self.fwd_path(w2, cols))
-        # The serial contraction is free to return its result in whatever
-        # memory layout the chosen path produces (the BLAS route hands back
-        # an (n, l, o)-major transpose, the direct route a C-contiguous
-        # array).  Downstream float32 reductions (e.g. instance-norm means)
-        # are layout-sensitive, so the sharded path must reproduce this
-        # exact layout — record it, and probe with a matching buffer.
-        order = tuple(int(i) for i in
-                      np.argsort([-s for s in full.strides], kind="stable"))
-        shard = np.empty_like(full)
-        for a, b in bounds:
-            np.einsum("ok,nkl->nol", w2, cols[a:b], out=shard[a:b],
-                      optimize=self.fwd_path(w2, cols))
-        safe = np.array_equal(full, shard)
-        if safe:
-            g = rng.standard_normal((n, oc, l)).astype(np.float32)
-            dfull = np.einsum("ok,nol->nkl", w2, g,
-                              optimize=self.dcols_path(w2, g))
-            # The sharded backward writes into a C-contiguous arena buffer
-            # (its consumer, the slice scatter, is layout-independent), so
-            # probe with a C-contiguous out — not ``empty_like``.
-            dshard = np.empty(dfull.shape, dtype=dfull.dtype)
-            for a, b in bounds:
-                np.einsum("ok,nol->nkl", w2, g[a:b], out=dshard[a:b],
-                          optimize=self.dcols_path(w2, g))
-            safe = np.array_equal(dfull, dshard)
-        self._shard_safe[key] = safe
-        self._fwd_out_order[key] = order
-        return safe
-
-    # -- fused finite-difference lane probe ---------------------------------
-    def lane_plan(self, oc: int, ckk: bool, lanes: int = 2) -> dict:
-        """Probe the fastest bit-safe dispatch routes for lane-grouped convs.
-
-        The fused ±ε evaluator stacks ``lanes`` perturbed weight sets along
-        the batch axis: one ``(lanes*n, oc, l)`` composite result, each lane
-        written by its own contraction with ``out=`` pointing at the lane's
-        batch slice.  As with :meth:`ckk_safe` and :meth:`shard_safe` we
-        refuse to mirror numpy's dispatch heuristics and probe every
-        candidate route on deterministic random operands, byte-comparing
-        against exactly what the sequential per-lane pass computes.  The
-        cached verdict dict holds:
-
-        * ``available`` — the serial forward output layout puts the batch
-          axis slowest; composite lane slices can then carry the serial
-          strides downstream float32 reductions are sensitive to.  When
-          ``False`` nothing else is meaningful and the caller must run the
-          sequential path.
-        * ``order`` — that serial output axis order (for
-          :func:`alloc_lane_out`).
-        * ``fwd`` / ``comp_cols`` — forward route (``"matmul"``,
-          ``"matmul_copy"``, ``"einsum"``, or per-lane-``"copy"``) and
-          whether one composite
-          ``(lanes*n)`` im2col's lane slices are proven usable as operands
-          (halving im2col work on the non-shared layers).
-        * ``fwd_shared`` — forward route when all lanes contract the *same*
-          ``(n,)``-shaped column buffer (the shared-input first layer).
-        * ``comp_dcols`` / ``dcols`` — whether the backward may write both
-          lanes' gradient columns into one composite buffer and scatter it
-          with a single ``(lanes*n)`` col2im, and the contraction route
-          used for it.
-
-        Verdicts are keyed by ``(oc, ckk, lanes, scatter_mode)`` — the
-        scatter mode participates because the composite-col2im comparison
-        runs under whichever mode is active.
-        """
-        key = (oc, bool(ckk), int(lanes), _SCATTER_MODE)
-        cached = self._lane_plans.get(key)
-        if cached is not None:
-            return cached
-        info = self._probe_lane_plan(oc, bool(ckk), int(lanes))
-        self._lane_plans[key] = info
-        return info
-
-    def _probe_lane_plan(self, oc: int, ckk: bool, lanes: int) -> dict:
-        n, c, h, w = self.n, self.c, self.h, self.w
-        k = c * self.kh * self.kw
-        l = self.oh * self.ow
-        rng = np.random.default_rng(0xFD_F5)
-        x = rng.standard_normal((lanes * n, c, h, w)).astype(np.float32)
-        ws = [rng.standard_normal((oc, k)).astype(np.float32)
-              for _ in range(lanes)]
-        # Sequential reference: per-lane columns and fresh contractions,
-        # exactly as two independent conv2d calls would compute them.
-        ref_bufs = [im2col(x[t * n:(t + 1) * n], self, ckk=ckk)
-                    for t in range(lanes)]
-        ref_cols = [buf.reshape(self.cols_shape) for buf in ref_bufs]
-        refs = [np.einsum("ok,nkl->nol", ws[t], ref_cols[t],
-                          optimize=self.fwd_path(ws[t], ref_cols[t]))
-                for t in range(lanes)]
-        order = tuple(int(i) for i in
-                      np.argsort([-s for s in refs[0].strides], kind="stable"))
-        info = {"available": order[0] == 0, "order": order,
-                "fwd": "copy", "fwd_shared": "copy", "comp_cols": False,
-                "comp_dcols": False, "dcols": "einsum"}
-        if not info["available"]:
-            for buf in ref_bufs:
-                default_arena.release(buf)
-            return info
-
-        plan2 = get_conv_plan(lanes * n, c, h, w, self.kh, self.kw,
-                              self.stride, self.pad)
-        comp_buf = im2col(x, plan2, ckk=ckk)
-        comp_cols = comp_buf.reshape(plan2.cols_shape)
-
-        def lanes_match(route, cols_of, refs_of) -> bool:
-            out = alloc_lane_out((lanes * n, oc, l), order, arena=None)
-            try:
-                for t in range(lanes):
-                    lane = out[t * n:(t + 1) * n]
-                    cols_t = cols_of(t)
-                    if route == "matmul":
-                        np.matmul(ws[t], cols_t, out=lane)
-                    elif route == "matmul_copy":
-                        np.copyto(lane, np.matmul(ws[t], cols_t))
-                    elif route == "einsum_direct":
-                        np.einsum("ok,nkl->nol", ws[t], cols_t, out=lane,
-                                  optimize=False)
-                    else:
-                        np.einsum("ok,nkl->nol", ws[t], cols_t, out=lane,
-                                  optimize=self.fwd_path(ws[t], cols_t))
-                    ref = refs_of(t)
-                    if not (np.array_equal(ref, lane)
-                            and ref.strides == lane.strides):
-                        return False
-            except (TypeError, ValueError):  # pragma: no cover - numpy quirk
-                return False
-            return True
-
-        fwd_routes = ("matmul", "matmul_copy", "einsum_direct", "einsum")
-        for cols_of, composite in (
-                (lambda t: comp_cols[t * n:(t + 1) * n], True),
-                (lambda t: ref_cols[t], False)):
-            route = next((r for r in fwd_routes
-                          if lanes_match(r, cols_of, lambda t: refs[t])),
-                         None)
-            if route is not None:
-                info["fwd"], info["comp_cols"] = route, composite
-                break
-        # Shared-input first layer: every lane contracts the SAME column
-        # buffer, so the sequential reference uses lane 0's columns for
-        # every weight set.
-        refs_shared = [np.einsum("ok,nkl->nol", ws[t], ref_cols[0],
-                                 optimize=self.fwd_path(ws[t], ref_cols[0]))
-                       for t in range(lanes)]
-        for route in fwd_routes:
-            if lanes_match(route, lambda t: ref_cols[0],
-                           lambda t: refs_shared[t]):
-                info["fwd_shared"] = route
-                break
-
-        # Backward: both lanes' gradient columns in one composite buffer,
-        # scattered by a single (lanes*n)-row col2im.
-        g = rng.standard_normal((lanes * n, oc, l)).astype(np.float32)
-        ref_dx = []
-        for t in range(lanes):
-            gl = g[t * n:(t + 1) * n]
-            dcols = np.einsum("ok,nol->nkl", ws[t], gl,
-                              optimize=self.dcols_path(ws[t], gl))
-            ref_dx.append(col2im(dcols, self))
-        for route in ("matmul", "einsum_direct", "einsum"):
-            dcols2 = np.empty(plan2.cols_shape, dtype=np.float32)
-            try:
-                for t in range(lanes):
-                    gl = g[t * n:(t + 1) * n]
-                    slot = dcols2[t * n:(t + 1) * n]
-                    if route == "matmul":
-                        np.matmul(ws[t].T, gl, out=slot)
-                    elif route == "einsum_direct":
-                        np.einsum("ok,nol->nkl", ws[t], gl, out=slot,
-                                  optimize=False)
-                    else:
-                        np.einsum("ok,nol->nkl", ws[t], gl, out=slot,
-                                  optimize=self.dcols_path(ws[t], gl))
-            except (TypeError, ValueError):  # pragma: no cover - numpy quirk
-                continue
-            dx2 = col2im(dcols2, plan2)
-            if all(np.array_equal(ref_dx[t], dx2[t * n:(t + 1) * n])
-                   for t in range(lanes)):
-                info["comp_dcols"], info["dcols"] = True, route
-                break
-
-        default_arena.release(comp_buf)
-        for buf in ref_bufs:
-            default_arena.release(buf)
-        return info
-
-    # -- tree-reduction probe ----------------------------------------------
-    def reduce_safe(self, oc: int, ckk: bool, nshards: int,
-                    gstrides: tuple[int, ...]) -> dict:
-        """Whether the conv weight/bias gradient reductions may run as
-        fixed-order shard trees (:func:`repro.parallel.tree_reduce`).
-
-        The tree computes per-shard partials (``dw`` via the cached
-        ``nol,nkl->ok`` contraction with ``out=``, ``db`` via
-        ``sum(axis=(0, 2))``) over :func:`even_bounds` spans and combines
-        them pairwise in shard-index order.  Regrouping a float32 reduction
-        generally changes the bits (BLAS K-blocking, numpy's pairwise
-        summation), so — as with :meth:`shard_safe` — we refuse to mirror
-        numpy's internals and byte-compare tree vs serial on deterministic
-        operands replicating the production layouts exactly: the column
-        buffer in its actual (C or KNL-major) layout, the output gradient
-        with the caller's exact strides (declining when the layout cannot
-        be replicated).  Verdicts are cached per
-        ``(oc, ckk, nshards, gstrides)`` and hold:
-
-        * ``dw`` / ``db`` — tree reduction proven byte-identical for the
-          weight / bias gradient;
-        * ``dw_order`` — the serial weight-gradient output's memory axis
-          order (the BLAS route returns a transposed result; the tree's
-          partials and final result must reproduce those strides for the
-          downstream reshape to read identical bytes).
-        """
-        key = (oc, bool(ckk), int(nshards), tuple(int(s) for s in gstrides))
-        cached = self._reduce_safe.get(key)
-        if cached is not None:
-            return cached
-        from ..parallel.intra_op import even_bounds
-        from ..parallel.tree_reduce import combine_partials
-        n = self.n
-        k = self.c * self.kh * self.kw
-        l = self.oh * self.ow
-        info = {"dw": False, "db": False, "dw_order": (0, 1)}
-        bounds = even_bounds(n, nshards)
-        # Multiple independent draws: on a small output (db has ``oc``
-        # floats) two summation orders can collide on one draw, and a
-        # verdict minted from the coincidence would diverge in production.
-        for trial in range(4):
-            rng = np.random.default_rng(0x52ED0CE + trial)
-            gflat = _replicated(rng, (n, oc, l), key[3], np.float32)
-            if gflat is None:
-                info = {"dw": False, "db": False, "dw_order": (0, 1)}
-                break
-            cols = rng.standard_normal((n, k, l)).astype(np.float32)
-            if ckk:
-                knl = np.empty((k, n, l), dtype=np.float32)
-                np.copyto(knl.transpose(1, 0, 2), cols)
-                cols = knl.transpose(1, 0, 2)  # logical (n, k, l), KNL-major
-            dfull = np.einsum("nol,nkl->ok", gflat, cols,
-                              optimize=self.dw_path(gflat, cols))
-            order = stride_order(dfull)
-            partials = [_ordered_empty(dfull.shape, order) for _ in bounds]
-            for (a, b), part in zip(bounds, partials):
-                np.einsum("nol,nkl->ok", gflat[a:b], cols[a:b], out=part,
-                          optimize=self.dw_path(gflat, cols))
-            tree = combine_partials(partials)
-            dw_ok = (np.array_equal(dfull, tree)
-                     and dfull.strides == tree.strides)
-            bfull = gflat.sum(axis=(0, 2))
-            bparts = [np.empty(bfull.shape, dtype=np.float32)
-                      for _ in bounds]
-            for (a, b), part in zip(bounds, bparts):
-                np.sum(gflat[a:b], axis=(0, 2), out=part)
-            btree = combine_partials(bparts)
-            db_ok = (np.array_equal(bfull, btree)
-                     and bfull.strides == btree.strides)
-            if trial == 0:
-                info = {"dw": dw_ok, "db": db_ok, "dw_order": order}
-            else:
-                info["dw"] = info["dw"] and dw_ok
-                info["db"] = info["db"] and db_ok
-            if not (info["dw"] or info["db"]):
-                break
-        self._reduce_safe[key] = info
-        return info
-
-    def fwd_out_order(self, oc: int, ckk: bool, nshards: int) -> tuple[int, ...]:
-        """Axis order (slowest to fastest stride) of the serial forward
-        contraction's output, recorded by :meth:`shard_safe`.  The sharded
-        forward allocates its ``(n, oc, l)`` result in exactly this layout so
-        downstream layout-sensitive reductions see bit-identical inputs."""
-        key = (oc, bool(ckk), int(nshards))
-        if key not in self._fwd_out_order:
-            self.shard_safe(oc, ckk, nshards)
-        return self._fwd_out_order[key]
-
     def approx_nbytes(self) -> int:
         """Approximate resident bytes of this plan.
 
-        The lazily built scatter index and any lane-plan ndarrays dominate;
-        the slice table and the small per-plan dicts are covered by a flat
-        per-entry overhead estimate (the ledger's 10% audit tolerance
-        absorbs the slack).
+        The lazily built scatter index dominates; the slice table is covered
+        by a flat per-entry overhead estimate (the ledger's 10% audit
+        tolerance absorbs the slack).
         """
         total = 512 + 96 * len(self.slices)
         if self._scatter_index is not None:
             total += self._scatter_index.nbytes
-        for info in self._lane_plans.values():
-            if isinstance(info, dict):
-                for value in info.values():
-                    nbytes = getattr(value, "nbytes", None)
-                    if nbytes is not None:
-                        total += int(nbytes)
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -707,323 +303,36 @@ _default_ledger.register_provider("cache.conv_plans", plan_cache_nbytes)
 
 
 # ----------------------------------------------------------------------
-# Generic tree-reduction / norm-shard probes
-# ----------------------------------------------------------------------
-# Shared gate for every reduction the deterministic tree engine
-# (:mod:`repro.parallel.tree_reduce`) may take over outside the conv plans:
-# norm parameter sums, the loss sum, and the per-sample norm-stat fills.
-# The discipline matches ConvPlan.shard_safe: build deterministic operands
-# that replicate the production memory layout *exactly* (declining when the
-# strides cannot be replicated), byte-compare the candidate decomposition
-# against the serial computation, cache the verdict.
-
-_PROBE_LOCK = threading.Lock()
-_TREE_SUM_SAFE: dict[tuple, bool] = {}
-_NORM_STATS_SAFE: dict[tuple, dict] = {}
-_NORM_BWD_SAFE: dict[tuple, dict] = {}
-
-
-def stride_order(a: np.ndarray) -> tuple[int, ...]:
-    """Memory axis order of ``a``, slowest to fastest stride (stable)."""
-    return tuple(int(i) for i in
-                 np.argsort([-s for s in a.strides], kind="stable"))
-
-
-def _ordered_empty(shape: tuple[int, ...],
-                   order: tuple[int, ...] | None) -> np.ndarray:
-    """Fresh float32 array of ``shape`` with memory axis order ``order``."""
-    if order is None or len(shape) < 2:
-        return np.empty(shape, dtype=np.float32)
-    mem = np.empty(tuple(shape[i] for i in order), dtype=np.float32)
-    return mem.transpose(tuple(int(i) for i in np.argsort(order)))
-
-
-def _replicated(rng: np.random.Generator, shape: tuple[int, ...],
-                strides: tuple[int, ...], dtype) -> np.ndarray | None:
-    """Deterministic random array with exactly ``shape``/``strides``.
-
-    Returns None when the layout is not a dense axis permutation (sliced /
-    broadcast operands); probes then decline rather than risk verifying a
-    layout that is not the production one.
-    """
-    order = tuple(int(i) for i in
-                  np.argsort([-s for s in strides], kind="stable"))
-    mem = rng.standard_normal(tuple(shape[i] for i in order)).astype(dtype)
-    arr = mem.transpose(tuple(int(i) for i in np.argsort(order)))
-    if arr.strides != tuple(strides):
-        return None
-    return arr
-
-
-def _strides_sig(a: np.ndarray) -> tuple[int, ...]:
-    """Strides restricted to axes of extent > 1 (size-1 strides are
-    arbitrary and never affect iteration order)."""
-    return tuple(s for s, d in zip(a.strides, a.shape) if d > 1)
-
-
-def tree_sum_safe(arr: np.ndarray, axes: tuple[int, ...] | None,
-                  nshards: int, mul: np.ndarray | None = None) -> bool:
-    """Whether ``arr.sum(axis=axes)`` (or ``(arr * mul).sum(axis=axes)``)
-    may run as a fixed-order shard tree over axis 0.
-
-    Byte-compares the tree (per-shard ``np.sum`` partials over
-    :func:`even_bounds` spans, combined pairwise in shard-index order)
-    against the serial reduction on deterministic operands replicating the
-    production strides.  ``axes`` must include axis 0 (or be None for a
-    full sum); the verdict is cached per (shape, axes, strides, shard
-    count).
-
-    Several independent draws are compared, not one: two different
-    summation orders can coincidentally produce the same bytes on a given
-    draw (measured ~1-in-3 per float32 for a full 1D sum), and a verdict
-    minted from such a coincidence would let the tree silently diverge on
-    production data.  Every output element is an independent coincidence,
-    so the draw count adapts to the output size: a scalar output (the
-    loss sum) gets 16 draws, multi-element outputs get 4 — either way the
-    false-accept probability is negligible.
-    """
-    if arr.dtype != np.float32 or (mul is not None
-                                   and mul.dtype != np.float32):
-        return False
-    axes_key = None if axes is None else tuple(int(a) for a in axes)
-    key = (arr.shape, axes_key, arr.strides,
-           None if mul is None else (mul.shape, mul.strides), int(nshards))
-    with _PROBE_LOCK:
-        cached = _TREE_SUM_SAFE.get(key)
-    if cached is not None:
-        return cached
-    from ..parallel.intra_op import even_bounds
-    from ..parallel.tree_reduce import combine_partials
-    bounds = even_bounds(arr.shape[0], nshards)
-    kept = (() if axes is None else
-            tuple(d for i, d in enumerate(arr.shape)
-                  if i not in {a % arr.ndim for a in axes}))
-    out_size = int(np.prod(kept)) if kept else 1
-    trials = 16 if out_size < 4 else 4
-    safe = True
-    for trial in range(trials):
-        rng = np.random.default_rng(0x52ED05 + trial)
-        p = _replicated(rng, arr.shape, arr.strides, np.float32)
-        q = None
-        if mul is not None:
-            q = _replicated(rng, mul.shape, mul.strides, np.float32)
-        if p is None or (mul is not None and q is None):
-            safe = False
-            break
-        serial = np.asarray((p * q).sum(axis=axes) if q is not None
-                            else p.sum(axis=axes))
-        partials = []
-        for a, b in bounds:
-            part = np.empty(serial.shape, dtype=np.float32)
-            if q is not None:
-                np.sum(p[a:b] * q[a:b], axis=axes, out=part)
-            else:
-                np.sum(p[a:b], axis=axes, out=part)
-            partials.append(part)
-        tree = combine_partials(partials)
-        if not (np.array_equal(serial, tree)
-                and _strides_sig(serial) == _strides_sig(tree)):
-            safe = False
-            break
-    with _PROBE_LOCK:
-        _TREE_SUM_SAFE[key] = safe
-    return safe
-
-
-def norm_stats_shard_safe(x: np.ndarray, nshards: int) -> dict:
-    """Whether the per-sample instance-norm statistics fill
-    (:func:`repro.nn.functional._norm_stats` over axes (2, 3)) may run
-    sharded over disjoint batch spans.
-
-    Every reduction is confined to one sample's (H, W) plane, so batch
-    sharding *should* be bit-exact — but the sharded fill writes through
-    ``out=`` into composite buffers, so we verify the whole decomposition
-    (per-span mean, centered difference, variance) byte-for-byte against
-    the serial computation on layout-replicated operands, and record the
-    serial outputs' memory orders for the composite allocation.
-    """
-    key = (x.shape, x.strides, int(nshards))
-    with _PROBE_LOCK:
-        cached = _NORM_STATS_SAFE.get(key)
-    if cached is not None:
-        return cached
-    from ..parallel.intra_op import even_bounds
-    info = {"ok": False, "xc_order": None, "var_order": None}
-    rng = np.random.default_rng(0x57A75)
-    p = None if x.dtype != np.float32 else _replicated(
-        rng, x.shape, x.strides, np.float32)
-    if p is not None:
-        axes = (2, 3)
-        mean = p.mean(axis=axes, keepdims=True)
-        xc = p - mean
-        var = np.mean(xc * xc, axis=axes, keepdims=True)
-        xc_order = stride_order(xc)
-        var_order = stride_order(var)
-        xc2 = _ordered_empty(xc.shape, xc_order)
-        var2 = _ordered_empty(var.shape, var_order)
-        for a, b in even_bounds(x.shape[0], nshards):
-            m = p[a:b].mean(axis=axes, keepdims=True)
-            np.subtract(p[a:b], m, out=xc2[a:b])
-            sq = xc2[a:b] * xc2[a:b]
-            np.mean(sq, axis=axes, keepdims=True, out=var2[a:b])
-        if (np.array_equal(xc, xc2) and np.array_equal(var, var2)
-                and _strides_sig(xc) == _strides_sig(xc2)
-                and _strides_sig(var) == _strides_sig(var2)):
-            info = {"ok": True, "xc_order": xc_order,
-                    "var_order": var_order}
-    with _PROBE_LOCK:
-        _NORM_STATS_SAFE[key] = info
-    return info
-
-
-def norm_bwd_shard_safe(g: np.ndarray, xhat: np.ndarray,
-                        inv_std: np.ndarray, nshards: int) -> dict:
-    """Whether the instance-norm input-gradient fill
-    (:func:`repro.nn.functional._norm_backward` over axes (2, 3)) may run
-    sharded over disjoint batch spans, writing lane spans of a composite
-    allocated in the serial result's layout (recorded as ``dx_order``).
-    """
-    key = (g.shape, g.strides, xhat.strides, inv_std.strides, int(nshards))
-    with _PROBE_LOCK:
-        cached = _NORM_BWD_SAFE.get(key)
-    if cached is not None:
-        return cached
-    from ..parallel.intra_op import even_bounds
-    info = {"ok": False, "dx_order": None}
-    rng = np.random.default_rng(0x57A76)
-    pg = None if g.dtype != np.float32 else _replicated(
-        rng, g.shape, g.strides, np.float32)
-    ph = None if xhat.dtype != np.float32 else _replicated(
-        rng, xhat.shape, xhat.strides, np.float32)
-    pi_mem = rng.standard_normal(
-        tuple(inv_std.shape[i] for i in stride_order(inv_std))
-    ).astype(np.float32)
-    pi = np.abs(pi_mem).transpose(
-        tuple(int(i) for i in np.argsort(stride_order(inv_std)))) + np.float32(0.5)
-    if pg is not None and ph is not None \
-            and _strides_sig(pi) == _strides_sig(inv_std):
-        axes = (2, 3)
-        m = 1
-        for ax in axes:
-            m *= g.shape[ax]
-        # Serial reference mirrors functional._norm_backward exactly.
-        sum_g = pg.sum(axis=axes, keepdims=True)
-        sum_gx = (pg * ph).sum(axis=axes, keepdims=True)
-        ref = m * pg
-        ref -= sum_g
-        ref -= ph * sum_gx
-        ref *= pi * np.float32(1.0 / m)
-        dx_order = stride_order(ref)
-        dx = _ordered_empty(ref.shape, dx_order)
-        for a, b in even_bounds(g.shape[0], nshards):
-            # Mirrors functional._norm_backward_into on one batch span.
-            gs, hs = pg[a:b], ph[a:b]
-            sg = gs.sum(axis=axes, keepdims=True)
-            sgx = (gs * hs).sum(axis=axes, keepdims=True)
-            np.multiply(gs, m, out=dx[a:b])
-            dx[a:b] -= sg
-            dx[a:b] -= hs * sgx
-            dx[a:b] *= pi[a:b] * np.float32(1.0 / m)
-        if (np.array_equal(ref, dx)
-                and _strides_sig(ref) == _strides_sig(dx)):
-            info = {"ok": True, "dx_order": dx_order}
-    with _PROBE_LOCK:
-        _NORM_BWD_SAFE[key] = info
-    return info
-
-
-def clear_probe_caches() -> None:
-    """Drop the module-level probe verdict caches (tests only)."""
-    with _PROBE_LOCK:
-        _TREE_SUM_SAFE.clear()
-        _NORM_STATS_SAFE.clear()
-        _NORM_BWD_SAFE.clear()
-
-
-# ----------------------------------------------------------------------
 # Fast im2col / col2im
 # ----------------------------------------------------------------------
-def im2col(x: np.ndarray, plan: ConvPlan, arena=default_arena, *,
-           ckk: bool = False) -> np.ndarray:
-    """Expand NCHW ``x`` into an (n, c, kh, kw, oh, ow) column buffer.
+def im2col(x: np.ndarray, plan: ConvPlan, arena=default_arena) -> np.ndarray:
+    """Expand NCHW ``x`` into a C-contiguous (n, c, kh, kw, oh, ow) buffer.
 
-    With ``ckk=False`` the buffer is C-contiguous, so the caller's
-    ``reshape(plan.cols_shape)`` is a free view with exactly the seed's
-    (n, k, l) memory layout — the contraction operands (and therefore the
-    float32 summation order inside einsum) are bit-identical to the seed.
-    With ``ckk=True`` (only valid when :meth:`ConvPlan.ckk_safe` proved the
-    layout bit-safe) the buffer is stored KNL-major, which turns einsum's
-    forward-contraction operand preparation into a free view and saves a
-    full column-buffer copy per forward.  Either way the caller releases
-    the returned array — the arena resolves full-size views to their base —
-    when the columns are no longer needed (typically at the end of conv
-    backward).
-    """
-    buf = alloc_cols(plan, x.dtype, ckk=ckk, arena=arena)
-    im2col_fill(x, plan, buf, 0, plan.n, arena)
-    return buf
-
-
-def alloc_cols(plan: ConvPlan, dtype, *, ckk: bool = False,
-               arena=default_arena) -> np.ndarray:
-    """Acquire an unfilled (n, c, kh, kw, oh, ow) column buffer.
-
-    Same layout contract as :func:`im2col` (``ckk=True`` stores the memory
-    KNL-major); used by the sharded conv path, which allocates once and has
-    each shard fill its own batch span via :func:`im2col_fill`.
-    """
-    if ckk:
-        c, kh, kw = plan.c, plan.kh, plan.kw
-        mem = arena.acquire((c, kh, kw, plan.n, plan.oh, plan.ow), dtype)
-        return mem.transpose(3, 0, 1, 2, 4, 5)  # logical (n, c, kh, kw, oh, ow)
-    return arena.acquire(plan.cols_shape6, dtype)
-
-
-def alloc_lane_out(shape3: tuple[int, int, int], order: tuple[int, ...], *,
-                   arena=default_arena) -> np.ndarray:
-    """Allocate a logical ``(N, oc, l)`` result whose memory axis order is
-    ``order`` (slowest to fastest), as recorded by
-    :meth:`ConvPlan.fd_fuse_order` / :meth:`ConvPlan.fwd_out_order`.  Lane
-    slices along axis 0 then carry exactly the serial contraction's strides.
-    ``arena=None`` uses a plain allocation (probe paths)."""
-    permuted = tuple(shape3[i] for i in order)
-    if arena is None:
-        mem = np.empty(permuted, dtype=np.float32)
-    else:
-        mem = arena.acquire(permuted, np.float32)
-    inverse = tuple(int(i) for i in np.argsort(order))
-    return mem.transpose(inverse)
-
-
-def im2col_fill(x: np.ndarray, plan: ConvPlan, buf6: np.ndarray,
-                n0: int, n1: int, arena=default_arena) -> None:
-    """Fill batch rows ``[n0, n1)`` of a cols6 buffer from ``x[n0:n1]``.
-
-    Pure elementwise copy into a disjoint batch span, so concurrent calls
-    on non-overlapping spans are race-free and the assembled buffer is
-    bit-identical to a single full-range fill.  Padded geometries draw
-    their shard-sized padded canvas from ``arena`` (the caller passes the
-    executing thread's arena on the sharded path).
+    The caller's ``reshape(plan.cols_shape)`` is a free view with the
+    seed's (n, k, l) layout, which is the right-hand operand of the conv
+    contraction ``matmul(w2, cols)``.  The buffer comes from ``arena``; the
+    caller releases it when the columns are no longer needed (typically at
+    the end of conv backward).
     """
     p, s = plan.pad, plan.stride
-    sn = n1 - n0
-    xs = x[n0:n1]
+    buf = arena.acquire(plan.cols_shape6, x.dtype)
     if p:
-        xp = arena.acquire((sn, plan.c, plan.hp, plan.wp), x.dtype)
+        xp = arena.acquire((plan.n, plan.c, plan.hp, plan.wp), x.dtype)
         xp[:, :, :p, :] = 0
         xp[:, :, plan.h + p:, :] = 0
         xp[:, :, p:plan.h + p, :p] = 0
         xp[:, :, p:plan.h + p, plan.w + p:] = 0
-        xp[:, :, p:plan.h + p, p:plan.w + p] = xs
+        xp[:, :, p:plan.h + p, p:plan.w + p] = x
     else:
-        xp = xs
+        xp = x
     s0, s1, s2, s3 = xp.strides
     view = np.lib.stride_tricks.as_strided(
-        xp, shape=(sn,) + plan.cols_shape6[1:],
+        xp, shape=plan.cols_shape6,
         strides=(s0, s1, s2, s3, s2 * s, s3 * s))
-    np.copyto(buf6[n0:n1], view)
+    np.copyto(buf, view)
     if p:
         arena.release(xp)
+    return buf
 
 
 def col2im(dcols: np.ndarray, plan: ConvPlan) -> np.ndarray:
@@ -1038,21 +347,6 @@ def col2im(dcols: np.ndarray, plan: ConvPlan) -> np.ndarray:
     for i, j, dst_h, dst_w, src_a, src_b in plan.slices:
         dx[:, :, dst_h, dst_w] += d6[:, :, i, j, src_a, src_b]
     return dx
-
-
-def col2im_add(dcols: np.ndarray, plan: ConvPlan, dx: np.ndarray,
-               n0: int, n1: int) -> None:
-    """Scatter-add batch rows ``[n0, n1)`` of gradient columns into ``dx``.
-
-    Slice-table scatter restricted to one batch span.  Each destination
-    element receives its tap contributions in exactly the same order as the
-    full-range :func:`col2im` loop (the batch axis is untouched by the
-    scatter), so a sharded scatter over disjoint spans is bit-identical to
-    the serial one.
-    """
-    d6 = dcols.reshape(plan.cols_shape6)
-    for i, j, dst_h, dst_w, src_a, src_b in plan.slices:
-        dx[n0:n1, :, dst_h, dst_w] += d6[n0:n1, :, i, j, src_a, src_b]
 
 
 def _col2im_bincount(dcols: np.ndarray, plan: ConvPlan) -> np.ndarray:

@@ -16,8 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from . import functional as F
-from . import kernels
-from ..parallel import intra_op, tree_reduce
 from .tensor import Tensor
 
 __all__ = [
@@ -58,49 +56,12 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
             raise ValueError(f"weights shape {weights.shape} does not match batch {n}")
         losses = losses * Tensor(weights)
     if reduction == "mean":
-        total = _tree_loss_sum(losses)
-        if total is not None:
-            # Mirrors Tensor.mean: the batch sum scaled by 1/n.
-            return total * (1.0 / n)
         return losses.mean()
     if reduction == "sum":
-        total = _tree_loss_sum(losses)
-        return total if total is not None else losses.sum()
+        return losses.sum()
     if reduction == "none":
         return losses
     raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def _tree_loss_sum(losses: Tensor) -> Tensor | None:
-    """Tree-reduced batch sum of the per-sample losses, or None for serial.
-
-    The NLL batch reduction is the last float32 sum of every training
-    step; when the :func:`~repro.nn.kernels.tree_sum_safe` probe proves
-    the fixed shard tree reproduces the serial ``losses.sum()`` bytes
-    (numpy's pairwise summation happens to split power-of-two batches on
-    the shard boundaries), the partials run on the intra-op pool.  The
-    returned Tensor mirrors ``Tensor.sum``'s backward exactly, so the
-    autograd bytes are unchanged either way.
-    """
-    data = losses.data
-    if data.ndim != 1 or data.dtype != np.float32:
-        return None
-    bounds = intra_op.shard_bounds(data.shape[0])
-    if bounds is None:
-        return None
-    if not kernels.tree_sum_safe(data, None, len(bounds)):
-        tree_reduce.note_reduce_fallback()
-        return None
-    total = tree_reduce.tree_reduce(
-        lambda a, b, out: np.sum(data[a:b], out=out),
-        (), np.float32, bounds, label="loss.sum")
-
-    def backward(g: np.ndarray) -> None:
-        # Verbatim Tensor.sum backward for axis=None.
-        losses._accumulate(
-            np.broadcast_to(g, losses.shape).astype(np.float32), own=True)
-
-    return Tensor._make(total, (losses,), "sum", backward)
 
 
 def mse_loss(a: Tensor, b: Tensor) -> Tensor:

@@ -217,9 +217,8 @@ class StepCache:
       outermost scope exits.  Invalidation must only happen at iteration
       boundaries, after the backward passes consuming the cached columns
       have run.
-    * Main-thread only: the condense drivers open scopes and run conv
-      forwards on the main thread (intra-op workers only execute shard
-      bodies handed to them).
+    * Single-threaded: the condense loops open scopes and run conv
+      forwards on the one thread that owns the learner.
     """
 
     def __init__(self, arena: WorkspaceArena | None = None) -> None:

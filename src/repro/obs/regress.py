@@ -8,7 +8,7 @@ slower.  This module adds the missing time axis:
   **append-only history** (``bench_results/bench_history.jsonl``) holding
   the run's flat metrics (seconds per benchmark, plus peak-memory byte
   gauges from the condense-step bench) and tags identifying
-  the measurement context (platform, numpy, cpu count, intra-op threads);
+  the measurement context (platform, numpy, cpu count, threads);
 * :func:`compare_history` judges the newest value of every metric against
   a **trailing baseline** — the median of up to the prior ``window``
   entries whose tags match on the configured keys (different machines or

@@ -17,9 +17,8 @@ pipeline the way a real parallel run would:
    repo's bench history must exit cleanly (regressions are reported, not
    fatal, in this leg — the bench pass owns the hard verdict).
 
-The intra-op pool is forced on (2 threads, shard threshold 1) so the
-tasks actually emit ``parallel.*`` counters and the aggregate comparison
-is never vacuous.
+The serial reference must emit ``health.*`` and ``quality.*`` counters,
+so the aggregate comparison is never vacuous.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ def _check(condition: bool, message: str) -> None:
 def main() -> int:
     from ..experiments.common import prepare_experiment
     from ..experiments.grid import run_method_grid
-    from ..parallel import intra_op
     from .export import (SHARD_DIRNAME, WORKERS_FILENAME,
                          aggregate_worker_counters)
     from .sinks import JsonlSink, read_jsonl_tolerant
@@ -58,74 +56,63 @@ def main() -> int:
 
     t0 = time.perf_counter()
     configs = [dict(c) for c in CONFIGS]
-    saved_threads = intra_op.get_num_threads()
-    saved_threshold = intra_op.shard_threshold()
-    intra_op.set_num_threads(2)
-    intra_op.set_shard_threshold(1)
-    try:
-        print(f"[obs-selfcheck] serial reference: {len(configs)}-point grid "
-              f"on {DATASET}/{PROFILE}, jobs=1")
-        prepared = prepare_experiment(DATASET, PROFILE, seed=0)
-        serial = Telemetry()
-        serial.enable()
-        with scoped_telemetry(serial):
-            run_method_grid(prepared, configs, jobs=1)
-        reference = serial.snapshot()["counters"]
-        _check(any(name.startswith("parallel.") for name in reference),
-               "serial reference emitted no parallel.* counters — the "
-               "aggregate comparison would be vacuous")
-        _check(any(name.startswith("health.") for name in reference),
-               "serial reference emitted no health.* counters — sentinel "
-               "parity would be vacuous")
-        _check(any(name.startswith("quality.") for name in reference),
-               "serial reference emitted no quality.* counters — "
-               "condensation-quality parity would be vacuous")
+    print(f"[obs-selfcheck] serial reference: {len(configs)}-point grid "
+          f"on {DATASET}/{PROFILE}, jobs=1")
+    prepared = prepare_experiment(DATASET, PROFILE, seed=0)
+    serial = Telemetry()
+    serial.enable()
+    with scoped_telemetry(serial):
+        run_method_grid(prepared, configs, jobs=1)
+    reference = serial.snapshot()["counters"]
+    _check(any(name.startswith("health.") for name in reference),
+           "serial reference emitted no health.* counters — sentinel "
+           "parity would be vacuous")
+    _check(any(name.startswith("quality.") for name in reference),
+           "serial reference emitted no quality.* counters — "
+           "condensation-quality parity would be vacuous")
 
-        with tempfile.TemporaryDirectory(prefix="repro-obs-check-") as tmp:
-            run_dir = pathlib.Path(tmp) / "trace"
-            print("[obs-selfcheck] parallel run: jobs=2 with telemetry "
-                  f"into {run_dir}")
-            parent = Telemetry()
-            parent.enable(JsonlSink.for_run_dir(run_dir))
-            with scoped_telemetry(parent):
-                run_method_grid(prepared, configs, jobs=2)
-            parent.shutdown()
+    with tempfile.TemporaryDirectory(prefix="repro-obs-check-") as tmp:
+        run_dir = pathlib.Path(tmp) / "trace"
+        print("[obs-selfcheck] parallel run: jobs=2 with telemetry "
+              f"into {run_dir}")
+        parent = Telemetry()
+        parent.enable(JsonlSink.for_run_dir(run_dir))
+        with scoped_telemetry(parent):
+            run_method_grid(prepared, configs, jobs=2)
+        parent.shutdown()
 
-            shard_dir = run_dir / SHARD_DIRNAME
-            shards = sorted(shard_dir.glob("*.jsonl"))
-            _check(len(shards) == len(configs),
-                   f"expected {len(configs)} worker shards, found "
-                   f"{len(shards)} in {shard_dir}")
-            merged = run_dir / WORKERS_FILENAME
-            _check(merged.is_file(), f"no merged {WORKERS_FILENAME}")
+        shard_dir = run_dir / SHARD_DIRNAME
+        shards = sorted(shard_dir.glob("*.jsonl"))
+        _check(len(shards) == len(configs),
+               f"expected {len(configs)} worker shards, found "
+               f"{len(shards)} in {shard_dir}")
+        merged = run_dir / WORKERS_FILENAME
+        _check(merged.is_file(), f"no merged {WORKERS_FILENAME}")
 
-            print("[obs-selfcheck] merge determinism + counter totals")
-            first_bytes = merged.read_bytes()
-            from .export import merge_worker_shards
-            merge_worker_shards(run_dir)
-            _check(merged.read_bytes() == first_bytes,
-                   "re-merging the same shards changed workers.jsonl")
+        print("[obs-selfcheck] merge determinism + counter totals")
+        first_bytes = merged.read_bytes()
+        from .export import merge_worker_shards
+        merge_worker_shards(run_dir)
+        _check(merged.read_bytes() == first_bytes,
+               "re-merging the same shards changed workers.jsonl")
 
-            events, skipped = read_jsonl_tolerant(merged)
-            _check(skipped == 0, f"{skipped} malformed lines in a clean "
-                                 f"merge")
-            totals = aggregate_worker_counters(events)
-            _check(bool(totals), "merged shards carry no worker counters")
-            for name, value in sorted(totals.items()):
-                _check(reference.get(name) == value,
-                       f"counter {name!r}: workers total {value!r} != "
-                       f"serial {reference.get(name)!r}")
-            for name in reference:
-                _check(name in totals,
-                       f"serial counter {name!r} missing from the worker "
-                       f"aggregate")
+        events, skipped = read_jsonl_tolerant(merged)
+        _check(skipped == 0, f"{skipped} malformed lines in a clean "
+                             f"merge")
+        totals = aggregate_worker_counters(events)
+        _check(bool(totals), "merged shards carry no worker counters")
+        for name, value in sorted(totals.items()):
+            _check(reference.get(name) == value,
+                   f"counter {name!r}: workers total {value!r} != "
+                   f"serial {reference.get(name)!r}")
+        for name in reference:
+            _check(name in totals,
+                   f"serial counter {name!r} missing from the worker "
+                   f"aggregate")
 
-            summary = summarize_trace(run_dir)
-            _check("Worker telemetry (merged shards)" in summary,
-                   "summarize did not render the per-worker breakdown")
-    finally:
-        intra_op.set_num_threads(saved_threads)
-        intra_op.set_shard_threshold(saved_threshold)
+        summary = summarize_trace(run_dir)
+        _check("Worker telemetry (merged shards)" in summary,
+               "summarize did not render the per-worker breakdown")
 
     print("[obs-selfcheck] bench-history regression dry-run")
     from ..cli import main as cli_main

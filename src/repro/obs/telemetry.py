@@ -360,12 +360,6 @@ def collect_runtime_counters(registry: Telemetry | None = None, *,
         if isinstance(val, bool):
             val = int(val)
         values[f"arena.{key}"] = float(val)
-    from ..parallel import intra_op  # local import, same reason as kernels
-    for key, val in intra_op.stats().items():
-        values[f"parallel.{key}"] = float(val)
-    from ..parallel import tree_reduce  # local import, as above
-    for key, val in tree_reduce.stats().items():
-        values[f"parallel.reduce.{key}"] = float(val)
     from ..nn.workspace import default_step_cache  # local import, as above
     for key, val in default_step_cache.stats().items():
         values[f"step_cache.{key}"] = float(val)

@@ -1,54 +1,18 @@
-"""Two-level parallel execution for the DECO reproduction stack.
+"""Process-level parallel execution for the DECO reproduction stack.
 
-* :mod:`repro.parallel.intra_op` — **Layer 1**: batch-axis sharding of the
-  hot numpy kernels (conv2d forward/backward, im2col/col2im, max-pool,
-  softmax) across a persistent thread pool.  Numpy releases the GIL inside
-  its big array primitives, so shards overlap on real cores while results
-  stay bit-identical to the serial path.
-* :mod:`repro.parallel.tree_reduce` — the **deterministic reduction
-  engine** backing Layer 1's batch reductions: per-shard float32 partials
-  over fixed shard boundaries, combined pairwise in shard-index order, so
-  the summation tree depends only on (n, shard count) and the result at T
-  threads equals the result at 1 thread.  Probe-gated per shape against
-  the serial reduction.
-* :mod:`repro.parallel.sweep` — **Layer 2**: a multiprocessing sweep
-  executor that fans independent experiment grid points out to worker
-  processes, shipping the large arrays once through
-  :mod:`multiprocessing.shared_memory`.
-
-Both layers default to serial (one thread, one job) so existing behaviour
-is untouched unless explicitly opted in via ``--threads`` / ``--jobs``
-or ``REPRO_NUM_THREADS``.
+:mod:`repro.parallel.sweep` fans independent experiment grid points out
+to worker processes (``--jobs``), shipping the large arrays once through
+:mod:`multiprocessing.shared_memory`.  Each grid point runs its whole
+on-device pipeline single-threaded, so results are identical whatever the
+job count.  ``jobs=1`` (the default) runs the grid inline, in order.
+:func:`repro.parallel.tree_reduce.combine_partials` adds partial results
+in a grouping fixed by their count alone.
 """
 
-from .intra_op import (even_bounds, get_num_threads, note_serial_fallback,
-                       reset_stats, run_sharded, set_num_threads,
-                       set_shard_threshold, shard_bounds, shard_threshold,
-                       shutdown, stats, thread_arena)
 from .sweep import (SharedArrayPack, SweepOutcome, SweepTaskError,
                     default_start_method, iter_sweep, run_sweep)
-# Import the submodule (not the same-named function) so that
-# ``from repro.parallel import tree_reduce`` yields the module and the
-# primitive stays addressable as ``tree_reduce.tree_reduce``.
-from . import tree_reduce
-from .tree_reduce import combine_partials, note_reduce_fallback
 
 __all__ = [
-    "get_num_threads",
-    "set_num_threads",
-    "shard_threshold",
-    "set_shard_threshold",
-    "even_bounds",
-    "shard_bounds",
-    "run_sharded",
-    "thread_arena",
-    "note_serial_fallback",
-    "tree_reduce",
-    "combine_partials",
-    "note_reduce_fallback",
-    "stats",
-    "reset_stats",
-    "shutdown",
     "SharedArrayPack",
     "SweepOutcome",
     "SweepTaskError",

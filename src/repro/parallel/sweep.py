@@ -1,9 +1,9 @@
 """Inter-run sweep executor: fan experiment grid points out to processes.
 
-Layer 2 of the parallel execution subsystem.  Independent experiment
-configurations (Table I/II grid points, Fig. 4 sweep points, ablation
-variants, repeated benchmark seeds) are embarrassingly parallel: each one
-runs a complete on-device pipeline and touches no shared mutable state.
+Independent experiment configurations (Table I/II grid points, Fig. 4
+sweep points, ablation variants, repeated benchmark seeds) are
+embarrassingly parallel: each one runs a complete on-device pipeline and
+touches no shared mutable state.
 :func:`run_sweep` executes such a grid on a pool of worker *processes* so
 every grid point gets its own GIL and its own BLAS/kernel state.
 

@@ -1,75 +1,22 @@
-"""Bit-deterministic parallel tree reduction over fixed batch shards.
+"""Fixed-order pairwise combination of float partial results.
 
-The intra-op layer (:mod:`repro.parallel.intra_op`) deliberately shards only
-ops whose shards write disjoint output slices — batch *reductions* (the conv
-weight/bias gradients, norm parameter sums, the loss sum) were left serial
-because naive sharding changes float32 summation order.  This module supplies
-the missing primitive: :func:`tree_reduce` computes one float32 partial per
-shard over the fixed :func:`~repro.parallel.intra_op.even_bounds` boundaries
-and combines the partials **pairwise in shard-index order** —
-
-::
+Float addition is not associative, so a total assembled from partials
+(one per chunk of a batch, per worker, per resumed run) has reproducible
+bits only if the partials are always added in the same grouping.
+:func:`combine_partials` fixes that grouping as a function of the number
+of partials alone::
 
     partials:  p0   p1   p2   p3   p4
     level 1:   p0+=p1    p2+=p3    p4
     level 2:   p0+=p2              p4
     level 3:   p0+=p4
-
-so the summation tree depends only on ``(n, shard_count)``, never on thread
-timing.  In particular the tree result at T threads equals the tree result
-at 1 thread by construction: the partials and the combine order are
-identical, only which OS thread fills which partial changes.
-
-What the tree does **not** guarantee is equality with the *serial* reduction
-(``arr.sum()`` / a full einsum): regrouping float32 sums generally changes
-the bits.  Call sites therefore gate every (shape, layout, shard-count)
-through a cached probe (:func:`repro.nn.kernels.tree_sum_safe`,
-:meth:`repro.nn.kernels.ConvPlan.reduce_safe`) that byte-compares tree vs
-serial on deterministic data, and fall back serial — counting
-``parallel.reduce.fallbacks`` — when a shape declines.  On shapes where the
-serial reduction happens to share the tree's grouping (e.g. numpy's pairwise
-summation of power-of-two 1-D arrays splits exactly at the half-way shard
-edge) the probe passes and the reduction genuinely parallelizes; everywhere
-else the serial bits win and the fallback is honest.
-
-Shard partials for shards ``1..k-1`` are drawn from the executing pool
-thread's workspace arena (:func:`~repro.parallel.intra_op.thread_arena`) and
-released after the combine; shard 0 runs inline on the caller and fills a
-fresh C-contiguous (or caller-ordered) array that becomes the final result,
-so callers may pass it straight to ``Tensor._accumulate(..., own=True)``.
-
-When telemetry is enabled, each call emits per-shard ``reduce.partial``
-spans stamped onto per-shard lanes (``worker_pid``/``task_index``) plus one
-``reduce.combine`` span, so the Chrome trace export renders the reduction
-overlap; the records are emitted post-hoc from the caller thread to keep
-the sink single-writer.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import time
-
 import numpy as np
 
-from . import intra_op
-
-__all__ = [
-    "tree_reduce",
-    "combine_partials",
-    "note_reduce_fallback",
-    "stats",
-    "reset_stats",
-]
-
-# Lifetime counters, pulled by obs.collect_runtime_counters() under the
-# ``parallel.reduce.*`` prefix.
-_STATS_LOCK = threading.Lock()
-_CALLS = 0            # tree_reduce invocations that ran the tree path
-_SHARDS = 0           # partials computed across all calls
-_FALLBACKS = 0        # probe-declined reductions that ran serial instead
-_SEQ = 0              # trace-span sequence stamp (monotone per process)
+__all__ = ["combine_partials"]
 
 
 def combine_partials(partials: list[np.ndarray]) -> np.ndarray:
@@ -87,153 +34,3 @@ def combine_partials(partials: list[np.ndarray]) -> np.ndarray:
             np.add(partials[i], partials[i + step], out=partials[i])
         step *= 2
     return partials[0]
-
-
-def _alloc_ordered(shape: tuple[int, ...], dtype,
-                   order: tuple[int, ...] | None) -> np.ndarray:
-    """Fresh array of ``shape`` whose memory axis order is ``order``
-    (slowest to fastest); plain C order when ``order`` is None."""
-    if order is None or len(shape) < 2:
-        return np.empty(shape, dtype=dtype)
-    mem = np.empty(tuple(shape[i] for i in order), dtype=dtype)
-    inverse = tuple(int(i) for i in np.argsort(order))
-    return mem.transpose(inverse)
-
-
-def tree_reduce(partial_into, shape: tuple[int, ...], dtype,
-                bounds: list[tuple[int, int]], *, label: str | None = None,
-                order: tuple[int, ...] | None = None) -> np.ndarray:
-    """Reduce batch rows through fixed per-shard partials.
-
-    Parameters
-    ----------
-    partial_into:
-        ``partial_into(a, b, out)`` fills ``out`` (shape ``shape``, dtype
-        ``dtype``) with the reduction of batch rows ``[a, b)``.  It runs
-        concurrently for different shards and must only read shared inputs.
-    shape, dtype:
-        Spec of one partial (= of the final result).
-    bounds:
-        Fixed shard spans from :func:`~repro.parallel.intra_op.even_bounds`
-        / :func:`~repro.parallel.intra_op.shard_bounds`; the combine tree is
-        a pure function of ``len(bounds)``.
-    label:
-        Short op name stamped on the telemetry spans (e.g. ``"conv2d.dw"``).
-    order:
-        Optional memory axis order for the partials and result, when the
-        serial reduction's output layout is not C-contiguous (recorded by
-        the gating probe); downstream float32 consumers are
-        layout-sensitive, so the tree result must reproduce it.
-
-    Returns a fresh array the caller may take ownership of.  Shard 0 runs
-    inline on the calling thread; shards 1+ on the intra-op pool with
-    arena-backed partial buffers.
-    """
-    global _CALLS, _SHARDS, _SEQ
-    k = len(bounds)
-    result = _alloc_ordered(shape, dtype, order)
-    if k == 1:
-        partial_into(*bounds[0], result)
-        return result
-
-    from .. import obs  # local import: obs pulls no nn/parallel code eagerly
-    trace = obs.enabled()
-    partials: list[np.ndarray | None] = [result] + [None] * (k - 1)
-    borrowed: list[tuple[np.ndarray, object]] = []
-    borrow_lock = threading.Lock()
-    # (wall end, perf duration, rows) per shard, for post-hoc span emission.
-    timing: list[tuple[float, float, int] | None] = [None] * k
-
-    def run_shard(idx: int) -> None:
-        a, b = bounds[idx]
-        t0 = time.perf_counter()
-        if idx == 0:
-            out = result
-        else:
-            arena = intra_op.thread_arena()
-            mem = arena.acquire(
-                tuple(shape[i] for i in order) if order is not None
-                and len(shape) >= 2 else shape, dtype)
-            out = (mem.transpose(tuple(int(i) for i in np.argsort(order)))
-                   if order is not None and len(shape) >= 2 else mem)
-            with borrow_lock:
-                borrowed.append((mem, arena))
-            partials[idx] = out
-        partial_into(a, b, out)
-        if trace:
-            timing[idx] = (time.time(), time.perf_counter() - t0, b - a)
-
-    pool = intra_op._executor(k - 1)
-    futures = [pool.submit(run_shard, i) for i in range(1, k)]
-    errors: list[BaseException] = []
-    try:
-        run_shard(0)
-    finally:
-        # Drain even when the inline shard raised, so no shard is left
-        # writing into buffers the caller may release.
-        for fut in futures:
-            try:
-                fut.result()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-        if errors:
-            for mem, arena in borrowed:
-                arena.release(mem)
-    if errors:
-        raise errors[0]
-
-    t0c = time.perf_counter()
-    combine_partials(partials)  # accumulates into partials[0] is result
-    combine_dur = time.perf_counter() - t0c
-    combine_end = time.time()
-    for mem, arena in borrowed:
-        arena.release(mem)
-
-    with _STATS_LOCK:
-        _CALLS += 1
-        _SHARDS += k
-        seq0 = _SEQ
-        _SEQ += k + 1
-    if trace:
-        obs.counter("parallel.reduce.calls")
-        obs.counter("parallel.reduce.shards", k)
-        telemetry = obs.get_telemetry()
-        pid = os.getpid()
-        op = label or "reduce"
-        for idx, t in enumerate(timing):
-            if t is None:  # pragma: no cover - trace toggled mid-call
-                continue
-            end_ts, dur, rows = t
-            telemetry.event_record({
-                "type": "span", "name": "reduce.partial", "ts": end_ts,
-                "dur_s": dur, "depth": 0, "seq": seq0 + idx,
-                "worker_pid": pid, "task_index": idx,
-                "op": op, "rows": rows, "shards": k,
-            })
-        telemetry.event_record({
-            "type": "span", "name": "reduce.combine", "ts": combine_end,
-            "dur_s": combine_dur, "depth": 0, "seq": seq0 + k,
-            "worker_pid": pid, "task_index": 0, "op": op, "shards": k,
-        })
-    return result
-
-
-def note_reduce_fallback() -> None:
-    """Record that a probe declined a tree reduction (it ran serial)."""
-    global _FALLBACKS
-    with _STATS_LOCK:
-        _FALLBACKS += 1
-    from .. import obs
-    if obs.enabled():
-        obs.counter("parallel.reduce.fallbacks")
-
-
-def stats() -> dict[str, int]:
-    with _STATS_LOCK:
-        return {"calls": _CALLS, "shards": _SHARDS, "fallbacks": _FALLBACKS}
-
-
-def reset_stats() -> None:
-    global _CALLS, _SHARDS, _FALLBACKS
-    with _STATS_LOCK:
-        _CALLS = _SHARDS = _FALLBACKS = 0

@@ -11,7 +11,6 @@ from repro.core.replay import ReplayLearner
 from repro.nn.convnet import ConvNet
 from repro.nn.tensor import Tensor, no_grad
 from repro.obs.memory import default_ledger
-from repro.parallel import intra_op
 
 SHAPE = (1, 8, 8)
 
@@ -174,14 +173,6 @@ def pool_rows(strategy):
     return sum(len(pool) for pool in strategy._pool_x.values())
 
 
-@pytest.fixture
-def threads():
-    saved = (intra_op.get_num_threads(), intra_op.shard_threshold())
-    yield
-    intra_op.set_num_threads(saved[0])
-    intra_op.set_shard_threshold(saved[1])
-
-
 class TestHerdEquivalence:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n,dim,quota", [(30, 16, 5), (9, 4, 20),
@@ -215,9 +206,9 @@ class TestHerdEquivalence:
 
 class TestFeatureCache:
     @pytest.mark.parametrize("num_threads", [1, 2])
-    def test_trajectory_matches_full_reencode(self, rng, num_threads, threads):
-        intra_op.set_num_threads(num_threads)
-        intra_op.set_shard_threshold(2)
+    def test_trajectory_matches_full_reencode(self, rng, num_threads,
+                                              blas_threads):
+        blas_threads(num_threads)
         model = ConvNet(1, 2, 8, width=4, depth=2, rng=rng)
         buf, ref_buf = RawBuffer(4, SHAPE), RawBuffer(4, SHAPE)  # quota 2
         strategy, reference = Herding(), ReferenceHerding()

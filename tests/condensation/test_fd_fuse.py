@@ -58,6 +58,8 @@ def _fd_case(shape, num_classes, width, depth, n, seed=0):
     ((1, 8, 8), 3, 4, 2, 6),       # the learner-test ConvNet
     ((3, 16, 16), 5, 8, 2, 10),
     ((3, 32, 32), 10, 16, 3, 32),  # CIFAR-ish, depth 3
+    ((3, 32, 32), 10, 16, 2, 8),   # the 32 px DECO benchmark condensation
+    ((3, 32, 32), 10, 16, 2, 16),
 ])
 def test_fused_fd_grad_byte_equal(shape, classes, width, depth, n):
     model, x, y, direction = _fd_case(shape, classes, width, depth, n)

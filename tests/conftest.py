@@ -8,6 +8,53 @@ import pytest
 from repro.nn.tensor import Tensor
 
 
+def _openblas_thread_control():
+    """``(get, set)`` for the thread count of the OpenBLAS that numpy's
+    ``matmul`` runs on, or ``None`` when no such library is loaded.
+
+    The conv contraction is a plain ``np.matmul``, so the only intra-op
+    threads left are BLAS's (one per core by default).
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.split()[-1].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"),
+                               ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                return getter, setter
+    return None
+
+
+@pytest.fixture
+def blas_threads():
+    """Call with a thread count to run the BLAS on that many threads for
+    the rest of the test; the previous count is restored afterwards.
+
+    On a BLAS without a thread control the call does nothing, and a
+    thread-count comparison degenerates to a repeat-run comparison.
+    """
+    control = _openblas_thread_control()
+    saved = control[0]() if control else None
+
+    def set_threads(n: int) -> None:
+        if control:
+            control[1](int(n))
+
+    yield set_threads
+    if control:
+        control[1](saved)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

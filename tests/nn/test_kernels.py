@@ -1,9 +1,11 @@
 """Equivalence and lifecycle tests for the fast kernel layer.
 
-The fast kernels (plan-cached im2col, slice-table col2im, cached einsum
-contraction paths, workspace arena) must match the preserved seed
+The fast kernels (plan-cached im2col, slice-table col2im, matmul
+contractions, workspace arena) must match the preserved seed
 implementations — forward values and every gradient — to 1e-5 across a
-grid of odd sizes, strides, and paddings, in both col2im scatter modes.
+grid of odd sizes, strides, and paddings, in both col2im scatter modes,
+and for a full ConvNet training step at the shapes the stream benchmark
+trains on.
 The plan cache must honor its LRU bound and the arena must actually reuse
 buffers.
 """
@@ -15,6 +17,8 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn import kernels
+from repro.nn.convnet import ConvNet
+from repro.nn.losses import cross_entropy
 from repro.nn.tensor import Tensor
 from repro.nn.workspace import WorkspaceArena
 
@@ -92,6 +96,29 @@ class TestConvEquivalence:
         np.testing.assert_allclose(
             kernels.col2im(d, plan),
             kernels.col2im_reference(d, (2, 3, 7, 7), 3, 3, 2, 1), **TOL)
+
+
+def _training_step(n, c, hw, classes, width, depth, *, fast):
+    """Logits and every parameter gradient of one ConvNet CE step."""
+    kernels.set_fast_kernels(fast)
+    rng = np.random.default_rng(n * hw)
+    model = ConvNet(c, classes, hw, width=width, depth=depth,
+                    rng=np.random.default_rng(3))
+    x = rng.standard_normal((n, c, hw, hw)).astype(np.float32)
+    y = rng.integers(0, classes, n)
+    logits = model(Tensor(x))
+    cross_entropy(logits, y).backward()
+    return [logits.data] + [p.grad for p in model.parameters()]
+
+
+class TestTrainingStepEquivalence:
+    @pytest.mark.parametrize("n,c,hw", [(100, 3, 16), (20, 3, 32)])
+    def test_convnet_step_matches_seed(self, n, c, hw):
+        fast = _training_step(n, c, hw, 10, 16, 2, fast=True)
+        ref = _training_step(n, c, hw, 10, 16, 2, fast=False)
+        assert len(fast) == len(ref)
+        for got, want in zip(fast, ref):
+            np.testing.assert_allclose(got, want, **TOL)
 
 
 class TestOtherOpsEquivalence:

@@ -1,50 +1,30 @@
-"""Bit-identity guarantees: parallel execution must never change results.
+"""Bit-identity guarantees: thread counts and parallel runs never change results.
 
-Covers both layers:
-
-* Layer 1 — micro-kernel assertions that conv2d forward/backward, max-pool
-  forward/backward, and log-softmax produce bit-identical tensors and
-  gradients with 1 vs 4 intra-op threads, plus a seeded end-to-end
-  ``DECOLearner`` run (via ``run_method``) under both settings.
-* Layer 2 — a grid fanned out to worker processes returns results
+* BLAS threads — the conv contraction is a plain ``np.matmul``, so the
+  only intra-op threads are the BLAS library's.  conv2d forward/backward,
+  max-pool forward/backward and log-softmax produce bit-identical tensors
+  and gradients with 1 vs 4 BLAS threads (in both col2im scatter modes),
+  and so does a seeded end-to-end ``DECOLearner`` run (via
+  ``run_method``); no op starts a thread of its own.
+* Process sweep — a grid fanned out to worker processes returns results
   bit-identical to the serial loop, in the same order.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
-import pytest
 
 from repro.experiments import prepare_experiment, run_method, run_method_grid
 from repro.nn import functional as F
 from repro.nn import kernels
 from repro.nn.tensor import Tensor
-from repro.parallel import intra_op
-
-
-@pytest.fixture(autouse=True)
-def _restore_config():
-    threads = intra_op.get_num_threads()
-    threshold = intra_op.shard_threshold()
-    yield
-    intra_op.set_num_threads(threads)
-    intra_op.set_shard_threshold(threshold)
-    intra_op.reset_stats()
-
-
-def _serial():
-    intra_op.set_num_threads(1)
-
-
-def _parallel(threshold: int = 8):
-    intra_op.set_num_threads(4)
-    intra_op.set_shard_threshold(threshold)
 
 
 # ----------------------------------------------------------------------
-# Layer 1: micro-kernels
+# Micro-kernels
 # ----------------------------------------------------------------------
 def _conv_case(batch):
     rng = np.random.default_rng(3)
@@ -59,25 +39,31 @@ def _conv_case(batch):
     return out.data.copy(), x.grad.copy(), w.grad.copy(), b.grad.copy()
 
 
-def test_conv2d_bit_identical_across_thread_counts():
-    _serial()
+def test_conv2d_bit_identical_across_thread_counts(blas_threads):
+    blas_threads(1)
     serial = _conv_case(64)
-    _parallel()
-    intra_op.reset_stats()
-    parallel = _conv_case(64)
-    assert intra_op.stats()["sharded_calls"] >= 2  # forward and backward
-    for s, p in zip(serial, parallel):
+    blas_threads(4)
+    threaded = _conv_case(64)
+    for s, p in zip(serial, threaded):
         np.testing.assert_array_equal(s, p)
 
 
-def test_small_batches_never_dispatch_to_the_pool():
-    _parallel(threshold=32)
-    intra_op.reset_stats()
-    _conv_case(16)  # 16 < 2 * 32: must stay on the serial fast path
-    assert intra_op.stats()["sharded_calls"] == 0
+def test_small_batches_never_dispatch_to_the_pool(monkeypatch):
+    # Every op runs on the calling thread: there is no shard pool, so no
+    # batch size may start a thread of its own.
+    started = []
+    original = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    _conv_case(16)
+    assert started == []
 
 
-def test_max_pool_bit_identical_across_thread_counts():
+def test_max_pool_bit_identical_across_thread_counts(blas_threads):
     rng = np.random.default_rng(4)
     data = rng.standard_normal((64, 8, 16, 16)).astype(np.float32)
     g = rng.standard_normal((64, 8, 8, 8)).astype(np.float32)
@@ -88,15 +74,15 @@ def test_max_pool_bit_identical_across_thread_counts():
         (out * Tensor(g)).sum().backward()
         return out.data.copy(), x.grad.copy()
 
-    _serial()
+    blas_threads(1)
     s_out, s_grad = run()
-    _parallel()
+    blas_threads(4)
     p_out, p_grad = run()
     np.testing.assert_array_equal(s_out, p_out)
     np.testing.assert_array_equal(s_grad, p_grad)
 
 
-def test_log_softmax_bit_identical_across_thread_counts():
+def test_log_softmax_bit_identical_across_thread_counts(blas_threads):
     rng = np.random.default_rng(5)
     data = rng.standard_normal((256, 256)).astype(np.float32)
 
@@ -106,27 +92,31 @@ def test_log_softmax_bit_identical_across_thread_counts():
         out.sum().backward()
         return out.data.copy(), x.grad.copy()
 
-    _serial()
+    blas_threads(1)
     s_out, s_grad = run()
-    _parallel(threshold=8)
+    blas_threads(4)
     p_out, p_grad = run()
     np.testing.assert_array_equal(s_out, p_out)
     np.testing.assert_array_equal(s_grad, p_grad)
 
 
-def test_bincount_scatter_mode_falls_back_to_serial_backward():
-    _parallel()
+def test_bincount_scatter_mode_falls_back_to_serial_backward(blas_threads):
+    # The bincount col2im is one serial ``np.bincount`` call: its backward
+    # must not depend on how many threads the BLAS contraction used.
     kernels.set_scatter_mode("bincount")
     try:
-        intra_op.reset_stats()
-        _conv_case(64)
-        assert intra_op.stats()["serial_fallbacks"] >= 1
+        blas_threads(1)
+        serial = _conv_case(64)
+        blas_threads(4)
+        threaded = _conv_case(64)
     finally:
         kernels.set_scatter_mode("slices")
+    for s, p in zip(serial, threaded):
+        np.testing.assert_array_equal(s, p)
 
 
 # ----------------------------------------------------------------------
-# Layer 1: seeded end-to-end learner run
+# Seeded end-to-end learner run
 # ----------------------------------------------------------------------
 def _norm(v):
     # NaN-safe: vote_margin / retained_label_accuracy are NaN on some
@@ -142,17 +132,17 @@ def _history_fingerprint(result):
              for d in result.history.diagnostics])
 
 
-def test_deco_learner_run_bit_identical_across_thread_counts():
+def test_deco_learner_run_bit_identical_across_thread_counts(blas_threads):
     prepared = prepare_experiment("core50", "micro", seed=0)
-    _serial()
+    blas_threads(1)
     serial = run_method(prepared, "deco", 1, seed=0)
-    _parallel(threshold=4)
-    parallel = run_method(prepared, "deco", 1, seed=0)
-    assert _history_fingerprint(serial) == _history_fingerprint(parallel)
+    blas_threads(2)
+    threaded = run_method(prepared, "deco", 1, seed=0)
+    assert _history_fingerprint(serial) == _history_fingerprint(threaded)
 
 
 # ----------------------------------------------------------------------
-# Layer 2: process sweep vs serial loop
+# Process sweep vs serial loop
 # ----------------------------------------------------------------------
 def test_method_grid_bit_identical_serial_vs_processes():
     prepared = prepare_experiment("core50", "micro", seed=0)

@@ -1,12 +1,10 @@
-"""Thread-count invariance of the tree-reduced training-step reductions.
+"""Thread-count invariance of the training-step reductions.
 
-The reduction engine's enforced guarantee: the conv weight/bias gradients,
-instance-norm statistics and parameter gradients, and the loss sum are
-byte-identical at every ``REPRO_NUM_THREADS`` setting and across repeated
-runs — both where the probes admit the shard tree (large power-of-two
-batches) and where they decline it (serial fallback).  Covers the plain
-autograd path, the fused finite-difference lane path, and a full micro
-DECO learner segment.
+The conv weight/bias gradients (a batched ``np.matmul`` summed over the
+batch), the instance-norm statistics and parameter gradients, and the loss
+sum are byte-identical at every BLAS thread count and across repeated
+runs.  Covers the plain autograd path, the fused finite-difference lane
+path, and a full micro DECO learner segment.
 """
 
 from __future__ import annotations
@@ -20,18 +18,6 @@ from repro.nn import functional as F
 from repro.nn import kernels
 from repro.nn.losses import cross_entropy
 from repro.nn.tensor import Tensor
-from repro.parallel import intra_op, tree_reduce
-
-
-@pytest.fixture(autouse=True)
-def _restore_config():
-    threads = intra_op.get_num_threads()
-    threshold = intra_op.shard_threshold()
-    yield
-    intra_op.set_num_threads(threads)
-    intra_op.set_shard_threshold(threshold)
-    intra_op.reset_stats()
-    tree_reduce.reset_stats()
 
 
 def _training_step(batch):
@@ -56,50 +42,26 @@ def _training_step(batch):
             "dgamma": gamma.grad.copy(), "dbeta": beta.grad.copy()}
 
 
-@pytest.fixture(scope="module")
-def _serial_reference():
-    saved = intra_op.get_num_threads()
-    intra_op.set_num_threads(1)
-    try:
-        return {batch: _training_step(batch) for batch in (64, 512)}
-    finally:
-        intra_op.set_num_threads(saved)
-
-
 @pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("batch", [64, 512])
 def test_training_step_bit_identical_across_thread_counts(
-        threads, batch, _serial_reference):
-    intra_op.set_num_threads(threads)
-    intra_op.set_shard_threshold(32)
+        threads, batch, blas_threads):
+    blas_threads(1)
+    serial = _training_step(batch)
+    blas_threads(threads)
     got = _training_step(batch)
-    for name, ref in _serial_reference[batch].items():
+    for name, ref in serial.items():
         assert ref.tobytes() == got[name].tobytes(), (
             f"{name} diverged at threads={threads}, batch={batch}")
 
 
 @pytest.mark.parametrize("threads", [2, 4])
-def test_training_step_stable_across_repeated_runs(threads):
-    intra_op.set_num_threads(threads)
-    intra_op.set_shard_threshold(32)
+def test_training_step_stable_across_repeated_runs(threads, blas_threads):
+    blas_threads(threads)
     first = _training_step(512)
     second = _training_step(512)
     for name, ref in first.items():
         assert ref.tobytes() == second[name].tobytes(), name
-
-
-def test_tree_engages_on_large_batches_and_falls_back_on_small():
-    intra_op.set_num_threads(4)
-    intra_op.set_shard_threshold(32)
-    tree_reduce.reset_stats()
-    _training_step(512)
-    engaged = tree_reduce.stats()
-    assert engaged["calls"] >= 1  # at least the loss sum runs as a tree
-    tree_reduce.reset_stats()
-    _training_step(64)
-    declined = tree_reduce.stats()
-    assert declined["calls"] == 0
-    assert declined["fallbacks"] >= 1  # consulted, honestly declined
 
 
 # ----------------------------------------------------------------------
@@ -119,22 +81,22 @@ def _fd_gradient():
 
 
 @pytest.mark.parametrize("threads", [2, 4])
-def test_fused_fd_lane_path_bit_identical_across_thread_counts(threads):
+def test_fused_fd_lane_path_bit_identical_across_thread_counts(
+        threads, blas_threads):
     saved_fuse = kernels.fd_fuse_enabled()
     saved_fast = kernels.fast_kernels_enabled()
     kernels.set_fast_kernels(True)
     kernels.set_fd_fuse(True)
     try:
-        intra_op.set_num_threads(1)
+        blas_threads(1)
         serial = _fd_gradient()
-        intra_op.set_num_threads(threads)
-        intra_op.set_shard_threshold(4)
-        parallel = _fd_gradient()
+        blas_threads(threads)
+        threaded = _fd_gradient()
         repeat = _fd_gradient()
     finally:
         kernels.set_fd_fuse(saved_fuse)
         kernels.set_fast_kernels(saved_fast)
-    assert serial.tobytes() == parallel.tobytes()
+    assert serial.tobytes() == threaded.tobytes()
     assert serial.tobytes() == repeat.tobytes()
 
 
@@ -153,13 +115,12 @@ def _fingerprint(result):
              for d in result.history.diagnostics])
 
 
-def test_deco_learner_segment_bit_identical_threads_1_vs_4():
+def test_deco_learner_segment_bit_identical_threads_1_vs_4(blas_threads):
     from repro.experiments import prepare_experiment, run_method
 
     prepared = prepare_experiment("core50", "micro", seed=0)
-    intra_op.set_num_threads(1)
+    blas_threads(1)
     serial = run_method(prepared, "deco", 1, seed=0)
-    intra_op.set_num_threads(4)
-    intra_op.set_shard_threshold(4)
-    parallel = run_method(prepared, "deco", 1, seed=0)
-    assert _fingerprint(serial) == _fingerprint(parallel)
+    blas_threads(4)
+    threaded = run_method(prepared, "deco", 1, seed=0)
+    assert _fingerprint(serial) == _fingerprint(threaded)

@@ -1,33 +1,13 @@
-"""The deterministic tree-reduction primitive: geometry, stats, tracing."""
+"""The fixed pairwise combine of partial results."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
-from repro import obs
-from repro.nn import kernels
-from repro.obs import trace as trace_mod
-from repro.obs.sinks import JsonlSink
-from repro.parallel import intra_op, tree_reduce
+from repro.parallel import tree_reduce
 
 
-@pytest.fixture(autouse=True)
-def _restore_config():
-    threads = intra_op.get_num_threads()
-    threshold = intra_op.shard_threshold()
-    yield
-    intra_op.set_num_threads(threads)
-    intra_op.set_shard_threshold(threshold)
-    intra_op.reset_stats()
-    tree_reduce.reset_stats()
-
-
-# ----------------------------------------------------------------------
-# combine_partials: fixed pairwise tree
-# ----------------------------------------------------------------------
 def test_combine_partials_single_partial_is_identity():
     part = np.arange(4, dtype=np.float32)
     assert tree_reduce.combine_partials([part]) is part
@@ -56,136 +36,3 @@ def test_combine_order_depends_only_on_shard_count():
     a = tree_reduce.combine_partials([p.copy() for p in parts])
     b = tree_reduce.combine_partials([p.copy() for p in parts])
     assert a.tobytes() == b.tobytes()
-
-
-# ----------------------------------------------------------------------
-# tree_reduce: execution, layout, stats
-# ----------------------------------------------------------------------
-def _sum_reduce(data, bounds, **kwargs):
-    return tree_reduce.tree_reduce(
-        lambda a, b, out: np.sum(data[a:b], axis=0, out=out),
-        data.shape[1:], np.float32, bounds, **kwargs)
-
-
-def test_tree_reduce_runs_partials_over_exact_spans():
-    intra_op.set_num_threads(4)
-    data = np.random.default_rng(1).standard_normal((64, 3)).astype(np.float32)
-    bounds = intra_op.even_bounds(64, 4)
-    got = _sum_reduce(data, bounds, label="test.sum")
-    parts = [data[a:b].sum(axis=0, dtype=np.float32) for a, b in bounds]
-    expect = (parts[0] + parts[1]) + (parts[2] + parts[3])
-    np.testing.assert_array_equal(got, expect)
-
-
-def test_tree_reduce_single_shard_runs_inline():
-    data = np.random.default_rng(2).standard_normal((8, 3)).astype(np.float32)
-    got = _sum_reduce(data, [(0, 8)])
-    np.testing.assert_array_equal(got, data.sum(axis=0, dtype=np.float32))
-
-
-def test_tree_reduce_thread_count_never_changes_bits():
-    # The engine's core contract: the combine tree is a function of
-    # (n, shard count) only, so running the same bounds with the pool
-    # sized differently cannot change a single bit.
-    data = np.random.default_rng(3).standard_normal((96, 5)).astype(np.float32)
-    bounds = intra_op.even_bounds(96, 4)
-    intra_op.set_num_threads(1)
-    serial = _sum_reduce(data, bounds)
-    for threads in (2, 4):
-        intra_op.set_num_threads(threads)
-        assert _sum_reduce(data, bounds).tobytes() == serial.tobytes()
-
-
-def test_tree_reduce_result_honours_axis_order():
-    intra_op.set_num_threads(2)
-    data = np.random.default_rng(4).standard_normal((32, 4, 6)).astype(np.float32)
-    bounds = intra_op.even_bounds(32, 2)
-    got = tree_reduce.tree_reduce(
-        lambda a, b, out: np.sum(data[a:b], axis=0, out=out),
-        (4, 6), np.float32, bounds, order=(1, 0))
-    assert got.shape == (4, 6)
-    # F-order result: axis 1 owns the larger stride step.
-    assert kernels.stride_order(got) == (1, 0)
-
-
-def test_tree_reduce_propagates_shard_errors():
-    intra_op.set_num_threads(4)
-    bounds = intra_op.even_bounds(64, 4)
-
-    def partial(a, b, out):
-        if a == 0:
-            raise RuntimeError("shard zero failed")
-        out[...] = 0.0
-
-    with pytest.raises(RuntimeError, match="shard zero"):
-        tree_reduce.tree_reduce(partial, (3,), np.float32, bounds)
-
-
-def test_tree_reduce_stats_and_fallback_counters():
-    intra_op.set_num_threads(4)
-    tree_reduce.reset_stats()
-    data = np.random.default_rng(5).standard_normal((64, 3)).astype(np.float32)
-    _sum_reduce(data, intra_op.even_bounds(64, 4))
-    tree_reduce.note_reduce_fallback()
-    stats = tree_reduce.stats()
-    assert stats["calls"] == 1
-    assert stats["shards"] == 4
-    assert stats["fallbacks"] == 1
-    tree_reduce.reset_stats()
-    assert tree_reduce.stats() == {"calls": 0, "shards": 0, "fallbacks": 0}
-
-
-def test_runtime_counters_include_reduce_stats():
-    from repro.obs.telemetry import collect_runtime_counters
-
-    tree_reduce.reset_stats()
-    tree_reduce.note_reduce_fallback()
-    values = collect_runtime_counters(emit=False)
-    assert values["parallel.reduce.fallbacks"] == 1.0
-    assert "parallel.reduce.calls" in values
-    assert "parallel.reduce.shards" in values
-
-
-# ----------------------------------------------------------------------
-# Trace spans: the combine tree is visible in the Chrome export
-# ----------------------------------------------------------------------
-def test_tree_reduce_emits_partial_and_combine_spans(tmp_path):
-    intra_op.set_num_threads(4)
-    data = np.random.default_rng(6).standard_normal((64, 3)).astype(np.float32)
-    bounds = intra_op.even_bounds(64, 4)
-    sink = JsonlSink(tmp_path / "trace.jsonl")
-    obs.enable(sink)
-    try:
-        _sum_reduce(data, bounds, label="test.sum")
-    finally:
-        obs.shutdown()
-        obs.reset()
-    records = [json.loads(line)
-               for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
-    partials = [r for r in records if r.get("name") == "reduce.partial"]
-    combines = [r for r in records if r.get("name") == "reduce.combine"]
-    assert len(partials) == 4
-    assert len(combines) == 1
-    assert sorted(p["task_index"] for p in partials) == [0, 1, 2, 3]
-    assert all(p["op"] == "test.sum" for p in partials + combines)
-    assert all(p["shards"] == 4 for p in partials)
-    rows = {p["task_index"]: p["rows"] for p in partials}
-    assert rows == {i: b - a for i, (a, b) in enumerate(bounds)}
-    # The spans convert to a schema-valid Chrome trace.
-    trace = trace_mod.build_trace(records)
-    trace_mod.validate_trace(trace)
-
-
-def test_tree_reduce_counts_calls_in_telemetry(tmp_path):
-    intra_op.set_num_threads(2)
-    data = np.random.default_rng(7).standard_normal((64, 3)).astype(np.float32)
-    sink = JsonlSink(tmp_path / "trace.jsonl")
-    registry = obs.enable(sink)
-    try:
-        _sum_reduce(data, intra_op.even_bounds(64, 2))
-        counters = dict(registry.counters)
-    finally:
-        obs.shutdown()
-        obs.reset()
-    assert counters.get("parallel.reduce.calls") == 1.0
-    assert counters.get("parallel.reduce.shards") == 2.0

@@ -2,16 +2,17 @@
 
 Not benchmarks — the real numbers live in ``benchmarks/micro`` — these are
 cheap tripwires that fail loudly if a change makes the condensation hot
-path pathologically slow or makes the fast kernels lose to the preserved
-seed implementations outright.  Bounds are deliberately generous so they
-stay green on slow CI machines.
+path pathologically slow, makes the fast kernels lose to the preserved
+seed implementations outright, or lets a strided activation layout back
+into the training step.  Bounds are deliberately generous so they stay
+green on slow CI machines.
 
 Run just these with ``pytest -m perf_smoke``.
 """
 
 from __future__ import annotations
 
-import os
+import threading
 import time
 
 import numpy as np
@@ -25,7 +26,6 @@ from repro.nn import kernels
 from repro.nn.convnet import ConvNet
 from repro.nn.tensor import Tensor
 from repro.obs import ListSink
-from repro.parallel import intra_op
 
 
 def _timed(fn):
@@ -204,65 +204,63 @@ def test_ledger_tracking_overhead_is_small():
         f"vs untracked {untracked * 1e3:.1f}ms")
 
 
-def _condense_segment(batch=128, image=16, width=32):
-    """A condense-sized workload big enough for the shard threshold."""
+@pytest.mark.perf_smoke
+def test_serial_mode_never_touches_the_shard_pool(monkeypatch):
+    """A condense segment runs on the calling thread alone: there is no
+    shard pool, and no thread is started to stand in for one."""
     rng = np.random.default_rng(0)
-    buf = SyntheticBuffer(4, 2, (3, image, image))
+    buf = SyntheticBuffer(4, 2, (3, 8, 8))
     buf.images[:] = rng.standard_normal(buf.images.shape).astype(np.float32)
-    real_x = rng.standard_normal((batch, 3, image, image)).astype(np.float32)
-    real_y = rng.integers(0, 4, batch)
-    matcher = OneStepMatcher(iterations=2, alpha=0.1, batch_size=batch)
-    factory = lambda r: ConvNet(3, 4, image, width=width, depth=2, rng=r)
-    deployed = ConvNet(3, 4, image, width=width, depth=2,
-                       rng=np.random.default_rng(5))
+    real_x = rng.standard_normal((64, 3, 8, 8)).astype(np.float32)
+    real_y = rng.integers(0, 4, 64)
+    matcher = OneStepMatcher(iterations=2, alpha=0.1, batch_size=64)
+    factory = lambda r: ConvNet(3, 4, 8, width=8, depth=2, rng=r)
+    deployed = ConvNet(3, 4, 8, width=8, depth=2, rng=np.random.default_rng(5))
 
-    def segment():
-        matcher.condense(buf, [0, 1, 2, 3], real_x, real_y, None,
-                         model_factory=factory,
-                         rng=np.random.default_rng(1),
-                         deployed_model=deployed)
+    started = []
+    original = threading.Thread.start
 
-    return segment
+    def recording_start(thread):
+        started.append(thread.name)
+        original(thread)
 
-
-@pytest.mark.perf_smoke
-def test_serial_mode_never_touches_the_shard_pool():
-    """With one thread (the default) the parallel layer must stay entirely
-    out of the way: zero sharded dispatches, zero pool threads woken."""
-    segment = _condense_segment(batch=64, image=8, width=8)
-    threads = intra_op.get_num_threads()
-    try:
-        intra_op.set_num_threads(1)
-        intra_op.reset_stats()
-        segment()
-        stats = intra_op.stats()
-    finally:
-        intra_op.set_num_threads(threads)
-        intra_op.reset_stats()
-    assert stats["sharded_calls"] == 0
-    assert stats["shards_dispatched"] == 0
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    matcher.condense(buf, [0, 1, 2, 3], real_x, real_y, None,
+                     model_factory=factory, rng=np.random.default_rng(1),
+                     deployed_model=deployed)
+    assert started == []
 
 
 @pytest.mark.perf_smoke
-@pytest.mark.skipif((os.cpu_count() or 1) < 4,
-                    reason="scaling tripwire needs >= 4 cores")
-def test_sharded_condense_segment_scales_on_multicore():
-    """On a >= 4-core machine, 4 intra-op threads must beat serial by at
-    least 1.3x on a condense-sized segment (the ISSUE's scaling tripwire).
-    Skipped on smaller machines where the pool cannot physically win."""
-    segment = _condense_segment()
-    threads = intra_op.get_num_threads()
-    threshold = intra_op.shard_threshold()
-    try:
-        intra_op.set_num_threads(1)
-        serial = _best_of(segment)
-        intra_op.set_num_threads(4)
-        intra_op.set_shard_threshold(16)
-        parallel = _best_of(segment)
-    finally:
-        intra_op.set_num_threads(threads)
-        intra_op.set_shard_threshold(threshold)
-        intra_op.reset_stats()
-    assert parallel * 1.3 <= serial, (
-        f"parallel condense segment did not scale: {parallel * 1e3:.1f}ms "
-        f"with 4 threads vs {serial * 1e3:.1f}ms serial")
+def test_training_step_stays_c_contiguous(monkeypatch):
+    """Layout tripwire: in one ConvNet training step at the benchmark's
+    100x3x16x16 shape, every conv / norm / ReLU / pool output and every
+    gradient flowing into those ops is C-contiguous NCHW.  A strided
+    activation makes every op downstream of it several times slower, and
+    unlike a wall-clock bound this check is immune to host noise."""
+    from repro.nn.losses import cross_entropy
+
+    ops = {"conv2d", "instance_norm2d", "relu", "avg_pool2d"}
+    made = []
+    original = Tensor._make
+
+    def recording_make(data, parents, op, backward):
+        out = original(data, parents, op, backward)
+        if op in ops:
+            made.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
+    rng = np.random.default_rng(0)
+    model = ConvNet(3, 10, 16, width=16, depth=2,
+                    rng=np.random.default_rng(1))
+    x = Tensor(rng.standard_normal((100, 3, 16, 16)).astype(np.float32),
+               requires_grad=True)
+    cross_entropy(model(x), rng.integers(0, 10, 100)).backward()
+
+    assert sorted(t.op for t in made) == sorted(
+        ["conv2d", "instance_norm2d", "relu", "avg_pool2d"] * 2)
+    for t in made:
+        assert t.data.flags.c_contiguous, f"{t.op} output {t.data.strides}"
+        assert t.grad.flags.c_contiguous, f"{t.op} gradient {t.grad.strides}"
+    assert x.grad.flags.c_contiguous, f"input gradient {x.grad.strides}"
