@@ -63,7 +63,7 @@ def main(argv=None) -> dict:
                         help="matcher iterations per timed segment")
     args = parser.parse_args(argv)
 
-    # Warm up both modes (plan cache, arena, BLAS threads, page faults).
+    # Warm up both modes (plan cache, BLAS threads, page faults).
     kernels.set_fast_kernels(True)
     run_segment(args.iterations)
     with kernels.reference_mode():
@@ -77,18 +77,15 @@ def main(argv=None) -> dict:
             seed_times.append(run_segment(args.iterations))
     kernels.set_fast_kernels(True)
 
-    # Peak-memory pass: one untimed segment under tracemalloc, with the
-    # arena's high-water mark reset first.  Both gauges land in the bench
-    # history, where `repro obs regress` judges them like timings.
-    from repro.nn.workspace import default_arena
-    default_arena.reset_stats()
+    # Peak-memory pass: one untimed segment under tracemalloc.  The gauge
+    # lands in the bench history, where `repro obs regress` judges it like
+    # the timings.
     tracemalloc.start()
     try:
         run_segment(args.iterations)
         _, peak_traced = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    arena_high_water = int(default_arena.stats()["high_water_bytes"])
 
     fast, seed = min(fast_times), min(seed_times)
     payload = {
@@ -102,7 +99,6 @@ def main(argv=None) -> dict:
         "seed_all_s": seed_times,
         "speedup": seed / fast,
         "peak_traced_bytes": int(peak_traced),
-        "arena_high_water_bytes": arena_high_water,
         "counters": collect_runtime_counters(emit=False),
     }
     merge_results("condense_step", payload)
@@ -111,8 +107,7 @@ def main(argv=None) -> dict:
     print(f"  fast kernels : {fast:.3f} s")
     print(f"  seed kernels : {seed:.3f} s")
     print(f"  speedup      : {seed / fast:.2f}x")
-    print(f"  peak traced  : {peak_traced / 2 ** 20:.1f} MiB "
-          f"(arena high water {arena_high_water / 2 ** 20:.1f} MiB)")
+    print(f"  peak traced  : {peak_traced / 2 ** 20:.1f} MiB")
     print(f"[saved to {RESULTS_PATH}]")
     return payload
 

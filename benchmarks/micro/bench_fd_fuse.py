@@ -94,7 +94,7 @@ def main(argv=None) -> dict:
     kernels.set_fast_kernels(True)
     saved = kernels.fd_fuse_enabled()
     try:
-        # Warm up both modes (plan cache, fuse probes + verdicts, arena).
+        # Warm up both modes (plan cache, fuse probes + verdicts).
         kernels.set_fd_fuse(True)
         run_segment(args.iterations)
         run_fd_eval(1)

@@ -36,7 +36,7 @@ N, C, HW, OC = 128, 16, 32, 16
 
 def best_of(fn, repeats: int) -> float:
     """Best-of-N wall time of ``fn()`` (min filters scheduler noise)."""
-    fn()  # warm up caches, plans, arena buffers
+    fn()  # warm up caches and plans
     return min(timeit_once(fn) for _ in range(repeats))
 
 
@@ -135,9 +135,7 @@ def make_cases(rng: np.random.Generator) -> dict:
     def im2col_col2im():
         plan = kernels.get_conv_plan(N, C, HW, HW, 3, 3, 1, 1)
         cols = kernels.im2col(xr, plan)
-        dx = kernels.col2im(cols.reshape(plan.cols_shape), plan)
-        kernels.default_arena.release(cols)
-        return dx
+        return kernels.col2im(cols.reshape(plan.cols_shape), plan)
 
     def im2col_col2im_seed():
         cols = kernels.im2col_reference(xr, 3, 3, 1, 1)

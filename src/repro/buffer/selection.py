@@ -28,6 +28,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.tensor import Tensor, no_grad
 from ..obs.memory import default_ledger, track_object
+from ..utils.batching import micro_batches
 from ..utils.rng import to_rng
 from .buffer import RawBuffer
 
@@ -136,13 +137,12 @@ class SelectiveBP(SelectionStrategy):
                 buffer.replace(worst, x, int(y), confidence=float(conf))
 
 
-def _encode(model, images: np.ndarray, batch: int = 256) -> np.ndarray:
-    """Encoder features for a sample array, without recording the graph."""
-    feats = []
+def _encode(model, images: np.ndarray) -> np.ndarray:
+    """Encoder features for a sample array, without recording the graph,
+    in micro-batches."""
     with no_grad():
-        for start in range(0, len(images), batch):
-            feats.append(model.features(Tensor(images[start:start + batch])).data)
-    return np.concatenate(feats)
+        return np.concatenate([model.features(Tensor(images[part])).data
+                               for part in micro_batches(images, model)])
 
 
 class KCenter(SelectionStrategy):

@@ -28,7 +28,7 @@ from ..nn.layers import (AvgPool2d, Conv2d, Flatten, InstanceNorm2d, Linear,
                          Module, ReLU, frozen_parameters)
 from ..nn.losses import cross_entropy, gradient_distance
 from ..nn.tensor import Tensor
-from ..nn.workspace import default_arena, default_step_cache
+from ..nn.workspace import default_step_cache
 
 __all__ = [
     "parameter_gradients",
@@ -313,13 +313,14 @@ def _serial_fd_passes(model, params, syn_x, syn_y, direction, eps,
     The perturbed passes never mutate parameter arrays in place (they only
     rebind ``p.data``), so the current arrays themselves are the exact
     restore points — no per-iteration snapshot copies needed.  The
-    perturbed values go into arena scratch: ``buf = eps*d; buf += orig``
-    and ``buf = eps*d; buf = orig - buf`` reproduce the former
+    perturbed values go into one scratch array per parameter, reused by
+    both passes: ``buf = eps*d; buf += orig`` and
+    ``buf = eps*d; buf = orig - buf`` reproduce the former
     ``orig + eps*d`` / ``orig - eps*d`` bit for bit (float add is
     commutative; the subtraction is the identical operation).
     """
     originals = [p.data for p in params]
-    buffers = [default_arena.acquire(p.data.shape, np.float32) for p in params]
+    buffers = [np.empty(p.data.shape, dtype=np.float32) for p in params]
     try:
         for p, buf, orig, d in zip(params, buffers, originals, direction):
             np.multiply(d, eps, out=buf)
@@ -338,8 +339,6 @@ def _serial_fd_passes(model, params, syn_x, syn_y, direction, eps,
     finally:
         for p, orig in zip(params, originals):
             p.data = orig
-        for buf in buffers:
-            default_arena.release(buf)
     return grad_plus, grad_minus
 
 

@@ -171,8 +171,8 @@ class OnDeviceLearner(abc.ABC):
 
         ``buffer_bytes`` + deployed-model ``model_bytes`` — the quantities
         the paper's memory budget constrains (the condensation scratch
-        network and transient workspace live in the ledger's other
-        accounts).  ``peak_bytes`` folds in the process-wide tracked
+        network and the caches live in the ledger's other accounts).
+        ``peak_bytes`` folds in the process-wide tracked
         high-water mark, so a segment that transiently doubled tracked
         memory is visible even in the per-run report.
         """

@@ -3,6 +3,13 @@
 The deployed model is (re)trained on buffer contents every ``beta`` stream
 segments with SGD + momentum and weight decay 5e-4, the setup reported in
 §IV-A3.  These helpers are also used for the offline pre-training phase.
+
+Every pass runs in micro-batches (:func:`repro.utils.batching.micro_batches`,
+at most 64 KiB of input each), so its activations and kernel scratch are
+bounded by the micro-batch rather than by the minibatch or the test set.
+Training accumulates each minibatch's gradient over its micro-batches and
+takes one optimizer step per minibatch; for a model without batch
+statistics that is the minibatch gradient up to float summation order.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from ..nn.layers import Module
 from ..nn.losses import accuracy, cross_entropy
 from ..nn.optim import SGD
 from ..nn.tensor import Tensor, no_grad
-from ..utils.batching import iterate_minibatches
+from ..utils.batching import iterate_minibatches, micro_batches
 from ..utils.rng import to_rng
 
 __all__ = ["train_model", "evaluate_accuracy", "predict_logits"]
@@ -45,12 +52,20 @@ def train_model(model: Module, x: np.ndarray, y: np.ndarray, *,
         batches = 0
         for idx in iterate_minibatches(len(x), batch_size, rng=rng):
             optimizer.zero_grad()
-            logits = model(Tensor(x[idx]))
+            batch_x, batch_y = x[idx], y[idx]
             batch_w = None if weights is None else weights[idx]
-            loss = cross_entropy(logits, y[idx], weights=batch_w)
-            loss.backward()
+            # Each micro-batch's summed loss, scaled by 1/len(idx): the
+            # parts add up to the minibatch mean of Eq. 4 and its gradient.
+            scale = 1.0 / len(idx)
+            for part in micro_batches(batch_x, model):
+                logits = model(Tensor(batch_x[part]))
+                loss = cross_entropy(
+                    logits, batch_y[part], reduction="sum",
+                    weights=None if batch_w is None else batch_w[part])
+                loss = loss * scale
+                loss.backward()
+                epoch_loss += loss.item()
             optimizer.step()
-            epoch_loss += loss.item()
             batches += 1
             steps += 1
             if max_steps is not None and steps >= max_steps:
@@ -61,12 +76,14 @@ def train_model(model: Module, x: np.ndarray, y: np.ndarray, *,
 
 def predict_logits(model: Module, x: np.ndarray,
                    batch_size: int = 512) -> np.ndarray:
-    """Class logits for an array of inputs, without recording the graph."""
-    outputs = []
+    """Class logits for an array of inputs, without recording the graph.
+
+    Runs in micro-batches of at most ``batch_size`` rows.
+    """
     model.eval()
     with no_grad():
-        for start in range(0, len(x), batch_size):
-            outputs.append(model(Tensor(x[start:start + batch_size])).data)
+        outputs = [model(Tensor(x[part])).data
+                   for part in micro_batches(x, model, max_rows=batch_size)]
     model.train()
     return np.concatenate(outputs) if outputs else np.empty((0, model.num_classes))
 

@@ -5,12 +5,11 @@ softmax-family) that the :mod:`repro.nn.layers` modules wrap.
 
 The hot paths run on the kernel layer in :mod:`repro.nn.kernels`:
 convolution fetches a cached :class:`~repro.nn.kernels.ConvPlan` (im2col
-geometry, col2im scatter tables), serves its column scratch from the
-:mod:`repro.nn.workspace` arena, and contracts with plain ``np.matmul``, so
-every activation and gradient is C-contiguous NCHW and the norm, ReLU and
-pooling ops after a conv never run on strided views.  Every op skips
-redundant ``astype(float32)`` copies and skips gradient work for parents
-with ``requires_grad=False``.  Under
+geometry, col2im scatter tables) and contracts its fresh column buffer with
+plain ``np.matmul``, so every activation and gradient is C-contiguous NCHW
+and the norm, ReLU and pooling ops after a conv never run on strided views.
+Every op skips redundant ``astype(float32)`` copies and skips gradient work
+for parents with ``requires_grad=False``.  Under
 :func:`repro.nn.kernels.reference_mode` the ops dispatch to the frozen seed
 implementations in :mod:`repro.nn.reference` instead (used by the
 kernel-equivalence tests and the micro-benchmarks).
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import kernels, reference
 from .tensor import Tensor
-from .workspace import default_arena, default_step_cache
+from .workspace import default_step_cache
 
 __all__ = [
     "conv2d",
@@ -81,10 +80,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     # passes) serves the same input array's columns to every conv over it;
     # the fill is identical whichever pass computed them first.
     cols6 = default_step_cache.lookup(xd, plan.key)
-    cache_owned = cols6 is not None
     if cols6 is None:
-        cols6 = kernels.im2col(xd, plan)             # arena buffer (N,C,KH,KW,OH,OW)
-        cache_owned = default_step_cache.store(xd, plan.key, cols6)
+        cols6 = kernels.im2col(xd, plan)             # (N,C,KH,KW,OH,OW)
+        default_step_cache.store(xd, plan.key, cols6)
     cols = cols6.reshape(plan.cols_shape)            # (N, CKK, L) view
     out = np.matmul(w2, cols)                        # C-contiguous (N, OC, L)
     out = out.reshape(n, oc, plan.oh, plan.ow)
@@ -94,6 +92,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
+        nonlocal cols
         gflat = g.reshape(n, oc, plan.oh * plan.ow)
         if bias is not None and bias.requires_grad:
             bias._accumulate(gflat.sum(axis=(0, 2)), own=True)
@@ -103,13 +102,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         if x.requires_grad:
             dcols = np.matmul(w2.T, gflat)           # (N, CKK, L)
             x._accumulate(kernels.col2im(dcols, plan), own=True)
-        if not default_step_cache.owns(cols6):
-            default_arena.release(cols6)
+        # The columns are dead once consumed: free them now rather than
+        # when the whole graph goes, so the layers below can reuse the
+        # memory during the rest of the backward pass.
+        cols = None
 
-    out_t = Tensor._make(_f32(out), parents, "conv2d", backward)
-    if not out_t.requires_grad and not cache_owned:
-        default_arena.release(cols6)
-    return out_t
+    return Tensor._make(_f32(out), parents, "conv2d", backward)
 
 
 # ----------------------------------------------------------------------
@@ -148,13 +146,11 @@ def _lane_conv(plan2, cols_list, weights, biases, n, oc):
             out4[t * n:(t + 1) * n] += biases[t].reshape(1, oc, 1, 1)
 
     def backward(g: np.ndarray) -> np.ndarray:
-        dcols2 = default_arena.acquire(plan2.cols_shape, np.float32)
+        dcols2 = np.empty(plan2.cols_shape, dtype=np.float32)
         for t in range(lanes):
             np.matmul(w2s[t].T, g[t * n:(t + 1) * n].reshape(n, oc, l),
                       out=dcols2[t * n:(t + 1) * n])
-        dx2 = kernels.col2im(dcols2, plan2)
-        default_arena.release(dcols2)
-        return dx2
+        return kernels.col2im(dcols2, plan2)
 
     return out4, backward
 
@@ -184,16 +180,7 @@ def conv2d_lanes_shared(x: np.ndarray, weights, biases, *, stride: int = 1,
         cols6 = kernels.im2col(xd, plan)
         default_step_cache.store(xd, plan.key, cols6)
     cols = cols6.reshape(plan.cols_shape)
-    out4, lane_backward = _lane_conv(plan2, [cols] * lanes, weights, biases,
-                                     n, oc)
-
-    def backward(g: np.ndarray) -> np.ndarray:
-        dx2 = lane_backward(g)
-        if not default_step_cache.owns(cols6):
-            default_arena.release(cols6)
-        return dx2
-
-    return out4, backward
+    return _lane_conv(plan2, [cols] * lanes, weights, biases, n, oc)
 
 
 def conv2d_lanes(x: np.ndarray, weights, biases, *, stride: int = 1,
@@ -211,18 +198,10 @@ def conv2d_lanes(x: np.ndarray, weights, biases, *, stride: int = 1,
     if ic != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ic}")
     plan2 = kernels.get_conv_plan(nt, c, h, w, kh, kw, stride, padding)
-    buf = kernels.im2col(_f32(x), plan2)
-    comp_cols = buf.reshape(plan2.cols_shape)
-    out4, lane_backward = _lane_conv(
+    comp_cols = kernels.im2col(_f32(x), plan2).reshape(plan2.cols_shape)
+    return _lane_conv(
         plan2, [comp_cols[t * n:(t + 1) * n] for t in range(lanes)],
         weights, biases, n, oc)
-
-    def backward(g: np.ndarray) -> np.ndarray:
-        dx2 = lane_backward(g)
-        default_arena.release(buf)
-        return dx2
-
-    return out4, backward
 
 
 def instance_norm2d_lanes(x: np.ndarray, gammas, betas, eps: float = 1e-5):

@@ -6,8 +6,7 @@ scatter loop for the input gradient.  This module centralizes that
 per-shape work in a :class:`ConvPlan` that is computed once and cached in a
 bounded LRU keyed on ``(n, c, h, w, kh, kw, stride, pad)``:
 
-* the im2col window geometry (strided-view shape plus column-buffer shape,
-  with the buffer itself served from :mod:`repro.nn.workspace`);
+* the im2col window geometry (strided-view shape plus column-buffer shape);
 * a *clipped slice table* for the col2im scatter-add, precomputed so the
   scatter writes straight into the **unpadded** gradient canvas (no padded
   scratch, no interior copy);
@@ -36,8 +35,6 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-
-from .workspace import default_arena
 
 __all__ = [
     "ConvPlan",
@@ -294,8 +291,8 @@ def set_plan_cache_limit(limit: int) -> None:
             _PLAN_EVICTIONS += 1
 
 
-# Pull-style memory-ledger account for the plan LRU (cf. the arena/step-cache
-# providers in repro.nn.workspace; repro.obs.memory is stdlib-only so the
+# Pull-style memory-ledger account for the plan LRU (cf. the step-cache
+# provider in repro.nn.workspace; repro.obs.memory is stdlib-only so the
 # import cannot cycle back here).
 from ..obs.memory import default_ledger as _default_ledger  # noqa: E402
 
@@ -305,23 +302,17 @@ _default_ledger.register_provider("cache.conv_plans", plan_cache_nbytes)
 # ----------------------------------------------------------------------
 # Fast im2col / col2im
 # ----------------------------------------------------------------------
-def im2col(x: np.ndarray, plan: ConvPlan, arena=default_arena) -> np.ndarray:
-    """Expand NCHW ``x`` into a C-contiguous (n, c, kh, kw, oh, ow) buffer.
+def im2col(x: np.ndarray, plan: ConvPlan) -> np.ndarray:
+    """Expand NCHW ``x`` into a fresh C-contiguous (n, c, kh, kw, oh, ow)
+    buffer.
 
     The caller's ``reshape(plan.cols_shape)`` is a free view with the
     seed's (n, k, l) layout, which is the right-hand operand of the conv
-    contraction ``matmul(w2, cols)``.  The buffer comes from ``arena``; the
-    caller releases it when the columns are no longer needed (typically at
-    the end of conv backward).
+    contraction ``matmul(w2, cols)``.
     """
     p, s = plan.pad, plan.stride
-    buf = arena.acquire(plan.cols_shape6, x.dtype)
     if p:
-        xp = arena.acquire((plan.n, plan.c, plan.hp, plan.wp), x.dtype)
-        xp[:, :, :p, :] = 0
-        xp[:, :, plan.h + p:, :] = 0
-        xp[:, :, p:plan.h + p, :p] = 0
-        xp[:, :, p:plan.h + p, plan.w + p:] = 0
+        xp = np.zeros((plan.n, plan.c, plan.hp, plan.wp), dtype=x.dtype)
         xp[:, :, p:plan.h + p, p:plan.w + p] = x
     else:
         xp = x
@@ -329,10 +320,7 @@ def im2col(x: np.ndarray, plan: ConvPlan, arena=default_arena) -> np.ndarray:
     view = np.lib.stride_tricks.as_strided(
         xp, shape=plan.cols_shape6,
         strides=(s0, s1, s2, s3, s2 * s, s3 * s))
-    np.copyto(buf, view)
-    if p:
-        arena.release(xp)
-    return buf
+    return view.copy()
 
 
 def col2im(dcols: np.ndarray, plan: ConvPlan) -> np.ndarray:

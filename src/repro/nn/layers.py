@@ -40,6 +40,11 @@ __all__ = [
 class Module:
     """Base class providing parameter traversal and serialization."""
 
+    #: Whether one sample's output depends on the other samples of its
+    #: batch (batch statistics).  A model containing such a layer is never
+    #: split into micro-batches (:func:`repro.utils.batching.micro_batches`).
+    mixes_samples = False
+
     def __init__(self) -> None:
         self.training = True
 
@@ -235,6 +240,8 @@ class GroupNorm2d(Module):
 
 class BatchNorm2d(Module):
     """Training-mode batch normalization (no running statistics)."""
+
+    mixes_samples = True
 
     def __init__(self, num_channels: int, eps: float = 1e-5) -> None:
         super().__init__()

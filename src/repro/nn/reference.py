@@ -1,7 +1,7 @@
 """Seed (pre-optimization) implementations of the structured nn ops.
 
 These are the verbatim op bodies the repository shipped with before the
-kernel-level overhaul (plan cache, workspace arena, copy elimination).  They
+kernel-level overhaul (plan cache, copy elimination).  They
 serve two purposes:
 
 * **Equivalence testing** — ``tests/nn/test_kernels.py`` asserts the fast

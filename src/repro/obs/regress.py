@@ -83,8 +83,8 @@ def metrics_from_snapshot(data: Mapping[str, Any],
     """Flatten a ``micro_kernels.json`` snapshot into ``name -> seconds``.
 
     Names are path-like and stable: ``kernels/conv2d_fwd``,
-    ``condense_step``, ``parallel/conv_fwd_bwd/threads=4``,
-    ``parallel/sweep/jobs=2``.
+    ``condense_step``, ``condense_step/peak_traced_bytes``,
+    ``fd_fuse/segment_fused``.
     """
     metrics: dict[str, float] = {}
 
@@ -100,32 +100,12 @@ def metrics_from_snapshot(data: Mapping[str, Any],
     if want("condense_step"):
         if "fast_s" in condense:
             metrics["condense_step"] = float(condense["fast_s"])
-        # Peak-memory gauges ride in the same history and are judged by
+        # The peak-memory gauge rides in the same history and is judged by
         # the same trailing-median rule as the timings: a segment that
         # starts allocating 20% more transient bytes is a regression too.
-        for key in ("peak_traced_bytes", "arena_high_water_bytes"):
-            if key in condense:
-                metrics[f"condense_step/{key}"] = float(condense[key])
-    scaling = data.get("parallel_scaling") or {}
-    if want("parallel_scaling"):
-        for case, entry in (scaling.get("intra_op") or {}).items():
-            for key, value in entry.items():
-                if key.startswith("threads="):
-                    metrics[f"parallel/{case}/{key}"] = float(value)
-        for key, value in (scaling.get("sweep") or {}).items():
-            if key.startswith("jobs="):
-                metrics[f"parallel/sweep/{key}"] = float(value)
-    reduce_ = data.get("reduce") or {}
-    if want("reduce"):
-        # Tree-reduction engine: the tree path's seconds are the
-        # regression target; the serial reference rides along so a rot in
-        # the fallback reduction is caught too.
-        for case, row in (reduce_.get("cases") or {}).items():
-            if isinstance(row, Mapping):
-                if "tree_s" in row:
-                    metrics[f"reduce/{case}"] = float(row["tree_s"])
-                if "serial_s" in row:
-                    metrics[f"reduce/{case}/serial"] = float(row["serial_s"])
+        if "peak_traced_bytes" in condense:
+            metrics["condense_step/peak_traced_bytes"] = float(
+                condense["peak_traced_bytes"])
     factorized = data.get("factorized") or {}
     if want("factorized"):
         # Factorized condensed storage: accuracy-per-byte is the paper's
@@ -195,11 +175,10 @@ def seed_history_from_snapshot(snapshot_path: str | os.PathLike,
     base_tags = {"platform": meta.get("platform", "unknown"),
                  "numpy": meta.get("numpy", "unknown"),
                  "threads": 1,
-                 "cpu_count": (data.get("parallel_scaling") or {}
-                               ).get("cpu_count", os.cpu_count())}
+                 "cpu_count": os.cpu_count()}
     base_tags.update(tags or {})
     entries = []
-    for section in ("kernels", "condense_step", "parallel_scaling"):
+    for section in ("kernels", "condense_step"):
         metrics = metrics_from_snapshot(data, sections=(section,))
         if metrics:
             entries.append(append_history(history_path, section, metrics,

@@ -344,11 +344,11 @@ def collect_runtime_counters(registry: Telemetry | None = None, *,
                              emit: bool = True) -> dict[str, float]:
     """Pull the kernel-layer counters into the registry as gauges.
 
-    The plan cache and workspace arena are deliberately *not* instrumented
+    The plan cache and step cache are deliberately *not* instrumented
     push-style — a counter increment per conv call would tax the hot path
     even when idle.  Instead this snapshots :func:`plan_cache_info` and the
-    arena stats on demand (end of segment, end of run, benchmark epilogue)
-    and optionally emits one ``counters`` event to the sink.
+    step-cache stats on demand (end of segment, end of run, benchmark
+    epilogue) and optionally emits one ``counters`` event to the sink.
     """
     from ..nn import kernels  # local import: obs must not import nn eagerly
 
@@ -356,10 +356,6 @@ def collect_runtime_counters(registry: Telemetry | None = None, *,
     values: dict[str, float] = {}
     for key, val in kernels.plan_cache_info().items():
         values[f"plan_cache.{key}"] = float(val)
-    for key, val in kernels.default_arena.stats().items():
-        if isinstance(val, bool):
-            val = int(val)
-        values[f"arena.{key}"] = float(val)
     from ..nn.workspace import default_step_cache  # local import, as above
     for key, val in default_step_cache.stats().items():
         values[f"step_cache.{key}"] = float(val)

@@ -143,7 +143,7 @@ def _counter_events(record: dict[str, Any], pid: int, t0: float
     elif rtype == "rss":
         fields = [(f"memory.{k}", record.get(k)) for k in _RSS_EVENT_FIELDS]
     elif rtype == "counters":
-        # Byte-valued runtime gauges (arena pool, plan cache, step cache,
+        # Byte-valued runtime gauges (plan cache, step cache,
         # ledger accounts) become counter tracks; timing/count gauges stay
         # in the summarize tables where they are readable.
         fields = [(k, v) for k, v in record.items()

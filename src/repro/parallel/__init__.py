@@ -5,8 +5,6 @@ to worker processes (``--jobs``), shipping the large arrays once through
 :mod:`multiprocessing.shared_memory`.  Each grid point runs its whole
 on-device pipeline single-threaded, so results are identical whatever the
 job count.  ``jobs=1`` (the default) runs the grid inline, in order.
-:func:`repro.parallel.tree_reduce.combine_partials` adds partial results
-in a grouping fixed by their count alone.
 """
 
 from .sweep import (SharedArrayPack, SweepOutcome, SweepTaskError,

@@ -1,4 +1,4 @@
-"""Minibatch iteration helpers."""
+"""Minibatch and micro-batch iteration helpers."""
 
 from __future__ import annotations
 
@@ -6,7 +6,12 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["iterate_minibatches"]
+__all__ = ["iterate_minibatches", "micro_batches", "MICRO_BATCH_BYTES"]
+
+#: Largest float32 input one micro-batch may hold: ~20 rows at 3x16x16 and
+#: ~5 at 3x32x32, so a ConvNet micro-batch's largest activation stays well
+#: inside a 2 MiB L2 cache.
+MICRO_BATCH_BYTES = 64 * 1024
 
 
 def iterate_minibatches(num_items: int, batch_size: int, *,
@@ -26,3 +31,28 @@ def iterate_minibatches(num_items: int, batch_size: int, *,
         if drop_last and batch.size < batch_size:
             return
         yield batch
+
+
+def micro_batches(x: np.ndarray, model, *,
+                  max_rows: int | None = None) -> list[slice]:
+    """Split the rows of ``x`` evenly into slices of at most
+    :data:`MICRO_BATCH_BYTES` of float32 input each (at least one row).
+
+    Every pass over an array of arbitrary length (a training minibatch, an
+    evaluation set, a selection pool) runs slice by slice, so its transient
+    memory is bounded by the slice, not by the array.  A ``model`` with a
+    layer that mixes samples (batch statistics) gets the whole array as one
+    slice, since splitting would change its result.  ``max_rows`` caps the
+    slice length either way.
+    """
+    n = len(x)
+    if n == 0:
+        return []
+    if any(m.mixes_samples for m in model.modules()):
+        per = n
+    else:
+        per = max(1, MICRO_BATCH_BYTES // (4 * (x.size // n) or 1))
+    if max_rows is not None:
+        per = min(per, max_rows)
+    parts = -(-n // per)
+    return [slice(i * n // parts, (i + 1) * n // parts) for i in range(parts)]

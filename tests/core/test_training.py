@@ -1,12 +1,21 @@
 """Unit tests for training/evaluation loops (repro.core.training)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.training import evaluate_accuracy, predict_logits, train_model
 from repro.nn.convnet import ConvNet
+from repro.nn.layers import (BatchNorm2d, Conv2d, Flatten, Linear, ReLU,
+                             Sequential)
+from repro.nn.losses import cross_entropy
 from repro.nn.mlp import MLP
+from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
+from repro.utils.batching import iterate_minibatches
+
+MIB = 2 ** 20
 
 
 @pytest.fixture
@@ -99,3 +108,97 @@ class TestEvaluation:
         x = np.zeros((2, 1, 8, 8), dtype=np.float32)
         predict_logits(model, x)
         assert all(p.grad is None for p in model.parameters())
+
+
+def _images(rng, n, hw=16):
+    return (rng.standard_normal((n, 3, hw, hw)).astype(np.float32),
+            rng.integers(0, 10, n))
+
+
+def _convnet(seed=1):
+    return ConvNet(3, 10, 16, width=16, depth=2,
+                   rng=np.random.default_rng(seed))
+
+
+class TestBoundedMemory:
+    """A pass over an array of any length holds only a bounded amount of
+    transient memory, and leaves nothing behind."""
+
+    def test_retrain_peak_is_bounded_and_nothing_is_retained(self, rng):
+        model = _convnet()
+        x, y = _images(rng, 100)
+        rest = [_images(rng, n) for n in (37, 81, 91, 100)]
+        x_test, _ = _images(rng, 220)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_model(model, x, y, epochs=1, lr=1e-2,
+                        rng=np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+            for xs, ys in rest:
+                train_model(model, xs, ys, epochs=1, lr=1e-2,
+                            rng=np.random.default_rng(2))
+            predict_logits(model, x_test)
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 12 * MIB
+        assert abs(end - start) < 0.5 * MIB
+
+
+def _reference_train(model, x, y, weights, *, epochs, lr, rng):
+    """The single-batch SGD loop: one forward/backward per minibatch."""
+    optimizer = SGD(model.parameters(), lr, momentum=0.9, weight_decay=5e-4)
+    model.train()
+    for _ in range(epochs):
+        for idx in iterate_minibatches(len(x), 128, rng=rng):
+            optimizer.zero_grad()
+            loss = cross_entropy(model(Tensor(x[idx])), y[idx],
+                                 weights=None if weights is None
+                                 else weights[idx])
+            loss.backward()
+            optimizer.step()
+
+
+def _conv_bias_ids(model):
+    return {id(m.bias) for m in model.modules()
+            if isinstance(m, Conv2d) and m.bias is not None}
+
+
+class TestMicroBatchEquivalence:
+    """Micro-batched training takes the same SGD steps as training on the
+    whole minibatch at once."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_single_batch_sgd(self, rng, weighted):
+        x, y = _images(rng, 81)  # splits into uneven micro-batches
+        weights = (rng.uniform(0.2, 1.0, 81).astype(np.float32)
+                   if weighted else None)
+        ours, ref = _convnet(), _convnet()
+        train_model(ours, x, y, epochs=2, lr=1e-2, weights=weights,
+                    rng=np.random.default_rng(4))
+        _reference_train(ref, x, y, weights, epochs=2, lr=1e-2,
+                         rng=np.random.default_rng(4))
+        biases = _conv_bias_ids(ref)
+        for p, q in zip(ours.parameters(), ref.parameters()):
+            # Conv biases feed instance norm, so their gradient is float
+            # rounding noise around zero: compare them absolutely.
+            tol = (dict(rtol=0, atol=1e-6) if id(q) in biases
+                   else dict(rtol=1e-5, atol=1e-6))
+            np.testing.assert_allclose(p.data, q.data, **tol)
+
+    def test_batch_statistics_model_runs_as_one_batch(self, rng):
+        def model():
+            r = np.random.default_rng(6)
+            return Sequential(Conv2d(3, 4, 3, padding=1, rng=r),
+                              BatchNorm2d(4), ReLU(), Flatten(),
+                              Linear(4 * 16 * 16, 10, rng=r))
+
+        x, y = _images(rng, 81)
+        ours, ref = model(), model()
+        train_model(ours, x, y, epochs=2, lr=1e-2,
+                    rng=np.random.default_rng(4))
+        _reference_train(ref, x, y, None, epochs=2, lr=1e-2,
+                         rng=np.random.default_rng(4))
+        for p, q in zip(ours.parameters(), ref.parameters()):
+            np.testing.assert_array_equal(p.data, q.data)

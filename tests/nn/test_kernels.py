@@ -1,13 +1,11 @@
 """Equivalence and lifecycle tests for the fast kernel layer.
 
 The fast kernels (plan-cached im2col, slice-table col2im, matmul
-contractions, workspace arena) must match the preserved seed
-implementations — forward values and every gradient — to 1e-5 across a
-grid of odd sizes, strides, and paddings, in both col2im scatter modes,
-and for a full ConvNet training step at the shapes the stream benchmark
-trains on.
-The plan cache must honor its LRU bound and the arena must actually reuse
-buffers.
+contractions) must match the preserved seed implementations — forward
+values and every gradient — to 1e-5 across a grid of odd sizes, strides,
+and paddings, in both col2im scatter modes, and for a full ConvNet
+training step at the shapes the stream benchmark trains on.  The plan
+cache must honor its LRU bound.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from repro.nn import kernels
 from repro.nn.convnet import ConvNet
 from repro.nn.losses import cross_entropy
 from repro.nn.tensor import Tensor
-from repro.nn.workspace import WorkspaceArena
 
 TOL = dict(rtol=1e-5, atol=1e-5)
 
@@ -214,56 +211,3 @@ class TestPlanCache:
         finally:
             kernels.set_plan_cache_limit(old_limit)
             kernels.clear_plan_cache()
-
-
-class TestWorkspaceArena:
-    def test_buffers_are_reused(self):
-        arena = WorkspaceArena(max_bytes=1 << 20, enabled=True)
-        buf = arena.acquire((64, 64), np.float32)
-        arena.release(buf)
-        again = arena.acquire((64, 64), np.float32)
-        assert again is buf
-        assert arena.stats()["hits"] == 1
-
-    def test_full_size_view_release_resolves_to_base(self):
-        arena = WorkspaceArena(max_bytes=1 << 20, enabled=True)
-        buf = arena.acquire((8, 16), np.float32)
-        arena.release(buf.T)  # transpose view of the whole buffer
-        again = arena.acquire((8, 16), np.float32)
-        assert again is buf
-
-    def test_partial_view_is_not_pooled(self):
-        arena = WorkspaceArena(max_bytes=1 << 20, enabled=True)
-        buf = arena.acquire((8, 16), np.float32)
-        arena.release(buf[:4])
-        assert arena.stats()["pooled_buffers"] == 0
-
-    def test_double_release_is_idempotent(self):
-        arena = WorkspaceArena(max_bytes=1 << 20, enabled=True)
-        buf = arena.acquire((4, 4), np.float32)
-        arena.release(buf)
-        arena.release(buf)
-        assert arena.stats()["pooled_buffers"] == 1
-        a = arena.acquire((4, 4), np.float32)
-        b = arena.acquire((4, 4), np.float32)
-        assert a is not b
-
-    def test_byte_cap_evicts(self):
-        arena = WorkspaceArena(max_bytes=4 * 64 * 64, enabled=True)
-        first = arena.acquire((64, 64), np.float32)
-        second = np.empty((64, 64), np.float32)
-        arena.release(first)
-        arena.release(second)  # exceeds cap -> evicts LRU (first)
-        assert arena.stats()["pooled_bytes"] <= arena.max_bytes
-
-    def test_conv_backward_releases_columns_for_reuse(self, rng):
-        kernels.set_fast_kernels(True)
-        kernels.default_arena.reset_stats()
-        for _ in range(2):
-            x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32),
-                       requires_grad=True)
-            w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32),
-                       requires_grad=True)
-            out = F.conv2d(x, w, stride=1, padding=1)
-            out.backward(np.ones_like(out.data))
-        assert kernels.default_arena.stats()["hits"] >= 1

@@ -69,7 +69,7 @@ class TestHighWater:
 
     def test_high_water_sees_pulled_providers(self):
         ledger = MemoryLedger()
-        ledger.register_provider("workspace.arena", lambda: 9000)
+        ledger.register_provider("cache.conv_plans", lambda: 9000)
         ledger.totals()
         assert ledger.high_water_bytes == 9000
 
@@ -160,8 +160,7 @@ class TestDefaultLedgerWiring:
         import repro.nn.workspace  # noqa: F401
 
         accounts = default_ledger.totals()
-        for account in ("workspace.arena", "cache.step_cache",
-                        "cache.conv_plans"):
+        for account in ("cache.step_cache", "cache.conv_plans"):
             assert account in accounts
 
     def test_synthetic_buffer_is_tracked(self):

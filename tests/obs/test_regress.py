@@ -123,24 +123,16 @@ class TestHistoryFile:
             "kernels": {"cases": {"conv2d_fwd": {"fast_s": 0.01,
                                                  "seed_s": 0.05}}},
             "condense_step": {"fast_s": 0.2},
-            "parallel_scaling": {"cpu_count": 4,
-                                 "intra_op": {"conv": {"threads=1": 0.3,
-                                                       "threads=4": 0.1}},
-                                 "sweep": {"jobs=2": 1.5}},
         }
         snap_path = tmp_path / "micro_kernels.json"
         snap_path.write_text(json.dumps(snapshot))
         entries = seed_history_from_snapshot(snap_path,
                                              tmp_path / HISTORY_FILENAME)
-        assert [e["section"] for e in entries] == ["kernels", "condense_step",
-                                                   "parallel_scaling"]
+        assert [e["section"] for e in entries] == ["kernels", "condense_step"]
         loaded, skipped = load_history(tmp_path / HISTORY_FILENAME)
         assert skipped == 0
         all_metrics = {name for e in loaded for name in e["metrics"]}
-        assert all_metrics == {"kernels/conv2d_fwd", "condense_step",
-                               "parallel/conv/threads=1",
-                               "parallel/conv/threads=4",
-                               "parallel/sweep/jobs=2"}
+        assert all_metrics == {"kernels/conv2d_fwd", "condense_step"}
 
     def test_real_repo_history_passes(self):
         # The committed seed history must never itself flag a regression.
@@ -176,12 +168,10 @@ class TestMetricsAndFormat:
 class TestByteMetrics:
     def test_condense_step_byte_gauges_extracted(self):
         data = {"condense_step": {"fast_s": 2.0,
-                                  "peak_traced_bytes": 1048576,
-                                  "arena_high_water_bytes": 2097152}}
+                                  "peak_traced_bytes": 1048576}}
         assert metrics_from_snapshot(data) == {
             "condense_step": 2.0,
             "condense_step/peak_traced_bytes": 1048576.0,
-            "condense_step/arena_high_water_bytes": 2097152.0,
         }
 
     def test_report_renders_bytes_human_readably(self):

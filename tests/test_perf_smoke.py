@@ -35,7 +35,7 @@ def _timed(fn):
 
 
 def _best_of(fn, repeats=3):
-    fn()  # warm up plans / arena
+    fn()  # warm up plans
     return min(_timed(fn) for _ in range(repeats))
 
 
@@ -106,7 +106,7 @@ def test_telemetry_overhead_on_condense_segment_is_small():
                          deployed_model=deployed)
 
     obs.shutdown()
-    segment()  # warm up plans / arena before either timed mode
+    segment()  # warm up plans before either timed mode
     disabled_times, enabled_times = [], []
     try:
         for _ in range(5):  # interleave so drift hits both modes equally
@@ -148,7 +148,7 @@ def test_health_sentinel_overhead_on_condense_segment_is_small():
 
     obs.shutdown()
     obs.disable()
-    segment()  # warm up plans / arena before either timed mode
+    segment()  # warm up plans before either timed mode
     off_times, on_times = [], []
     for _ in range(5):  # interleave so drift hits both modes equally
         with scoped_policy("off"):
@@ -188,7 +188,7 @@ def test_ledger_tracking_overhead_is_small():
                          deployed_model=deployed)
 
     obs.shutdown()
-    segment()  # warm up plans / arena before either timed mode
+    segment()  # warm up plans before either timed mode
     tracked_times, untracked_times = [], []
     try:
         for _ in range(5):  # interleave so drift hits both modes equally

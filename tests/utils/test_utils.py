@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.utils.batching import iterate_minibatches
+from repro.nn.convnet import ConvNet
+from repro.utils.batching import (MICRO_BATCH_BYTES, iterate_minibatches,
+                                  micro_batches)
 from repro.utils.metrics import (RunningMean, confusion_matrix, mean_and_std,
                                  relative_improvement)
 from repro.utils.rng import spawn_rngs, to_rng
@@ -107,6 +109,20 @@ class TestBatching:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             list(iterate_minibatches(10, 0))
+
+    @pytest.mark.parametrize("n, hw, sizes", [
+        (100, 16, [20] * 5), (81, 16, [20, 20, 20, 21]), (100, 32, [5] * 20),
+        (3, 16, [3]), (0, 16, [])])
+    def test_micro_batches_split_evenly_under_the_byte_cap(self, n, hw, sizes):
+        x = np.zeros((n, 3, hw, hw), dtype=np.float32)
+        model = ConvNet(3, 10, hw, width=4, depth=2)
+        parts = micro_batches(x, model)
+        assert [p.stop - p.start for p in parts] == sizes
+        assert all(x[p].nbytes <= MICRO_BATCH_BYTES for p in parts)
+        assert [p.start for p in parts[1:]] == [p.stop for p in parts[:-1]]
+        capped = micro_batches(x, model, max_rows=2)
+        assert all(p.stop - p.start <= 2 for p in capped)
+        assert sum(p.stop - p.start for p in capped) == n
 
 
 class TestSerialization:
