@@ -4,7 +4,7 @@ Times a condense segment on the **micro profile's** learner shapes
 (ConvNet depth 2, width 8, 8x8 inputs, 4 classes at 2 IPC, real batch 32
 — small enough that the whole real set rides in one batch, as in the
 micro learner runs) twice: with the fused FD engine (``REPRO_FD_FUSE``;
-StepCache + batched ±ε lanes) and with it switched off, which is exactly
+batched ±ε lanes) and with it switched off, which is exactly
 the sequential five-pass path of the previous kernel generation.  Two
 scopes are reported:
 
@@ -52,8 +52,6 @@ def run_segment(iterations: int) -> float:
     buf.images[:] = rng.standard_normal(buf.images.shape).astype(np.float32)
     real_x = rng.standard_normal((BATCH, 3, HW, HW)).astype(np.float32)
     real_y = rng.integers(0, CLASSES, BATCH)
-    # The real set fits one batch (the micro-profile regime), so the
-    # segment-level StepCache scope keeps its columns across iterations.
     matcher = OneStepMatcher(iterations=iterations, alpha=0.1)
     factory = lambda r: ConvNet(3, CLASSES, HW, width=WIDTH, depth=DEPTH, rng=r)
     deployed = ConvNet(3, CLASSES, HW, width=WIDTH, depth=DEPTH,

@@ -11,8 +11,7 @@ fused ±ε evaluator end to end the way the Eq. 7 matcher uses it:
    serial fallbacks and zero verification failures.
 3. **Segment equivalence** — a micro-profile condense segment run fused
    vs. unfused produces byte-identical synthetic pixels, with every
-   iteration's FD evaluation fused (one pass saved per iteration) and no
-   StepCache entries leaked past the segment scope.
+   iteration's FD evaluation fused (one pass saved per iteration).
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ def main() -> int:
     from ..buffer.buffer import SyntheticBuffer
     from ..nn import kernels
     from ..nn.convnet import ConvNet
-    from ..nn.workspace import default_step_cache
     from . import matching
     from .one_step import OneStepMatcher
 
@@ -128,8 +126,6 @@ def main() -> int:
                "fusing must save exactly one pass per iteration "
                f"({fused_stats.forward_backward_passes} vs "
                f"{unfused_stats.forward_backward_passes})")
-        _check(default_step_cache.stats()["entries"] == 0,
-               "StepCache leaked entries past the segment scope")
     finally:
         kernels.set_fd_fuse(saved_fuse)
         kernels.set_fast_kernels(saved_fast)

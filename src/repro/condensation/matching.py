@@ -10,6 +10,13 @@ Implements the building blocks of §III-C:
   (the ``grad_{g_syn} D`` factor of Eq. 6);
 * :func:`finite_difference_matching_grad` — the paper's five-pass
   finite-difference approximation (Eq. 7) of ``grad_{X'} D``.
+
+Every pass runs in micro-batches (:func:`repro.utils.batching.micro_batches`),
+so its activations and kernel scratch are bounded by the slice, not by the
+segment or the buffer.  Each slice's loss is its summed (weighted) CE
+scaled by ``1/n`` of the whole batch: the slices add up to the batch mean,
+parameter gradients accumulate over them, and input gradients (per-sample
+for a model without batch statistics) are written slice by slice.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from ..nn.layers import (AvgPool2d, Conv2d, Flatten, InstanceNorm2d, Linear,
                          Module, ReLU, frozen_parameters)
 from ..nn.losses import cross_entropy, gradient_distance
 from ..nn.tensor import Tensor
-from ..nn.workspace import default_step_cache
+from ..utils.batching import micro_batches
 
 __all__ = [
     "parameter_gradients",
@@ -46,13 +53,16 @@ __all__ = [
 EPSILON_NUMERATOR = 0.01
 
 
-def _forward_loss(model: Module, x: Tensor, y: np.ndarray,
-                  w: np.ndarray | None,
-                  augmentation: AugmentationParams | None) -> Tensor:
+def _slice_loss(model: Module, x: Tensor, y: np.ndarray,
+                w: np.ndarray | None, n: int,
+                augmentation: AugmentationParams | None) -> Tensor:
+    """One slice's share of the batch-mean CE: its summed loss times
+    ``1/n``.  ``mean`` is ``sum * (1/count)``, so a slice holding the whole
+    batch builds exactly the graph (and bytes) of the batch mean."""
     if augmentation is not None:
         x = apply_augmentation(x, augmentation)
     logits = model(x)
-    return cross_entropy(logits, y, weights=w, reduction="mean")
+    return cross_entropy(logits, y, weights=w, reduction="sum") * (1.0 / n)
 
 
 def parameter_gradients(model: Module, x: np.ndarray, y: np.ndarray,
@@ -62,40 +72,59 @@ def parameter_gradients(model: Module, x: np.ndarray, y: np.ndarray,
     """Gradients of the (confidence-weighted) CE loss w.r.t. every parameter.
 
     Returns the per-parameter gradient list (ordered as
-    ``model.parameters()``) and the scalar loss value.
+    ``model.parameters()``) and the scalar loss value, both accumulated
+    over the micro-batches of ``x``.
     """
+    x = np.asarray(x, dtype=np.float32)
+    y = np.asarray(y)
     model.zero_grad()
-    loss = _forward_loss(model, Tensor(np.asarray(x, dtype=np.float32)), y, w,
-                         augmentation)
-    loss.backward()
+    loss = 0.0
+    for part in micro_batches(x, model):
+        part_loss = _slice_loss(model, Tensor(x[part]), y[part],
+                                None if w is None else w[part], len(x),
+                                augmentation)
+        part_loss.backward()
+        loss += part_loss.item()
     # zero_grad() below drops the model's references to the gradient arrays,
     # so returning them directly (no .copy()) is safe.
     grads = [np.zeros_like(p.data) if p.grad is None else p.grad
              for p in model.parameters()]
     model.zero_grad()
-    return grads, loss.item()
+    return grads, loss
 
 
-def input_gradient(model: Module, x: np.ndarray, y: np.ndarray,
-                   w: np.ndarray | None = None, *,
-                   augmentation: AugmentationParams | None = None) -> np.ndarray:
-    """Gradient of the CE loss w.r.t. the input pixels at fixed parameters.
+def _input_gradient_slices(model, x, y, w, augmentation, parts) -> np.ndarray:
+    """``grad_X`` of the batch-mean CE at fixed parameters, one backward
+    per slice in ``parts``.
 
     Under the fast kernels the model parameters are temporarily frozen so
     the backward pass skips every parameter-gradient reduction — the FD
     passes of Eq. (7) only consume ``grad_X``.
     """
-    x_tensor = Tensor(np.asarray(x, dtype=np.float32), requires_grad=True)
+    grad = np.zeros_like(x)
     model.zero_grad()
     freeze = (frozen_parameters(model) if kernels.fast_kernels_enabled()
               else contextlib.nullcontext())
     with freeze:
-        loss = _forward_loss(model, x_tensor, y, w, augmentation)
-        loss.backward()
+        for part in parts:
+            x_part = Tensor(x[part], requires_grad=True)
+            _slice_loss(model, x_part, y[part],
+                        None if w is None else w[part], len(x),
+                        augmentation).backward()
+            if x_part.grad is not None:
+                grad[part] = x_part.grad
     model.zero_grad()
-    if x_tensor.grad is None:  # pragma: no cover - defensive
-        return np.zeros_like(x_tensor.data)
-    return x_tensor.grad
+    return grad
+
+
+def input_gradient(model: Module, x: np.ndarray, y: np.ndarray,
+                   w: np.ndarray | None = None, *,
+                   augmentation: AugmentationParams | None = None) -> np.ndarray:
+    """Gradient of the CE loss w.r.t. the input pixels at fixed parameters,
+    evaluated over the micro-batches of ``x``."""
+    x = np.asarray(x, dtype=np.float32)
+    return _input_gradient_slices(model, x, np.asarray(y), w, augmentation,
+                                  micro_batches(x, model))
 
 
 def distance_and_grad_wrt_gsyn(g_syn: Sequence[np.ndarray],
@@ -220,14 +249,27 @@ def _lane_param_sets(params, direction, eps):
     return plus, minus
 
 
-def _fused_input_gradients(layers, clf, syn_x, syn_y, plus, minus, index_of):
-    """Both perturbed input-gradient passes as one grouped forward/backward.
+def _fused_input_gradients(layers, clf, syn_x, syn_y, plus, minus, index_of,
+                           parts):
+    """Both perturbed input-gradient passes, each slice in ``parts`` as one
+    grouped forward/backward."""
+    grad_plus = np.empty_like(syn_x)
+    grad_minus = np.empty_like(syn_x)
+    for part in parts:
+        grad_plus[part], grad_minus[part] = _fused_slice(
+            layers, clf, syn_x[part], syn_y[part], plus, minus, index_of,
+            len(syn_x))
+    return grad_plus, grad_minus
+
+
+def _fused_slice(layers, clf, syn_x, syn_y, plus, minus, index_of, batch):
+    """Both perturbed input-gradient passes over one slice of a ``batch``-row
+    synthetic batch.
 
     Lane 0 (+ε) occupies composite batch rows ``[0, n)``, lane 1 (−ε) rows
     ``[n, 2n)``.  The first conv shares one im2col of ``syn_x`` between the
-    lanes (and, via the StepCache, with ``pass.g_syn``); the classifier tail
-    runs per lane so each loss graph matches the sequential one node for
-    node.
+    lanes; the classifier tail runs per lane so each loss graph matches the
+    sequential one node for node.
     """
     n = syn_x.shape[0]
     lanes = (plus, minus)
@@ -279,8 +321,9 @@ def _fused_input_gradients(layers, clf, syn_x, syn_y, plus, minus, index_of):
     labels = np.asarray(syn_y, dtype=np.int64)
     rows = np.arange(n)
     # d(mean NLL)/d(picked log-prob): backward seeds with ones, the mean
-    # multiplies by float32(1/n), the negation flips it.
-    neg_inv = -(np.float32(1.0) * np.float32(1.0 / n))
+    # over the whole batch multiplies by float32(1/batch), the negation
+    # flips it.
+    neg_inv = -(np.float32(1.0) * np.float32(1.0 / batch))
     seeds = []
     for t, lane in enumerate(lanes):
         f_l = feats[t * n:(t + 1) * n]
@@ -307,8 +350,9 @@ def _fused_input_gradients(layers, clf, syn_x, syn_y, plus, minus, index_of):
 
 
 def _serial_fd_passes(model, params, syn_x, syn_y, direction, eps,
-                      augmentation):
-    """The sequential two-pass evaluation (the pre-fusion code path).
+                      augmentation, parts):
+    """The sequential two-pass evaluation (the pre-fusion code path), over
+    the same slices as the fused one.
 
     The perturbed passes never mutate parameter arrays in place (they only
     rebind ``p.data``), so the current arrays themselves are the exact
@@ -327,15 +371,15 @@ def _serial_fd_passes(model, params, syn_x, syn_y, direction, eps,
             buf += orig
             p.data = buf
         with obs.span("pass.fd_plus"):
-            grad_plus = input_gradient(model, syn_x, syn_y,
-                                       augmentation=augmentation)
+            grad_plus = _input_gradient_slices(model, syn_x, syn_y, None,
+                                               augmentation, parts)
         for p, buf, orig, d in zip(params, buffers, originals, direction):
             np.multiply(d, eps, out=buf)
             np.subtract(orig, buf, out=buf)
             p.data = buf
         with obs.span("pass.fd_minus"):
-            grad_minus = input_gradient(model, syn_x, syn_y,
-                                        augmentation=augmentation)
+            grad_minus = _input_gradient_slices(model, syn_x, syn_y, None,
+                                                augmentation, parts)
     finally:
         for p, orig in zip(params, originals):
             p.data = orig
@@ -358,11 +402,12 @@ def finite_difference_matching_grad(model: Module, syn_x: np.ndarray,
 
     When the fused path is enabled (``REPRO_FD_FUSE``, fast kernels, no
     augmentation) and the model has the supported ConvNet structure, both
-    perturbed passes run as one batch-stacked forward/backward.  The first
-    fused-eligible call per (architecture, shape) signature evaluates both
-    paths and byte-compares them; a mismatch pins that signature to the
-    sequential path permanently (``fd.serial_fallbacks``), a match lets
-    subsequent calls dispatch fused directly (``fd.fused_dispatches``).
+    perturbed passes run as one batch-stacked forward/backward per slice.
+    The first fused-eligible call per (architecture, shape) signature
+    evaluates both paths and byte-compares them; a mismatch pins that
+    signature to the sequential path permanently (``fd.serial_fallbacks``),
+    a match lets subsequent calls dispatch fused directly
+    (``fd.fused_dispatches``).
 
     ``stats_out``, when given, receives ``{"passes": 0|1|2, "fused": bool}``
     — the number of forward/backward evaluations that actually ran, for the
@@ -397,6 +442,11 @@ def _fd_matching_grad(model, syn_x, syn_y, direction, *, augmentation,
         return np.zeros_like(np.asarray(syn_x, dtype=np.float32))
     eps = epsilon_numerator / norm
     syn_x32 = np.asarray(syn_x, dtype=np.float32)
+    syn_y = np.asarray(syn_y)
+    # Both paths run over the same slices, sized for the fused path's
+    # two-lane composite, so each fused slice can be checked against the
+    # sequential bytes.
+    parts = micro_batches(syn_x32, model, lanes=2)
 
     fuse_eligible = (augmentation is None and kernels.fast_kernels_enabled()
                      and kernels.fd_fuse_enabled())
@@ -404,7 +454,8 @@ def _fd_matching_grad(model, syn_x, syn_y, direction, *, augmentation,
     fused = False
     if layout is None:
         grad_plus, grad_minus = _serial_fd_passes(
-            model, params, syn_x32, syn_y, direction, eps, augmentation)
+            model, params, syn_x32, syn_y, direction, eps, augmentation,
+            parts)
         if kernels.fd_fuse_enabled() and kernels.fast_kernels_enabled():
             _FD_STATS["serial_fallbacks"] += 1
             obs.counter("fd.serial_fallbacks")
@@ -413,41 +464,40 @@ def _fd_matching_grad(model, syn_x, syn_y, direction, *, augmentation,
         key = _fuse_key(layers, clf, syn_x32.shape)
         verdict = _FUSE_VERDICTS.get(key)
         index_of = {id(p): i for i, p in enumerate(params)}
-        with default_step_cache.scope(syn_x32):
-            if verdict is None:
-                # First use for this signature: run both paths and demand
-                # byte identity before trusting the fused one.
-                _FD_STATS["verifications"] += 1
-                plus, minus = _lane_param_sets(params, direction, eps)
-                with obs.span("pass.fd_fused"):
-                    fused_pm = _fused_input_gradients(
-                        layers, clf, syn_x32, syn_y, plus, minus, index_of)
-                # The sequential reference is probe work: it only exists to
-                # validate the fused bytes, and it runs in whichever process
-                # first sees this signature (verdicts ride along fork into
-                # sweep workers).  Emit no telemetry for it so counter
-                # parity between serial and worker runs is preserved.
-                with obs.scoped_telemetry(obs.Telemetry()):
-                    serial_pm = _serial_fd_passes(
-                        model, params, syn_x32, syn_y, direction, eps,
-                        augmentation)
-                ok = (np.array_equal(fused_pm[0], serial_pm[0])
-                      and np.array_equal(fused_pm[1], serial_pm[1]))
-                if not ok:
-                    _FD_STATS["verification_failures"] += 1
-                _FUSE_VERDICTS[key] = ok
-                fused = ok
-                grad_plus, grad_minus = serial_pm
-            elif verdict:
-                plus, minus = _lane_param_sets(params, direction, eps)
-                with obs.span("pass.fd_fused"):
-                    grad_plus, grad_minus = _fused_input_gradients(
-                        layers, clf, syn_x32, syn_y, plus, minus, index_of)
-                fused = True
-            else:
-                grad_plus, grad_minus = _serial_fd_passes(
+        if verdict is None:
+            # First use for this signature: run both paths and demand
+            # byte identity before trusting the fused one.
+            _FD_STATS["verifications"] += 1
+            plus, minus = _lane_param_sets(params, direction, eps)
+            with obs.span("pass.fd_fused"):
+                fused_pm = _fused_input_gradients(
+                    layers, clf, syn_x32, syn_y, plus, minus, index_of, parts)
+            # The sequential reference is probe work: it only exists to
+            # validate the fused bytes, and it runs in whichever process
+            # first sees this signature (verdicts ride along fork into
+            # sweep workers).  Emit no telemetry for it so counter
+            # parity between serial and worker runs is preserved.
+            with obs.scoped_telemetry(obs.Telemetry()):
+                serial_pm = _serial_fd_passes(
                     model, params, syn_x32, syn_y, direction, eps,
-                    augmentation)
+                    augmentation, parts)
+            ok = (np.array_equal(fused_pm[0], serial_pm[0])
+                  and np.array_equal(fused_pm[1], serial_pm[1]))
+            if not ok:
+                _FD_STATS["verification_failures"] += 1
+            _FUSE_VERDICTS[key] = ok
+            fused = ok
+            grad_plus, grad_minus = serial_pm
+        elif verdict:
+            plus, minus = _lane_param_sets(params, direction, eps)
+            with obs.span("pass.fd_fused"):
+                grad_plus, grad_minus = _fused_input_gradients(
+                    layers, clf, syn_x32, syn_y, plus, minus, index_of, parts)
+            fused = True
+        else:
+            grad_plus, grad_minus = _serial_fd_passes(
+                model, params, syn_x32, syn_y, direction, eps, augmentation,
+                parts)
         if fused:
             _FD_STATS["fused_dispatches"] += 1
             obs.counter("fd.fused_dispatches")

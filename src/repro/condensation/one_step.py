@@ -22,9 +22,9 @@ from ..nn import kernels
 from ..nn.layers import Module, frozen_parameters
 from ..nn.losses import feature_discrimination_loss
 from ..nn.optim import SGD
-from ..nn.tensor import Tensor
-from ..nn.workspace import default_step_cache
+from ..nn.tensor import Tensor, no_grad
 from ..obs.health import EwmaTripwire
+from ..utils.batching import micro_batches
 from .base import CondensationMethod, CondensationStats, ModelFactory
 from .matching import (distance_and_grad_wrt_gsyn,
                        finite_difference_matching_grad, gradient_cosine,
@@ -108,6 +108,14 @@ class OneStepMatcher(CondensationMethod):
         independent of the total class count (crucial for the CIFAR-100
         buffer, where encoding all 100 class blocks per iteration would
         dominate the runtime).
+
+        The loss mixes samples, so it runs in three steps to keep the
+        encoder's memory bounded by one micro-batch: the features of every
+        involved row, slice by slice, keeping the graph of the last slice
+        only; the Eq. 8 loss and its gradient at those features; then the
+        backward of each slice whose pixels need a gradient, seeded with
+        its rows of the feature gradient (the kept graph first, the other
+        slices after running forward again).
         """
         zero = (np.zeros((len(active_rows), *buffer.image_shape),
                          dtype=np.float32), 0.0)
@@ -127,25 +135,53 @@ class OneStepMatcher(CondensationMethod):
         # positions come from one vectorized binary search.
         local_active = np.searchsorted(rows, active_rows)
 
-        sub_tensor = Tensor(buffer.decoded_images(rows), requires_grad=True)
-        deployed_model.zero_grad()
+        # Only the active rows need a pixel gradient: a per-sample encoder
+        # maps a row's feature gradient to that row's pixels alone, and an
+        # encoder with batch statistics runs as one slice.  They are
+        # encoded last, so the last slice's graph, kept through the loss,
+        # serves as many of them as it holds.
+        order = np.concatenate(
+            [np.setdiff1d(np.arange(len(rows)), local_active), local_active])
+        x = buffer.decoded_images(rows)[order]
+        parts = micro_batches(x, deployed_model)
         # Only the gradient w.r.t. the buffer pixels is consumed, so the
         # deployed encoder's parameter gradients are pure waste — freeze
         # them for the duration of the pass under the fast kernels.
         freeze = (frozen_parameters(deployed_model)
                   if kernels.fast_kernels_enabled() else contextlib.nullcontext())
+        deployed_model.zero_grad()
         with freeze:
-            feats = deployed_model.features(sub_tensor)
+            with no_grad():
+                chunks = [deployed_model.features(Tensor(x[p])).data
+                          for p in parts[:-1]]
+            kept = Tensor(x[parts[-1]], requires_grad=True)
+            kept_feats = deployed_model.features(kept)
+            chunks.append(kept_feats.data)
+            position = np.argsort(order)  # row -> its index in x
+            feats = Tensor(np.concatenate(chunks)[position],
+                           requires_grad=True)
             loss = feature_discrimination_loss(
                 feats, buffer.labels[rows], local_active, rng,
                 temperature=self.tau, negative_classes=negatives)
             if not loss.requires_grad:  # no usable positive/negative pairs
                 return zero
             loss.backward()
+
+            feat_grad = feats.grad[order]
+            grad = np.zeros_like(x)
+            kept_feats.backward(feat_grad[parts[-1]])
+            grad[parts[-1]] = kept.grad
+            del kept_feats  # free the kept graph before the re-runs
+            # The rows needing a gradient that the kept slice did not hold
+            # run forward again.
+            first, stop = len(x) - len(local_active), parts[-1].start
+            for p in micro_batches(x[first:stop], deployed_model):
+                p = slice(first + p.start, first + p.stop)
+                x_part = Tensor(x[p], requires_grad=True)
+                deployed_model.features(x_part).backward(feat_grad[p])
+                grad[p] = x_part.grad
         deployed_model.zero_grad()
-        grad = (np.zeros_like(sub_tensor.data) if sub_tensor.grad is None
-                else sub_tensor.grad)
-        return grad[local_active], loss.item()
+        return grad[position[local_active]], loss.item()
 
     # -- main entry ---------------------------------------------------------
     def condense(self, buffer: SyntheticBuffer, active_classes: Sequence[int],
@@ -163,10 +199,9 @@ class OneStepMatcher(CondensationMethod):
         syn_labels = buffer.labels[active_rows]
         # The optimization variable is the *stored* payload; the matching
         # passes below consume its decoded (full-resolution) view.  For the
-        # base buffer decode is the identity, so syn_x IS syn_store.data and
-        # every cache-scope / note_write keyed on it behaves exactly as
-        # before; a factorized buffer interposes its upsample here and gets
-        # the transposed gradient back through encode_grad.
+        # base buffer decode is the identity, so syn_x IS syn_store.data; a
+        # factorized buffer interposes its upsample here and gets the
+        # transposed gradient back through encode_grad.
         syn_store = Tensor(buffer.images[active_rows].copy(), requires_grad=True)
         optimizer = SGD([syn_store], self.syn_lr, momentum=self.syn_momentum)
 
@@ -175,106 +210,80 @@ class OneStepMatcher(CondensationMethod):
         model = model_factory(rng)
         matching_passes = 0
         fused_evals = 0
-        # One StepCache scope per iteration: pass.g_syn and the FD passes
-        # all read the same decoded block, so its first-layer im2col is
-        # derived once and shared.  The scope is keyed by array identity;
-        # syn_x is rebuilt from the freshly stepped storage each iteration,
-        # so the scope (and an explicit note_write) end before the optimizer
-        # runs.
-        caching = (kernels.fast_kernels_enabled() and kernels.fd_fuse_enabled())
-        # Segment-level scope on the real batch: when the whole real set fits
-        # in one batch, _real_batch returns real_x itself every iteration, so
-        # its first-layer columns are content-stable across the segment and
-        # pass.g_real reuses one im2col.  Subsampled batches are fresh arrays
-        # each iteration and simply never hit.
-        segment_scope = (default_step_cache.scope(real_x)
-                         if caching and len(real_x) <= self.batch_size
-                         else contextlib.nullcontext())
         monitor = obs.get_monitor()
         skipped_steps = 0
-        with segment_scope:
-            for it in range(self.iterations):
-                if self.rerandomize:
-                    model = model_factory(rng)
-                batch_x, batch_y, batch_w = self._real_batch(
-                    real_x, real_y, real_w, rng)
+        for it in range(self.iterations):
+            if self.rerandomize:
+                model = model_factory(rng)
+            batch_x, batch_y, batch_w = self._real_batch(
+                real_x, real_y, real_w, rng)
 
-                syn_x = buffer.decode(syn_store.data)
-                step_scope = (default_step_cache.scope(syn_x)
-                              if caching else contextlib.nullcontext())
-                with step_scope:
-                    with obs.span("pass.g_real"):
-                        g_real, _ = parameter_gradients(
-                            model, batch_x, batch_y, batch_w)
-                    with obs.span("pass.g_syn"):
-                        g_syn, _ = parameter_gradients(
-                            model, syn_x, syn_labels)
-                    if it == self.iterations - 1:
-                        # Quality scalar: how well the synthetic gradients
-                        # track the real ones — both stacks are already in
-                        # hand, so this is a few dot products per segment.
-                        stats.extra["grad_cosine"] = gradient_cosine(
-                            g_syn, g_real)
-                    # Health sentinels at the gradient hand-offs.  Under
-                    # the default ``record`` policy these only observe; a
-                    # ``False`` return (skip-step policy) drops the
-                    # iteration before the poisoned bytes can reach the
-                    # synthetic payload.
-                    if not (monitor.check("matcher.g_real", g_real,
-                                          iteration=it)
-                            and monitor.check("matcher.g_syn", g_syn,
-                                              iteration=it)):
-                        skipped_steps += 1
-                        continue
-                    with obs.span("pass.grad_distance"):
-                        distance, direction = distance_and_grad_wrt_gsyn(
-                            g_syn, g_real, metric=self.metric)
-                    if not monitor.check_loss("matcher.matching_loss",
-                                              distance, self._loss_tripwire,
-                                              iteration=it):
-                        skipped_steps += 1
-                        continue
-                    fd_stats: dict = {}
-                    matching_grad = finite_difference_matching_grad(
-                        model, syn_x, syn_labels, direction,
-                        epsilon_numerator=self.epsilon_numerator,
-                        stats_out=fd_stats)
-                    total_grad = matching_grad
-                    # passes: g_real, g_syn, grad_{g_syn}D, plus however many
-                    # FD evaluations actually ran (2 sequential, 1 fused, 0
-                    # when the direction norm was zero).
-                    fd_passes = fd_stats.get("passes", 2)
-                    fused_evals += bool(fd_stats.get("fused"))
-                    stats.forward_backward_passes += 3 + fd_passes
-                    matching_passes += 3 + fd_passes
+            syn_x = buffer.decode(syn_store.data)
+            with obs.span("pass.g_real"):
+                g_real, _ = parameter_gradients(
+                    model, batch_x, batch_y, batch_w)
+            with obs.span("pass.g_syn"):
+                g_syn, _ = parameter_gradients(model, syn_x, syn_labels)
+            if it == self.iterations - 1:
+                # Quality scalar: how well the synthetic gradients track the
+                # real ones — both stacks are already in hand, so this is a
+                # few dot products per segment.
+                stats.extra["grad_cosine"] = gradient_cosine(g_syn, g_real)
+            # Health sentinels at the gradient hand-offs.  Under the default
+            # ``record`` policy these only observe; a ``False`` return
+            # (skip-step policy) drops the iteration before the poisoned
+            # bytes can reach the synthetic payload.
+            if not (monitor.check("matcher.g_real", g_real, iteration=it)
+                    and monitor.check("matcher.g_syn", g_syn, iteration=it)):
+                skipped_steps += 1
+                continue
+            with obs.span("pass.grad_distance"):
+                distance, direction = distance_and_grad_wrt_gsyn(
+                    g_syn, g_real, metric=self.metric)
+            if not monitor.check_loss("matcher.matching_loss", distance,
+                                      self._loss_tripwire, iteration=it):
+                skipped_steps += 1
+                continue
+            fd_stats: dict = {}
+            matching_grad = finite_difference_matching_grad(
+                model, syn_x, syn_labels, direction,
+                epsilon_numerator=self.epsilon_numerator,
+                stats_out=fd_stats)
+            total_grad = matching_grad
+            # passes: g_real, g_syn, grad_{g_syn}D, plus however many FD
+            # evaluations actually ran (2 sequential, 1 fused, 0 when the
+            # direction norm was zero).
+            fd_passes = fd_stats.get("passes", 2)
+            fused_evals += bool(fd_stats.get("fused"))
+            stats.forward_backward_passes += 3 + fd_passes
+            matching_passes += 3 + fd_passes
 
-                    if use_disc:
-                        # Keep the deployed model's view of the buffer
-                        # current: the non-active rows come from the buffer,
-                        # the active rows from the payload being optimized.
-                        buffer.images[active_rows] = syn_store.data
-                        with obs.span("pass.discrimination"):
-                            disc_grad, disc_loss = self._discrimination_grad(
-                                buffer, active_rows, deployed_model, rng)
-                        total_grad = total_grad + self.alpha * disc_grad
-                        stats.forward_backward_passes += 1
-                        stats.extra["discrimination_loss"] = disc_loss
+            if use_disc:
+                # Keep the deployed model's view of the buffer current: the
+                # non-active rows come from the buffer, the active rows from
+                # the payload being optimized.
+                buffer.images[active_rows] = syn_store.data
+                with obs.span("pass.discrimination"):
+                    disc_grad, disc_loss = self._discrimination_grad(
+                        buffer, active_rows, deployed_model, rng)
+                total_grad = total_grad + self.alpha * disc_grad
+                stats.forward_backward_passes += 1
+                stats.extra["discrimination_loss"] = disc_loss
 
-                    default_step_cache.note_write(syn_x)
-                # total_grad lives in decoded space; pull it back onto the
-                # storage through the decode transpose before stepping.
-                syn_store.grad = np.asarray(buffer.encode_grad(total_grad),
-                                            dtype=np.float32)
-                if not monitor.check("matcher.syn_grad", syn_store.grad,
-                                     iteration=it):
-                    skipped_steps += 1
-                    optimizer.zero_grad()
-                    continue
-                optimizer.step()
+            # total_grad lives in decoded space; pull it back onto the
+            # storage through the decode transpose before stepping.
+            syn_store.grad = np.asarray(buffer.encode_grad(total_grad),
+                                        dtype=np.float32)
+            if not monitor.check("matcher.syn_grad", syn_store.grad,
+                                 iteration=it):
+                skipped_steps += 1
                 optimizer.zero_grad()
+                continue
+            optimizer.step()
+            optimizer.zero_grad()
 
-                stats.iterations += 1
-                stats.matching_loss += distance
+            stats.iterations += 1
+            stats.matching_loss += distance
 
         stats.matching_loss /= max(stats.iterations, 1)
         stats.extra["matching_passes"] = matching_passes

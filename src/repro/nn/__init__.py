@@ -6,7 +6,7 @@ with respect to parameters *and* inputs, a ConvNet backbone with an exposed
 encoder, SGD/Adam optimizers, and the paper's loss functions.
 """
 
-from . import functional, init, kernels, reference, workspace
+from . import functional, init, kernels, reference
 from .convnet import ConvNet
 from .layers import (AvgPool2d, BatchNorm2d, Conv2d, Flatten, GroupNorm2d,
                      Identity, InstanceNorm2d, LeakyReLU, Linear, MaxPool2d,
@@ -21,7 +21,7 @@ from .tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, tensor
 
 __all__ = [
     "Tensor", "tensor", "no_grad", "is_grad_enabled", "concatenate", "stack", "where",
-    "functional", "init", "kernels", "reference", "workspace", "frozen_parameters",
+    "functional", "init", "kernels", "reference", "frozen_parameters",
     "Module", "Sequential", "Linear", "Conv2d", "InstanceNorm2d", "GroupNorm2d",
     "BatchNorm2d", "ReLU", "LeakyReLU", "Tanh", "Sigmoid", "AvgPool2d", "MaxPool2d",
     "Flatten", "Identity",

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import kernels, reference
 from .tensor import Tensor
-from .workspace import default_step_cache
 
 __all__ = [
     "conv2d",
@@ -76,14 +75,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
     xd = _f32(x.data)
     w2 = weight.data.reshape(oc, -1)                 # (OC, CKK)
-    # A StepCache scope (opened by the condense loop around the Eq. 7
-    # passes) serves the same input array's columns to every conv over it;
-    # the fill is identical whichever pass computed them first.
-    cols6 = default_step_cache.lookup(xd, plan.key)
-    if cols6 is None:
-        cols6 = kernels.im2col(xd, plan)             # (N,C,KH,KW,OH,OW)
-        default_step_cache.store(xd, plan.key, cols6)
-    cols = cols6.reshape(plan.cols_shape)            # (N, CKK, L) view
+    cols = kernels.im2col(xd, plan).reshape(plan.cols_shape)  # (N, CKK, L)
     out = np.matmul(w2, cols)                        # C-contiguous (N, OC, L)
     out = out.reshape(n, oc, plan.oh, plan.ow)
     if bias is not None:
@@ -162,10 +154,7 @@ def conv2d_lanes_shared(x: np.ndarray, weights, biases, *, stride: int = 1,
     Returns ``(out4, backward)`` where ``out4`` is the ``(lanes*n, ...)``
     composite ndarray and ``backward(g)`` maps the composite output gradient
     to the composite input gradient (lane ``t`` in rows ``[t*n, (t+1)*n)``).
-    The single im2col of ``x`` is served from (and shared via) the active
-    :class:`~repro.nn.workspace.StepCache` scope, so ``pass.g_syn`` and the
-    fused ±ε pass derive the first-layer columns exactly once per condense
-    iteration.
+    One im2col of ``x`` serves every lane.
     """
     lanes = len(weights)
     n, c, h, w = x.shape
@@ -174,12 +163,7 @@ def conv2d_lanes_shared(x: np.ndarray, weights, biases, *, stride: int = 1,
         raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ic}")
     plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
     plan2 = kernels.get_conv_plan(lanes * n, c, h, w, kh, kw, stride, padding)
-    xd = _f32(x)
-    cols6 = default_step_cache.lookup(xd, plan.key)
-    if cols6 is None:
-        cols6 = kernels.im2col(xd, plan)
-        default_step_cache.store(xd, plan.key, cols6)
-    cols = cols6.reshape(plan.cols_shape)
+    cols = kernels.im2col(_f32(x), plan).reshape(plan.cols_shape)
     return _lane_conv(plan2, [cols] * lanes, weights, biases, n, oc)
 
 

@@ -135,14 +135,13 @@ class ConvPlan:
     """Precomputed geometry for one (input shape, kernel, stride, pad)."""
 
     __slots__ = (
-        "key", "n", "c", "h", "w", "kh", "kw", "stride", "pad",
+        "n", "c", "h", "w", "kh", "kw", "stride", "pad",
         "hp", "wp", "oh", "ow", "cols_shape6", "cols_shape",
         "slices", "_scatter_index",
     )
 
     def __init__(self, n: int, c: int, h: int, w: int, kh: int, kw: int,
                  stride: int, pad: int) -> None:
-        self.key = (n, c, h, w, kh, kw, stride, pad)
         self.n, self.c, self.h, self.w = n, c, h, w
         self.kh, self.kw, self.stride, self.pad = kh, kw, stride, pad
         self.hp, self.wp = h + 2 * pad, w + 2 * pad
@@ -291,9 +290,8 @@ def set_plan_cache_limit(limit: int) -> None:
             _PLAN_EVICTIONS += 1
 
 
-# Pull-style memory-ledger account for the plan LRU (cf. the step-cache
-# provider in repro.nn.workspace; repro.obs.memory is stdlib-only so the
-# import cannot cycle back here).
+# Pull-style memory-ledger account for the plan LRU (repro.obs.memory is
+# stdlib-only, so the import cannot cycle back here).
 from ..obs.memory import default_ledger as _default_ledger  # noqa: E402
 
 _default_ledger.register_provider("cache.conv_plans", plan_cache_nbytes)

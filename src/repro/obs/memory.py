@@ -18,7 +18,6 @@ account                what it holds
                        their cached encoder feature rows and weight snapshot
 ``shm.pack``           shared-memory sweep packs (owner side)
 ``cache.conv_plans``   ConvPlan LRU resident bytes (pull provider)
-``cache.step_cache``   StepCache pinned column buffers (pull provider)
 ``disk.checkpoints``   checkpoint files written this process (bytes on disk)
 =====================  ====================================================
 
@@ -30,7 +29,7 @@ Two registration styles:
   ``weakref.finalize`` so a garbage-collected buffer can never leak its
   ledger bytes.
 * **Pull providers** (:meth:`MemoryLedger.register_provider`) for caches
-  that already keep their own byte counts (plan cache, step cache): the
+  that already keep their own byte counts (the plan cache): the
   ledger polls them only when a snapshot is requested, so the hot path
   pays nothing.
 
@@ -49,8 +48,8 @@ against real interpreter allocations (numpy registers its payloads with
 tracemalloc, so tracked-account deltas must agree within tolerance).
 
 Everything here is stdlib-only and import-light: hot modules (kernels,
-step cache, buffers) import this module directly without dragging in the
-rest of the telemetry layer.
+buffers) import this module directly without dragging in the rest of the
+telemetry layer.
 """
 
 from __future__ import annotations

@@ -344,11 +344,11 @@ def collect_runtime_counters(registry: Telemetry | None = None, *,
                              emit: bool = True) -> dict[str, float]:
     """Pull the kernel-layer counters into the registry as gauges.
 
-    The plan cache and step cache are deliberately *not* instrumented
-    push-style — a counter increment per conv call would tax the hot path
-    even when idle.  Instead this snapshots :func:`plan_cache_info` and the
-    step-cache stats on demand (end of segment, end of run, benchmark
-    epilogue) and optionally emits one ``counters`` event to the sink.
+    The plan cache is deliberately *not* instrumented push-style — a
+    counter increment per conv call would tax the hot path even when idle.
+    Instead this snapshots :func:`plan_cache_info` on demand (end of
+    segment, end of run, benchmark epilogue) and optionally emits one
+    ``counters`` event to the sink.
     """
     from ..nn import kernels  # local import: obs must not import nn eagerly
 
@@ -356,9 +356,6 @@ def collect_runtime_counters(registry: Telemetry | None = None, *,
     values: dict[str, float] = {}
     for key, val in kernels.plan_cache_info().items():
         values[f"plan_cache.{key}"] = float(val)
-    from ..nn.workspace import default_step_cache  # local import, as above
-    for key, val in default_step_cache.stats().items():
-        values[f"step_cache.{key}"] = float(val)
     from ..condensation.matching import fd_fuse_stats  # local import, as above
     for key, val in fd_fuse_stats().items():
         values[f"fd.{key}"] = float(val)

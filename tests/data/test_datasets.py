@@ -1,9 +1,14 @@
 """Unit tests for synthetic dataset generation (repro.data.datasets)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.data.datasets import DatasetSpec, make_dataset
+from repro.data.datasets import DatasetSpec, gaussian_blur, make_dataset
 
 SPEC = DatasetSpec(name="toy", num_classes=4, image_size=8, channels=3,
                    train_per_class=10, test_per_class=4, num_groups=2,
@@ -153,3 +158,24 @@ class TestPretrainSubset:
         x, y = ds.pretrain_subset(0.2, rng=0)
         train_rows = {arr.tobytes() for arr in ds.x_train}
         assert all(row.tobytes() in train_rows for row in x)
+
+
+class TestGaussianBlur:
+    @pytest.mark.parametrize("size", [8, 13, 32])
+    @pytest.mark.parametrize("sigma", [0.5, 1.3, 2.0, 4.7, 9.0])
+    def test_matches_scipy_bit_for_bit(self, size, sigma):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        fields = np.random.default_rng(size).standard_normal((3, size, size))
+        expected = np.stack([ndimage.gaussian_filter(f, sigma) for f in fields])
+        np.testing.assert_array_equal(gaussian_blur(fields, sigma), expected)
+
+    def test_generation_leaves_scipy_unloaded(self):
+        script = ("import sys, repro\n"
+                  "from repro.experiments import prepare_experiment\n"
+                  "prepare_experiment('core50', 'micro')\n"
+                  "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -77,8 +77,8 @@ class TestHighWater:
 class TestProviders:
     def test_provider_pulled_in_totals(self):
         ledger = MemoryLedger()
-        ledger.register_provider("cache.step_cache", lambda: 123)
-        assert ledger.totals() == {"cache.step_cache": 123}
+        ledger.register_provider("cache.conv_plans", lambda: 123)
+        assert ledger.totals() == {"cache.conv_plans": 123}
         assert ledger.totals(pull=False) == {}
 
     def test_broken_provider_reports_zero(self):
@@ -154,14 +154,11 @@ class TestDeepAudit:
 
 class TestDefaultLedgerWiring:
     def test_instrumented_sites_register_accounts(self):
-        # Importing the kernel/workspace layers installs the cache
-        # providers on the process-wide ledger.
+        # Importing the kernel layer installs the plan-cache provider on
+        # the process-wide ledger.
         import repro.nn.kernels  # noqa: F401
-        import repro.nn.workspace  # noqa: F401
 
-        accounts = default_ledger.totals()
-        for account in ("cache.step_cache", "cache.conv_plans"):
-            assert account in accounts
+        assert "cache.conv_plans" in default_ledger.totals()
 
     def test_synthetic_buffer_is_tracked(self):
         from repro.buffer.buffer import SyntheticBuffer

@@ -26,7 +26,7 @@ def _events():
         {"type": "span", "name": "pass.g_real", "dur_s": 0.030, "depth": 2},
         {"type": "span", "name": "pass.fd_plus", "dur_s": 0.005, "depth": 2},
         {"type": "counters", "plan_cache.hits": 10, "plan_cache.misses": 2,
-         "step_cache.entry_bytes": 4096},
+         "plan_cache.approx_bytes": 4096},
     ]
 
 

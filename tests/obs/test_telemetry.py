@@ -169,7 +169,6 @@ class TestRuntimeCounters:
         assert "plan_cache.hits" in values
         assert "plan_cache.evictions" in values
         assert values["plan_cache.size"] > 0
-        assert "step_cache.entry_bytes" in values
         assert sink.records[-1]["type"] == "counters"
         assert obs.snapshot()["gauges"]["plan_cache.limit"] > 0
 

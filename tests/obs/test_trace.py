@@ -101,7 +101,7 @@ class TestCounters:
             {"type": "rss", "ts": T0 + 2, "rss_bytes": 4096,
              "tracked_bytes": 150, "high_water_bytes": 200},
             {"type": "counters", "ts": T0 + 3, "plan_cache.hits": 9,
-             "memory.tracked_bytes": 150.0, "step_cache.entry_bytes": 77},
+             "memory.tracked_bytes": 150.0, "plan_cache.approx_bytes": 77},
         ])
         assert validate_trace(trace) == []
         names = {ev["name"] for ev in trace["traceEvents"]
@@ -109,7 +109,7 @@ class TestCounters:
         assert "memory.total_bytes" in names
         assert "memory.rss_bytes" in names
         assert "memory.tracked_bytes" in names
-        assert "step_cache.entry_bytes" in names
+        assert "plan_cache.approx_bytes" in names
         # budget_bytes was None and plan_cache.hits is not byte-valued:
         # neither becomes a counter track.
         assert "memory.budget_bytes" not in names

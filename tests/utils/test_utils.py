@@ -124,6 +124,16 @@ class TestBatching:
         assert all(p.stop - p.start <= 2 for p in capped)
         assert sum(p.stop - p.start for p in capped) == n
 
+    @pytest.mark.parametrize("n, hw, sizes", [
+        (100, 16, [10] * 10), (20, 32, [2] * 10), (1, 64, [1])])
+    def test_lanes_share_the_byte_cap(self, n, hw, sizes):
+        x = np.zeros((n, 3, hw, hw), dtype=np.float32)
+        model = ConvNet(3, 10, hw, width=4, depth=2)
+        parts = micro_batches(x, model, lanes=2)
+        assert [p.stop - p.start for p in parts] == sizes
+        assert all(2 * x[p].nbytes <= MICRO_BATCH_BYTES
+                   for p in parts if p.stop - p.start > 1)
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
