@@ -1,9 +1,11 @@
 """Micro-benchmarks: individual kernels, fast vs seed reference.
 
 Times conv2d forward / forward+backward, instance norm, pooling, softmax,
-the raw im2col/col2im primitives, and one full ``parameter_gradients``
-pass — each in fast-kernel mode and in :func:`repro.nn.kernels.reference_mode`
-(the preserved seed implementations) — and appends the measured
+one ConvNet block (``conv_block``: Conv -> Norm -> ReLU -> Pool) forward+
+backward, the raw im2col/col2im primitives, and one full
+``parameter_gradients`` pass — each in fast-kernel mode and in
+:func:`repro.nn.kernels.reference_mode` (the preserved seed
+implementations) — and appends the measured
 seconds-per-call and speedups to ``bench_results/micro_kernels.json``.
 
 Usage::
@@ -127,6 +129,15 @@ def make_cases(rng: np.random.Generator) -> dict:
         out.backward(np.ones_like(out.data))
         x.zero_grad()
 
+    gamma = Tensor(np.ones(OC, dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(OC, dtype=np.float32), requires_grad=True)
+
+    def convnet_block_fwd_bwd():
+        out = F.conv_block(x, w, b, gamma, beta)
+        out.backward(np.ones_like(out.data))
+        for t in (x, w, b, gamma, beta):
+            t.zero_grad()
+
     def softmax_fwd_bwd():
         flat = Tensor(x.data.reshape(N, -1)[:, :64], requires_grad=True)
         out = F.log_softmax(flat)
@@ -147,6 +158,7 @@ def make_cases(rng: np.random.Generator) -> dict:
         "instance_norm_fwd_bwd": norm_fwd_bwd,
         "avg_pool2d_fwd_bwd": avg_pool_fwd_bwd,
         "max_pool2d_fwd_bwd": max_pool_fwd_bwd,
+        "convnet_block_fwd_bwd": convnet_block_fwd_bwd,
         "log_softmax_fwd_bwd": softmax_fwd_bwd,
         "_im2col_col2im": (im2col_col2im, im2col_col2im_seed),
     }

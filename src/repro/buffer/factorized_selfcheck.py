@@ -11,11 +11,7 @@ decode-aware buffer end to end the way the learner uses it:
    ``encode_grad`` its exact transpose (``<decode(p), g> == <p,
    encode_grad(g)>`` up to float32 roundoff), bit-deterministic across
    calls.
-3. **Fuse equivalence** — a micro f=2 condense segment run under
-   ``REPRO_FD_FUSE`` on vs. off must produce byte-identical stored
-   payloads: the fused FD engine sees only decoded views and must not
-   care how they were produced.
-4. **Round-trip** — ``state_dict``/``load_state_dict`` restores the
+3. **Round-trip** — ``state_dict``/``load_state_dict`` restores the
    stored payload byte-for-byte and refuses a mismatched decode factor.
 """
 
@@ -39,9 +35,6 @@ def _check(condition: bool, message: str) -> None:
 
 
 def main() -> int:
-    from ..nn import kernels
-    from ..nn.convnet import ConvNet
-    from ..condensation.one_step import OneStepMatcher
     from .buffer import SyntheticBuffer
     from .factorized import FactorizedSyntheticBuffer
 
@@ -76,42 +69,6 @@ def main() -> int:
     _check(abs(lhs - rhs) <= 1e-3 * max(1.0, abs(lhs)),
            f"encode_grad is not the decode transpose: <Up,g>={lhs} vs "
            f"<p,U^Tg>={rhs}")
-
-    iterations = 4
-    print(f"[factorized-selfcheck] fuse equivalence: f={FACTOR} segment, "
-          f"{iterations} iterations, REPRO_FD_FUSE on vs off")
-    saved_fuse = kernels.fd_fuse_enabled()
-    saved_fast = kernels.fast_kernels_enabled()
-    kernels.set_fast_kernels(True)
-    try:
-        def run_segment(fuse: bool) -> np.ndarray:
-            kernels.set_fd_fuse(fuse)
-            buf = FactorizedSyntheticBuffer(classes, ipc, shape,
-                                            factor=FACTOR)
-            reals = np.random.default_rng(4).standard_normal(
-                (24, *shape)).astype(np.float32)
-            labels = np.random.default_rng(5).integers(0, classes, 24)
-            buf.init_from_samples(reals, labels,
-                                  rng=np.random.default_rng(3))
-            matcher = OneStepMatcher(iterations=iterations, alpha=0.1)
-            deployed = ConvNet(c, classes, h, width=8, depth=2,
-                               rng=np.random.default_rng(6))
-            factory = lambda r: ConvNet(c, classes, h, width=8, depth=2,
-                                        rng=r)
-            matcher.condense(buf, list(range(classes)), reals, labels, None,
-                             model_factory=factory,
-                             rng=np.random.default_rng(7),
-                             deployed_model=deployed)
-            return buf.images.copy()
-
-        fused = run_segment(True)
-        unfused = run_segment(False)
-        _check(np.array_equal(fused, unfused),
-               "stored payload diverges between fused and unfused segments")
-        _check(fused.std() > 0.0, "condensed payload is degenerate")
-    finally:
-        kernels.set_fd_fuse(saved_fuse)
-        kernels.set_fast_kernels(saved_fast)
 
     print("[factorized-selfcheck] state_dict round-trip + factor guard")
     state = fact.state_dict()

@@ -16,27 +16,21 @@ equivalent for this repo.  It runs, in order:
    be detected and attributed within one segment under every policy, a
    clean micro run must record zero incidents, and ``repro obs report``
    must render a self-contained HTML report from its telemetry;
-6. the fused-FD selfcheck (``python -m repro.condensation.fd_selfcheck``):
-   the lane-grouped ±ε evaluator must be byte-identical to the sequential
-   two-pass path with clean verification counters, and a micro
-   condense segment must produce identical pixels fused vs. unfused;
-7. the memory-ledger selfcheck (``python -m repro.obs.ledger_selfcheck``):
+6. the memory-ledger selfcheck (``python -m repro.obs.ledger_selfcheck``):
    ledger byte accounts must agree with tracemalloc within tolerance,
    jobs=2 memory footprints must equal serial, and exported Chrome traces
    must pass schema validation with memory counter tracks;
-8. the factorized-storage selfcheck
+7. the factorized-storage selfcheck
    (``python -m repro.buffer.factorized_selfcheck``): the f=2 buffer's
    payload must be exactly ``ceil(H/f)*ceil(W/f)/(H*W)`` of the f=1
-   payload, ``encode_grad`` must be the exact decode transpose, an f=2
-   condense segment must store byte-identical payloads under both
-   ``REPRO_FD_FUSE`` settings, and state round-trips must be
-   byte-for-byte with mismatched decode factors rejected;
-9. a one-repeat pass of the micro-benchmarks (kernel cases, one condense
-   segment, the fused-FD comparison, and the f=1 vs f=2 factorized
-   accuracy-per-MiB comparison), which also refreshes the counter
-   snapshots attached to ``bench_results/micro_kernels.json`` and appends
-   to the bench history;
-10. a bench-history regression dry-run (``python -m repro obs regress
+   payload, ``encode_grad`` must be the exact decode transpose, and state
+   round-trips must be byte-for-byte with mismatched decode factors
+   rejected;
+8. a one-repeat pass of the micro-benchmarks (kernel cases, one condense
+   segment, and the f=1 vs f=2 factorized accuracy-per-MiB comparison),
+   which also refreshes the counter snapshots attached to
+   ``bench_results/micro_kernels.json`` and appends to the bench history;
+9. a bench-history regression dry-run (``python -m repro obs regress
    --dry-run``): the trajectory verdict is printed; regressions are
    reported but only fail ``repro-check`` when ``--strict-bench`` is set.
 
@@ -123,13 +117,6 @@ def main(argv: list[str] | None = None) -> int:
         failures += _run([sys.executable, "-m",
                           "repro.obs.health_selfcheck"],
                          root, "numerical-health selfcheck") != 0
-        # Fused-FD leg: the lane-grouped ±ε evaluator must reproduce the
-        # sequential bytes with clean verification counters, and fused vs.
-        # unfused segments must condense identical pixels (see
-        # repro.condensation.fd_selfcheck).
-        failures += _run([sys.executable, "-m",
-                          "repro.condensation.fd_selfcheck"],
-                         root, "fused-FD selfcheck") != 0
         # Ledger leg: the memory ledger must agree with tracemalloc, the
         # jobs=2 footprints must equal serial, and both runs must export
         # schema-valid Perfetto traces with memory counter tracks (see
@@ -138,10 +125,8 @@ def main(argv: list[str] | None = None) -> int:
                           "repro.obs.ledger_selfcheck"],
                          root, "memory ledger + trace export selfcheck") != 0
         # Factorized-storage leg: the f=2 buffer's byte footprint must be
-        # exactly 1/f^2 of full resolution, decode/encode_grad must be an
-        # exact transpose pair, and an f=2 segment must be byte-identical
-        # under both REPRO_FD_FUSE settings (see
-        # repro.buffer.factorized_selfcheck).
+        # exactly 1/f^2 of full resolution, and decode/encode_grad must be
+        # an exact transpose pair (see repro.buffer.factorized_selfcheck).
         failures += _run([sys.executable, "-m",
                           "repro.buffer.factorized_selfcheck"],
                          root, "factorized storage selfcheck") != 0
@@ -158,10 +143,6 @@ def main(argv: list[str] | None = None) -> int:
                               str(bench_dir / "bench_condense_step.py"),
                               "--repeats", repeats], root,
                              "micro-bench condense step") != 0
-            failures += _run([sys.executable,
-                              str(bench_dir / "bench_fd_fuse.py"),
-                              "--repeats", repeats], root,
-                             "micro-bench fused FD") != 0
             failures += _run([sys.executable,
                               str(bench_dir / "bench_factorized.py")], root,
                              "micro-bench factorized storage") != 0

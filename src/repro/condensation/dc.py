@@ -132,8 +132,8 @@ class DCMatcher(CondensationMethod):
                         augmentation=augmentation, stats_out=fd_stats)
                     stats.matching_loss += distance
                     stats.iterations += 1
-                    # g_real, g_syn, grad_{g_syn}D, plus the FD evaluations
-                    # that actually ran (2 sequential, 1 fused, 0 zero-norm).
+                    # g_real, g_syn, grad_{g_syn}D, plus the two FD passes
+                    # of Eq. 7 (0 when the direction norm was zero).
                     stats.forward_backward_passes += 3 + fd_stats.get("passes", 2)
                     if fd_stats.get("fused"):
                         stats.extra["fused"] = stats.extra.get("fused", 0) + 1

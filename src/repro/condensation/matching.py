@@ -28,11 +28,8 @@ import numpy as np
 
 from .. import obs
 from ..data.transforms import AugmentationParams, apply_augmentation
-from ..nn import functional as F
 from ..nn import kernels
-from ..nn.convnet import ConvNet
-from ..nn.layers import (AvgPool2d, Conv2d, Flatten, InstanceNorm2d, Linear,
-                         Module, ReLU, frozen_parameters)
+from ..nn.layers import Module, frozen_parameters
 from ..nn.losses import cross_entropy, gradient_distance
 from ..nn.tensor import Tensor
 from ..utils.batching import micro_batches
@@ -43,9 +40,6 @@ __all__ = [
     "distance_and_grad_wrt_gsyn",
     "finite_difference_matching_grad",
     "gradient_cosine",
-    "fd_fuse_stats",
-    "reset_fd_fuse_stats",
-    "clear_fd_fuse_verdicts",
     "EPSILON_NUMERATOR",
 ]
 
@@ -93,28 +87,35 @@ def parameter_gradients(model: Module, x: np.ndarray, y: np.ndarray,
     return grads, loss
 
 
-def _input_gradient_slices(model, x, y, w, augmentation, parts) -> np.ndarray:
+def _input_gradient_slices(model, x, y, w, augmentation, parts, *,
+                           lanes: int = 1) -> np.ndarray:
     """``grad_X`` of the batch-mean CE at fixed parameters, one backward
     per slice in ``parts``.
 
     Under the fast kernels the model parameters are temporarily frozen so
     the backward pass skips every parameter-gradient reduction — the FD
-    passes of Eq. (7) only consume ``grad_X``.
+    passes of Eq. (7) only consume ``grad_X``.  With ``lanes > 1`` the
+    parameters carry a leading lane axis: each slice runs tiled ``lanes``
+    times (lane ``t`` on copy ``t``) and the result is the
+    ``(lanes, *x.shape)`` stack of per-lane gradients.
     """
-    grad = np.zeros_like(x)
+    grad = np.zeros((lanes,) + x.shape, dtype=np.float32)
     model.zero_grad()
     freeze = (frozen_parameters(model) if kernels.fast_kernels_enabled()
               else contextlib.nullcontext())
     with freeze:
         for part in parts:
-            x_part = Tensor(x[part], requires_grad=True)
-            _slice_loss(model, x_part, y[part],
-                        None if w is None else w[part], len(x),
-                        augmentation).backward()
+            xs, ys = x[part], y[part]
+            ws = None if w is None else w[part]
+            if lanes > 1:
+                xs, ys = np.concatenate([xs] * lanes), np.tile(ys, lanes)
+                ws = None if ws is None else np.tile(ws, lanes)
+            x_part = Tensor(xs, requires_grad=True)
+            _slice_loss(model, x_part, ys, ws, len(x), augmentation).backward()
             if x_part.grad is not None:
-                grad[part] = x_part.grad
+                grad[:, part] = x_part.grad.reshape(lanes, -1, *x.shape[1:])
     model.zero_grad()
-    return grad
+    return grad if lanes > 1 else grad[0]
 
 
 def input_gradient(model: Module, x: np.ndarray, y: np.ndarray,
@@ -164,195 +165,49 @@ def gradient_cosine(g_syn: Sequence[np.ndarray],
 
 
 # ----------------------------------------------------------------------
-# Fused ±ε evaluation
+# The ±ε passes of Eq. (7)
 # ----------------------------------------------------------------------
-# Module-level bookkeeping for the fused path.  ``_FUSE_VERDICTS`` caches,
-# per (architecture, input shape) signature, whether the fused evaluation
-# reproduced the sequential two-pass bytes on its first use (verify once,
-# then trust).
-_FD_STATS = {"fused_dispatches": 0, "serial_fallbacks": 0,
-             "verifications": 0, "verification_failures": 0}
-_FUSE_VERDICTS: dict[tuple, bool] = {}
-
-#: Layer types the lane-grouped evaluator knows how to batch-stack (the
-#: ConvNet backbone's exact vocabulary — anything else falls back serial).
-_LANE_LAYERS = (Conv2d, InstanceNorm2d, ReLU, AvgPool2d, Flatten)
-
-
-def fd_fuse_stats() -> dict[str, int]:
-    """Module-level fused-FD counters (pulled as gauges by the telemetry
-    layer; the live obs counters are emitted at dispatch time)."""
-    return dict(_FD_STATS)
-
-
-def reset_fd_fuse_stats() -> None:
-    for key in _FD_STATS:
-        _FD_STATS[key] = 0
-
-
-def clear_fd_fuse_verdicts() -> None:
-    """Forget cached first-use verdicts (tests only — forces re-probing)."""
-    _FUSE_VERDICTS.clear()
-
-
-def _fuse_layout(model: Module):
-    """``(encoder_layers, classifier)`` when ``model`` has the ConvNet
-    structure the lane evaluator supports, else ``None``."""
-    if not isinstance(model, ConvNet):
-        return None
-    layers = list(model.encoder)
-    if not layers or not isinstance(layers[0], Conv2d):
-        return None
-    for layer in layers:
-        if not isinstance(layer, _LANE_LAYERS):
-            return None
-    clf = model.classifier
-    if not isinstance(clf, Linear):
-        return None
-    return layers, clf
-
-
-def _fuse_key(layers, clf, x_shape) -> tuple:
-    """Structural signature the first-use verification verdict is cached by."""
-    desc = []
-    for layer in layers:
-        if isinstance(layer, Conv2d):
-            desc.append(("conv", layer.out_channels, layer.in_channels,
-                         layer.kernel_size, layer.stride, layer.padding,
-                         layer.bias is not None))
-        elif isinstance(layer, InstanceNorm2d):
-            desc.append(("inorm", layer.num_channels, float(layer.eps),
-                         layer.gamma is not None, layer.beta is not None))
-        elif isinstance(layer, ReLU):
-            desc.append(("relu",))
-        elif isinstance(layer, AvgPool2d):
-            desc.append(("avg", layer.kernel_size))
-        else:  # Flatten
-            desc.append(("flat", layer.start_dim))
-    desc.append(("linear", clf.out_features, clf.in_features,
-                 clf.bias is not None))
-    # The composite col2im runs under the active scatter mode; a verdict
-    # must not outlive a mode switch.
-    return (tuple(desc), tuple(int(s) for s in x_shape),
-            kernels.scatter_mode())
-
-
 def _lane_param_sets(params, direction, eps):
-    """The +ε / −ε parameter arrays, computed with the exact operations the
-    sequential path uses (``eps*d + orig`` and ``orig - eps*d``)."""
-    plus, minus = [], []
+    """Each parameter's two lanes ``np.stack([θ+εd, θ−εd])``, computed with
+    the exact operations the sequential path uses (``eps*d + orig`` and
+    ``orig - eps*d``)."""
+    stacked = []
     for p, d in zip(params, direction):
         orig = p.data
         pd = np.multiply(d, eps)
-        plus.append(pd + orig)
-        minus.append(np.subtract(orig, pd))
-    return plus, minus
+        lanes = np.empty((2,) + orig.shape, dtype=np.float32)
+        np.add(pd, orig, out=lanes[0])
+        np.subtract(orig, pd, out=lanes[1])
+        stacked.append(lanes)
+    return stacked
 
 
-def _fused_input_gradients(layers, clf, syn_x, syn_y, plus, minus, index_of,
-                           parts):
-    """Both perturbed input-gradient passes, each slice in ``parts`` as one
-    grouped forward/backward."""
-    grad_plus = np.empty_like(syn_x)
-    grad_minus = np.empty_like(syn_x)
-    for part in parts:
-        grad_plus[part], grad_minus[part] = _fused_slice(
-            layers, clf, syn_x[part], syn_y[part], plus, minus, index_of,
-            len(syn_x))
-    return grad_plus, grad_minus
-
-
-def _fused_slice(layers, clf, syn_x, syn_y, plus, minus, index_of, batch):
-    """Both perturbed input-gradient passes over one slice of a ``batch``-row
-    synthetic batch.
-
-    Lane 0 (+ε) occupies composite batch rows ``[0, n)``, lane 1 (−ε) rows
-    ``[n, 2n)``.  The first conv shares one im2col of ``syn_x`` between the
-    lanes; the classifier tail runs per lane so each loss graph matches the
-    sequential one node for node.
-    """
-    n = syn_x.shape[0]
-    lanes = (plus, minus)
-
-    first = layers[0]
-    w_first = [lane[index_of[id(first.weight)]] for lane in lanes]
-    b_first = ([lane[index_of[id(first.bias)]] for lane in lanes]
-               if first.bias is not None else [None, None])
-    h, first_backward = F.conv2d_lanes_shared(
-        syn_x, w_first, b_first, stride=first.stride, padding=first.padding)
-    # Hand-chained closures instead of a Tensor graph: the encoder is a
-    # straight line, so topological bookkeeping and gradient accumulation
-    # buy nothing here — each op returns its ndarray and a backward closure
-    # computing exactly the bytes the Tensor op's backward would.
-    bwds = []
-    for layer in layers[1:]:
-        if isinstance(layer, Conv2d):
-            ws = [lane[index_of[id(layer.weight)]] for lane in lanes]
-            bs = ([lane[index_of[id(layer.bias)]] for lane in lanes]
-                  if layer.bias is not None else [None, None])
-            h, bwd = F.conv2d_lanes(h, ws, bs, stride=layer.stride,
-                                    padding=layer.padding)
-        elif isinstance(layer, InstanceNorm2d):
-            gs = ([lane[index_of[id(layer.gamma)]] for lane in lanes]
-                  if layer.gamma is not None else [None, None])
-            bs = ([lane[index_of[id(layer.beta)]] for lane in lanes]
-                  if layer.beta is not None else [None, None])
-            h, bwd = F.instance_norm2d_lanes(h, gs, bs, eps=layer.eps)
-        elif isinstance(layer, ReLU):
-            src = h
-            h = np.maximum(src, 0.0)
-            bwd = (lambda g, src=src: g * (src > 0))
-        elif isinstance(layer, AvgPool2d):
-            k = int(layer.kernel_size)
-            h = F.avg_pool_forward(h, k)
-            bwd = (lambda g, k=k: F.avg_pool_backward(g, k))
-        else:  # Flatten
-            shape = h.shape
-            h = h.reshape(shape[:layer.start_dim] + (-1,))
-            bwd = (lambda g, shape=shape: g.reshape(shape))
-        bwds.append(bwd)
-
-    # Classifier tail per lane, replicated in closed form: linear →
-    # log-softmax → mean NLL, with each ufunc written exactly as the
-    # Tensor ops compute it (same operand views, same in-place updates,
-    # same float32 scalars) so the feature gradient is bit-identical to
-    # ``loss.backward()`` on the sequential graph.
-    feats = h
-    labels = np.asarray(syn_y, dtype=np.int64)
-    rows = np.arange(n)
-    # d(mean NLL)/d(picked log-prob): backward seeds with ones, the mean
-    # over the whole batch multiplies by float32(1/batch), the negation
-    # flips it.
-    neg_inv = -(np.float32(1.0) * np.float32(1.0 / batch))
-    seeds = []
-    for t, lane in enumerate(lanes):
-        f_l = feats[t * n:(t + 1) * n]
-        w = lane[index_of[id(clf.weight)]]
-        logits = f_l @ w.T
-        if clf.bias is not None:
-            logits = logits + lane[index_of[id(clf.bias)]]
-        # log_softmax fast path (forward), keeping softmax for backward.
-        out = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(out)
-        out -= np.log(e.sum(axis=1, keepdims=True))
-        softmax_vals = np.exp(out)
-        # Backward: scatter -1/n into the picked entries, then the
-        # log-softmax and matmul gradients.
-        g_lp = np.zeros_like(out)
-        g_lp[rows, labels] = neg_inv
-        g_logits = g_lp - softmax_vals * g_lp.sum(axis=1, keepdims=True)
-        seeds.append(g_logits @ w)
-    g = np.concatenate(seeds, axis=0)
-    for bwd in reversed(bwds):
-        g = bwd(g)
-    dx2 = first_backward(g)
-    return dx2[:n], dx2[n:]
+def _stacked_fd_passes(model, params, syn_x, syn_y, direction, eps, parts):
+    """Both perturbed input-gradient passes as one ordinary forward/backward
+    per slice: every parameter is rebound to its ``[+ε, −ε]`` lane stack
+    and every slice runs tiled twice, lane 0 (+ε) on the first copy and
+    lane 1 (−ε) on the second.  Each lane's rows see exactly the operands
+    of the sequential pass, so the gradients are byte-identical to
+    :func:`_serial_fd_passes`."""
+    originals = [p.data for p in params]
+    try:
+        for p, stacked in zip(params,
+                              _lane_param_sets(params, direction, eps)):
+            p.data = stacked
+        with obs.span("pass.fd_fused"):
+            grad = _input_gradient_slices(model, syn_x, syn_y, None, None,
+                                          parts, lanes=2)
+    finally:
+        for p, orig in zip(params, originals):
+            p.data = orig
+    return grad[0], grad[1]
 
 
 def _serial_fd_passes(model, params, syn_x, syn_y, direction, eps,
                       augmentation, parts):
-    """The sequential two-pass evaluation (the pre-fusion code path), over
-    the same slices as the fused one.
+    """The two perturbed input-gradient passes run one after the other: the
+    path for a model that cannot run lanes (or mixes samples) and for
+    augmented passes.
 
     The perturbed passes never mutate parameter arrays in place (they only
     rebind ``p.data``), so the current arrays themselves are the exact
@@ -400,18 +255,15 @@ def finite_difference_matching_grad(model: Module, syn_x: np.ndarray,
     and differences the resulting input gradients.  The model parameters
     are restored exactly afterwards.
 
-    When the fused path is enabled (``REPRO_FD_FUSE``, fast kernels, no
-    augmentation) and the model has the supported ConvNet structure, both
-    perturbed passes run as one batch-stacked forward/backward per slice.
-    The first fused-eligible call per (architecture, shape) signature
-    evaluates both paths and byte-compares them; a mismatch pins that
-    signature to the sequential path permanently (``fd.serial_fallbacks``),
-    a match lets subsequent calls dispatch fused directly
-    (``fd.fused_dispatches``).
+    The two perturbed passes run as one lane-stacked pass
+    (``pass.fd_fused``) when the model runs lanes
+    (:meth:`~repro.nn.layers.Module.runs_lanes`), mixes no samples and no
+    augmentation applies, else sequentially (``pass.fd_plus`` /
+    ``pass.fd_minus``); both give the same bytes.
 
-    ``stats_out``, when given, receives ``{"passes": 0|1|2, "fused": bool}``
-    — the number of forward/backward evaluations that actually ran, for the
-    condense drivers' derived pass accounting.
+    ``stats_out``, when given, receives ``{"passes": 0|2, "fused": bool}``
+    — the Eq. 7 forward/backward passes (0 when the direction is zero)
+    and whether they ran lane-stacked.
     """
     with obs.span("pass.fd_total"):
         return _fd_matching_grad(model, syn_x, syn_y, direction,
@@ -443,69 +295,20 @@ def _fd_matching_grad(model, syn_x, syn_y, direction, *, augmentation,
     eps = epsilon_numerator / norm
     syn_x32 = np.asarray(syn_x, dtype=np.float32)
     syn_y = np.asarray(syn_y)
-    # Both paths run over the same slices, sized for the fused path's
-    # two-lane composite, so each fused slice can be checked against the
-    # sequential bytes.
+    # Both paths run over the same slices, sized for the stacked path's
+    # two-lane composite.
     parts = micro_batches(syn_x32, model, lanes=2)
-
-    fuse_eligible = (augmentation is None and kernels.fast_kernels_enabled()
-                     and kernels.fd_fuse_enabled())
-    layout = _fuse_layout(model) if fuse_eligible else None
-    fused = False
-    if layout is None:
+    fused = (augmentation is None and kernels.fast_kernels_enabled()
+             and model.runs_lanes()
+             and not any(m.mixes_samples for m in model.modules()))
+    if fused:
+        grad_plus, grad_minus = _stacked_fd_passes(
+            model, params, syn_x32, syn_y, direction, eps, parts)
+    else:
         grad_plus, grad_minus = _serial_fd_passes(
             model, params, syn_x32, syn_y, direction, eps, augmentation,
             parts)
-        if kernels.fd_fuse_enabled() and kernels.fast_kernels_enabled():
-            _FD_STATS["serial_fallbacks"] += 1
-            obs.counter("fd.serial_fallbacks")
-    else:
-        layers, clf = layout
-        key = _fuse_key(layers, clf, syn_x32.shape)
-        verdict = _FUSE_VERDICTS.get(key)
-        index_of = {id(p): i for i, p in enumerate(params)}
-        if verdict is None:
-            # First use for this signature: run both paths and demand
-            # byte identity before trusting the fused one.
-            _FD_STATS["verifications"] += 1
-            plus, minus = _lane_param_sets(params, direction, eps)
-            with obs.span("pass.fd_fused"):
-                fused_pm = _fused_input_gradients(
-                    layers, clf, syn_x32, syn_y, plus, minus, index_of, parts)
-            # The sequential reference is probe work: it only exists to
-            # validate the fused bytes, and it runs in whichever process
-            # first sees this signature (verdicts ride along fork into
-            # sweep workers).  Emit no telemetry for it so counter
-            # parity between serial and worker runs is preserved.
-            with obs.scoped_telemetry(obs.Telemetry()):
-                serial_pm = _serial_fd_passes(
-                    model, params, syn_x32, syn_y, direction, eps,
-                    augmentation, parts)
-            ok = (np.array_equal(fused_pm[0], serial_pm[0])
-                  and np.array_equal(fused_pm[1], serial_pm[1]))
-            if not ok:
-                _FD_STATS["verification_failures"] += 1
-            _FUSE_VERDICTS[key] = ok
-            fused = ok
-            grad_plus, grad_minus = serial_pm
-        elif verdict:
-            plus, minus = _lane_param_sets(params, direction, eps)
-            with obs.span("pass.fd_fused"):
-                grad_plus, grad_minus = _fused_input_gradients(
-                    layers, clf, syn_x32, syn_y, plus, minus, index_of, parts)
-            fused = True
-        else:
-            grad_plus, grad_minus = _serial_fd_passes(
-                model, params, syn_x32, syn_y, direction, eps, augmentation,
-                parts)
-        if fused:
-            _FD_STATS["fused_dispatches"] += 1
-            obs.counter("fd.fused_dispatches")
-        else:
-            _FD_STATS["serial_fallbacks"] += 1
-            obs.counter("fd.serial_fallbacks")
-
     if stats_out is not None:
-        stats_out["passes"] = 1 if fused else 2
+        stats_out["passes"] = 2
         stats_out["fused"] = fused
     return (grad_plus - grad_minus) / (2.0 * eps)

@@ -250,9 +250,9 @@ class OneStepMatcher(CondensationMethod):
                 epsilon_numerator=self.epsilon_numerator,
                 stats_out=fd_stats)
             total_grad = matching_grad
-            # passes: g_real, g_syn, grad_{g_syn}D, plus however many FD
-            # evaluations actually ran (2 sequential, 1 fused, 0 when the
-            # direction norm was zero).
+            # passes: g_real, g_syn, grad_{g_syn}D, plus the two FD passes
+            # of Eq. 7, lane-stacked or not (0 when the direction norm
+            # was zero).
             fd_passes = fd_stats.get("passes", 2)
             fused_evals += bool(fd_stats.get("fused"))
             stats.forward_backward_passes += 3 + fd_passes

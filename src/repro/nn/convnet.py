@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import functional as F
 from .layers import (AvgPool2d, Conv2d, Flatten, InstanceNorm2d, Linear,
                      Module, ReLU, Sequential)
 from .tensor import Tensor
@@ -35,6 +36,10 @@ class ConvNet(Module):
     depth:
         Number of Conv-Norm-ReLU-Pool blocks.
     """
+
+    #: Every block runs through :func:`repro.nn.functional.conv_block` and
+    #: the head is a :class:`Linear`; both take lane-stacked parameters.
+    takes_lanes = True
 
     def __init__(self, in_channels: int, num_classes: int, image_size: int, *,
                  width: int = 32, depth: int = 3,
@@ -67,8 +72,18 @@ class ConvNet(Module):
         self.classifier = Linear(self.feature_dim, num_classes, rng=rng)
 
     def features(self, x: Tensor) -> Tensor:
-        """Return the encoder embedding ``f_theta(x)`` (pre-classifier)."""
-        return self.encoder(x)
+        """Return the encoder embedding ``f_theta(x)`` (pre-classifier).
+
+        Each Conv -> Norm -> ReLU -> Pool block of :attr:`encoder` runs as
+        one :func:`repro.nn.functional.conv_block` node.
+        """
+        layers = self.encoder.layers
+        for i in range(0, len(layers) - 1, 4):
+            conv, norm, _, pool = layers[i:i + 4]
+            x = F.conv_block(x, conv.weight, conv.bias, norm.gamma, norm.beta,
+                             stride=conv.stride, padding=conv.padding,
+                             eps=norm.eps, pool=pool.kernel_size)
+        return layers[-1](x)
 
     def forward(self, x: Tensor) -> Tensor:
         """Return class logits for an (N, C, H, W) batch."""

@@ -24,9 +24,7 @@ from .tensor import Tensor
 
 __all__ = [
     "conv2d",
-    "conv2d_lanes",
-    "conv2d_lanes_shared",
-    "instance_norm2d_lanes",
+    "conv_block",
     "avg_pool_forward",
     "avg_pool_backward",
     "avg_pool2d",
@@ -100,135 +98,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         cols = None
 
     return Tensor._make(_f32(out), parents, "conv2d", backward)
-
-
-# ----------------------------------------------------------------------
-# Lane-grouped convolution / normalization (fused ±ε finite differences)
-# ----------------------------------------------------------------------
-# The Eq. 7 matcher's two perturbed input-gradient passes run the *same*
-# network graph with two different parameter sets.  The ops below evaluate
-# both "lanes" as one batch-stacked pass: lane ``t`` occupies batch rows
-# ``[t*n, (t+1)*n)`` of a composite and is transformed by its own weight
-# arrays.  They are plain ndarray-in/ndarray-out functions returning a
-# ``(result, backward)`` pair — the fused evaluator chains the closures by
-# hand instead of paying Tensor-graph bookkeeping per node; weights are
-# plain arrays because the fused passes are input-gradient only.
-#
-# Bit-identity with the sequential per-lane evaluation holds because every
-# op is per-sample: im2col and col2im touch each batch row on its own, and
-# ``matmul`` of a C-contiguous ``(n, k, l)`` stack runs one GEMM per
-# sample, so a lane's rows of a C-contiguous composite see exactly the
-# operands the sequential pass sees.  The matcher still byte-compares the
-# fused result against the sequential one on first use per signature.
-def _lane_conv(plan2, cols_list, weights, biases, n, oc):
-    """Per-lane ``matmul(w2, cols)`` into lane slices of one C-contiguous
-    ``(lanes*n, oc, oh, ow)`` composite, plus the per-lane biases, and the
-    backward mapping the composite output gradient to the composite input
-    gradient through a single ``(lanes*n)``-row col2im (``plan2`` is the
-    composite's conv plan)."""
-    lanes = len(weights)
-    l = plan2.oh * plan2.ow
-    w2s = [wt.reshape(oc, -1) for wt in weights]
-    out = np.empty((lanes * n, oc, l), dtype=np.float32)
-    for t in range(lanes):
-        np.matmul(w2s[t], cols_list[t], out=out[t * n:(t + 1) * n])
-    out4 = out.reshape(lanes * n, oc, plan2.oh, plan2.ow)
-    for t in range(lanes):
-        if biases[t] is not None:
-            out4[t * n:(t + 1) * n] += biases[t].reshape(1, oc, 1, 1)
-
-    def backward(g: np.ndarray) -> np.ndarray:
-        dcols2 = np.empty(plan2.cols_shape, dtype=np.float32)
-        for t in range(lanes):
-            np.matmul(w2s[t].T, g[t * n:(t + 1) * n].reshape(n, oc, l),
-                      out=dcols2[t * n:(t + 1) * n])
-        return kernels.col2im(dcols2, plan2)
-
-    return out4, backward
-
-
-def conv2d_lanes_shared(x: np.ndarray, weights, biases, *, stride: int = 1,
-                        padding: int = 0):
-    """First-layer lane conv: every lane convolves the *same* input batch.
-
-    Returns ``(out4, backward)`` where ``out4`` is the ``(lanes*n, ...)``
-    composite ndarray and ``backward(g)`` maps the composite output gradient
-    to the composite input gradient (lane ``t`` in rows ``[t*n, (t+1)*n)``).
-    One im2col of ``x`` serves every lane.
-    """
-    lanes = len(weights)
-    n, c, h, w = x.shape
-    oc, ic, kh, kw = weights[0].shape
-    if ic != c:
-        raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ic}")
-    plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
-    plan2 = kernels.get_conv_plan(lanes * n, c, h, w, kh, kw, stride, padding)
-    cols = kernels.im2col(_f32(x), plan).reshape(plan.cols_shape)
-    return _lane_conv(plan2, [cols] * lanes, weights, biases, n, oc)
-
-
-def conv2d_lanes(x: np.ndarray, weights, biases, *, stride: int = 1,
-                 padding: int = 0):
-    """Deeper-layer lane conv: lane ``t``'s weights applied to its batch
-    rows of the composite input; returns ``(out4, backward)`` like
-    :func:`conv2d_lanes_shared`.  Input-gradient only (the perturbed
-    weights are plain arrays, mirroring ``frozen_parameters`` in the
-    sequential FD passes).  One composite im2col serves every lane: the
-    patch expansion is batch-row independent."""
-    lanes = len(weights)
-    nt, c, h, w = x.shape
-    n = nt // lanes
-    oc, ic, kh, kw = weights[0].shape
-    if ic != c:
-        raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ic}")
-    plan2 = kernels.get_conv_plan(nt, c, h, w, kh, kw, stride, padding)
-    comp_cols = kernels.im2col(_f32(x), plan2).reshape(plan2.cols_shape)
-    return _lane_conv(
-        plan2, [comp_cols[t * n:(t + 1) * n] for t in range(lanes)],
-        weights, biases, n, oc)
-
-
-def instance_norm2d_lanes(x: np.ndarray, gammas, betas, eps: float = 1e-5):
-    """Lane-grouped instance normalization: lane ``t`` of the composite is
-    normalized with its own gamma/beta arrays; returns ``(out, backward)``.
-    Per-sample reductions run on C-contiguous lane slices of the composite,
-    exactly the operands of the sequential pass; results are written
-    straight into lane slices of the composite output."""
-    lanes = len(gammas)
-    nt, c = x.shape[0], x.shape[1]
-    n = nt // lanes
-    axes = (2, 3)
-    xd = _f32(x)
-    out = np.empty(xd.shape, dtype=np.float32)
-    lane_ctx = []
-    for t in range(lanes):
-        xhat, var = _norm_stats(xd[t * n:(t + 1) * n], axes)
-        inv_std = 1.0 / np.sqrt(var + np.float32(eps))
-        xhat *= inv_std
-        gamma_r = (gammas[t].reshape(1, c, 1, 1)
-                   if gammas[t] is not None else None)
-        beta_r = (betas[t].reshape(1, c, 1, 1)
-                  if betas[t] is not None else None)
-        lane = out[t * n:(t + 1) * n]
-        if gamma_r is not None:
-            np.multiply(xhat, gamma_r, out=lane)
-            if beta_r is not None:
-                lane += beta_r
-        elif beta_r is not None:
-            np.add(xhat, beta_r, out=lane)
-        else:
-            np.copyto(lane, xhat)
-        lane_ctx.append((xhat, inv_std, gamma_r))
-
-    def backward(g: np.ndarray) -> np.ndarray:
-        dx = np.empty(g.shape, dtype=np.float32)
-        for t, (xhat, inv_std, gamma_r) in enumerate(lane_ctx):
-            gl = g[t * n:(t + 1) * n]
-            gy = gl * gamma_r if gamma_r is not None else gl
-            _norm_backward(gy, xhat, inv_std, axes, out=dx[t * n:(t + 1) * n])
-        return dx
-
-    return out, backward
 
 
 # ----------------------------------------------------------------------
@@ -322,40 +191,69 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # Normalization (fused forward/backward for speed)
 # ----------------------------------------------------------------------
-def _norm_backward(g, xhat, inv_std, axes, out=None):
+def _norm_backward(g, xhat, inv_std, axes, *, donate=None):
     """Gradient of y = xhat for normalization over ``axes``.
 
-    In-place formulation of the seed's fused expression, into ``out`` (a
-    composite lane slice) or a fresh array the caller may take ownership
-    of.  Every step is elementwise or reduces over ``g``/``xhat``, so the
-    destination cannot perturb the float32 summation order.
+    In-place formulation of the seed's fused expression, into a fresh
+    array the caller may take ownership of.  A caller done with ``g`` and
+    holding one more dead array of its shape passes that array as
+    ``donate``: the result is then written over ``g`` and the temporaries
+    over ``donate``, with the same elementwise arithmetic.
     """
     m = 1
     for a in axes:
         m *= xhat.shape[a]
     sum_g = g.sum(axis=axes, keepdims=True)
-    sum_gx = (g * xhat).sum(axis=axes, keepdims=True)
-    t = np.multiply(g, m, out=out)
+    sum_gx = np.multiply(g, xhat, out=donate).sum(axis=axes, keepdims=True)
+    t = np.multiply(g, m, out=None if donate is None else g)
     t -= sum_g
-    t -= xhat * sum_gx
+    t -= np.multiply(xhat, sum_gx, out=donate)
     t *= inv_std * np.float32(1.0 / m)
     return t
 
 
-def _norm_stats(x2d: np.ndarray, axes):
-    """Mean/inv-std/xhat over ``axes`` with one fewer temporary than np.var."""
+def _norm_stats(x2d: np.ndarray, axes, *, donate: bool = False):
+    """Mean/inv-std/xhat over ``axes`` with one fewer temporary than np.var.
+
+    ``donate=True`` lets the squared deviations overwrite ``x2d``, which
+    the caller no longer needs.
+    """
     mean = x2d.mean(axis=axes, keepdims=True)
     xc = x2d - mean
-    var = np.mean(xc * xc, axis=axes, keepdims=True)
+    var = np.mean(np.multiply(xc, xc, out=x2d if donate else None),
+                  axis=axes, keepdims=True)
     return xc, var
 
 
-def _norm_param_grads(g, xhat, beta, gamma) -> None:
-    """Accumulate dbeta/dgamma for a norm op."""
+def _per_lane(fn, lanes: int, *arrays) -> np.ndarray:
+    """``fn`` of each lane's batch rows of ``arrays``, stacked on a leading
+    lane axis (``lanes == 1``: ``fn`` of the arrays themselves).
+
+    Lane ``t`` owns rows ``[t*m, (t+1)*m)``; a row slice of a C-contiguous
+    array is C-contiguous, so each lane reduces exactly the operands a
+    single-lane call on those rows would.
+    """
+    if lanes == 1:
+        return _f32(fn(*arrays))
+    m = len(arrays[0]) // lanes
+    return np.stack([_f32(fn(*(a[t * m:(t + 1) * m] for a in arrays)))
+                     for t in range(lanes)])
+
+
+def _norm_param_grads(g, xhat, beta, gamma, lanes: int = 1,
+                      donate=None) -> None:
+    """Accumulate dbeta/dgamma for a norm op (per lane when the affine
+    parameters carry a leading lane axis).  ``donate``, a dead array of
+    ``g``'s shape, receives the ``g * xhat`` product."""
     if beta is not None and beta.requires_grad:
-        beta._accumulate(_f32(g.sum(axis=(0, 2, 3))), own=True)
+        beta._accumulate(_per_lane(lambda g: g.sum(axis=(0, 2, 3)), lanes, g),
+                         own=True)
     if gamma is not None and gamma.requires_grad:
-        gamma._accumulate(_f32((g * xhat).sum(axis=(0, 2, 3))), own=True)
+        if donate is None:
+            donate = np.empty_like(g)
+        gamma._accumulate(_per_lane(
+            lambda g, xh, d: np.multiply(g, xh, out=d).sum(axis=(0, 2, 3)),
+            lanes, g, xhat, donate), own=True)
 
 
 def instance_norm2d(x: Tensor, gamma: Tensor | None = None,
@@ -478,6 +376,124 @@ def batch_norm2d(x: Tensor, gamma: Tensor | None = None,
 
 
 # ----------------------------------------------------------------------
+# ConvNet block
+# ----------------------------------------------------------------------
+def _lane_matmul(a: np.ndarray, b: np.ndarray, lanes: int) -> np.ndarray:
+    """``np.matmul(a[t], rows of b for lane t)`` for every lane, into one
+    C-contiguous batch-stacked result (``lanes == 1``: ``a[0] @ b``)."""
+    if lanes == 1:
+        return np.matmul(a[0], b)
+    m = len(b) // lanes
+    out = np.empty((len(b), a.shape[1], b.shape[2]), dtype=np.float32)
+    for t in range(lanes):
+        np.matmul(a[t], b[t * m:(t + 1) * m], out=out[t * m:(t + 1) * m])
+    return out
+
+
+def conv_block(x: Tensor, weight: Tensor, bias: Tensor | None,
+               gamma: Tensor | None, beta: Tensor | None, *,
+               stride: int = 1, padding: int = 1, eps: float = 1e-5,
+               pool: int = 2) -> Tensor:
+    """One ConvNet block, Conv -> InstanceNorm -> ReLU -> AvgPool, as a
+    single node with one backward closure.
+
+    The arithmetic is the per-layer ops' (:func:`conv2d`,
+    :func:`instance_norm2d`, ``Tensor.relu``, :func:`avg_pool2d`) call for
+    call, so the output and every gradient are byte-identical to the
+    four-node chain; the block only keeps fewer activations alive.  The
+    ReLU runs in place on the norm output, and its backward mask is taken
+    from that output.  Under :func:`repro.nn.kernels.reference_mode` the
+    block composes the per-layer (seed) ops.
+
+    The parameters may carry a leading lane axis (``weight`` of shape
+    ``(T, OC, C, KH, KW)``, the others ``(T, OC)``): lane ``t``
+    transforms batch rows ``[t*n, (t+1)*n)`` of ``x`` with its own
+    ``np.matmul`` and affine, so a ``T``-lane call is byte-identical to
+    ``T`` single-lane calls on the row blocks.
+    """
+    if not kernels.fast_kernels_enabled():
+        h = instance_norm2d(conv2d(x, weight, bias, stride=stride,
+                                   padding=padding), gamma, beta, eps=eps)
+        return avg_pool2d(h.relu(), pool)
+    lanes = weight.shape[0] if weight.ndim == 5 else 1
+    n, c, h, w = x.shape
+    oc, ic, kh, kw = weight.shape[-4:]
+    if ic != c:
+        raise ValueError(f"conv_block channel mismatch: input has {c}, kernel expects {ic}")
+    if n % lanes:
+        raise ValueError(f"conv_block: batch {n} does not split into {lanes} lanes")
+    k = int(pool)
+    plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
+    if plan.oh % k or plan.ow % k:
+        raise ValueError(f"conv_block: conv output ({plan.oh},{plan.ow}) "
+                         f"not divisible by pool {k}")
+
+    def lane_view(a: np.ndarray) -> np.ndarray:
+        """A batch-stacked array as (lanes, rows per lane, ...)."""
+        return a.reshape((lanes, n // lanes) + a.shape[1:])
+
+    def lane_param(p: Tensor) -> np.ndarray:
+        """A per-channel parameter broadcast over lane_view's NCHW axes."""
+        return p.data.reshape(lanes, 1, -1, 1, 1)
+
+    # conv2d
+    w2 = weight.data.reshape(lanes, oc, -1)          # (T, OC, CKK)
+    cols = kernels.im2col(_f32(x.data), plan).reshape(plan.cols_shape)
+    z = _lane_matmul(w2, cols, lanes).reshape(n, oc, plan.oh, plan.ow)
+    if bias is not None:
+        np.add(lane_view(z), lane_param(bias), out=lane_view(z))
+    # instance_norm2d; z is dead once centred, so it holds the squared
+    # deviations and then the block's activation y
+    axes = (2, 3)
+    xhat, var = _norm_stats(z, axes, donate=True)
+    inv_std = 1.0 / np.sqrt(var + np.float32(eps))
+    xhat *= inv_std
+    y = z
+    if gamma is not None:
+        np.multiply(lane_view(xhat), lane_param(gamma), out=lane_view(y))
+    else:
+        np.copyto(y, xhat)
+    if beta is not None:
+        np.add(lane_view(y), lane_param(beta), out=lane_view(y))
+    # relu, in place: the block keeps no pre-activation copy
+    np.maximum(y, 0.0, out=y)
+    out = avg_pool_forward(y, k)
+
+    parents = [p for p in (x, weight, bias, gamma, beta) if p is not None]
+    conv_grad = x.requires_grad or weight.requires_grad or (
+        bias is not None and bias.requires_grad)
+    if not weight.requires_grad:
+        cols = None  # only the weight gradient reads the columns
+
+    def backward(g: np.ndarray) -> None:
+        # Every temporary lands in gy or in y, dead once the mask is taken:
+        # the block's backward runs once, like conv2d's.
+        nonlocal cols
+        gy = avg_pool_backward(g, k)
+        gy *= y > 0
+        _norm_param_grads(gy, xhat, beta, gamma, lanes, donate=y)
+        if not conv_grad:
+            return
+        if gamma is not None:
+            np.multiply(lane_view(gy), lane_param(gamma), out=lane_view(gy))
+        gz = _norm_backward(gy, xhat, inv_std, axes, donate=y)
+        gflat = gz.reshape(n, oc, plan.oh * plan.ow)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_per_lane(lambda g: g.sum(axis=(0, 2)), lanes,
+                                       gflat), own=True)
+        if weight.requires_grad:
+            dw = _per_lane(lambda g, cl: np.matmul(
+                g, cl.transpose(0, 2, 1)).sum(axis=0), lanes, gflat, cols)
+            weight._accumulate(dw.reshape(weight.shape), own=True)
+        if x.requires_grad:
+            dcols = _lane_matmul(w2.transpose(0, 2, 1), gflat, lanes)
+            x._accumulate(kernels.col2im(dcols, plan), own=True)
+        cols = None
+
+    return Tensor._make(out, parents, "conv_block", backward)
+
+
+# ----------------------------------------------------------------------
 # Softmax family
 # ----------------------------------------------------------------------
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -522,11 +538,45 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` with (out, in)-shaped weight."""
+    """Affine map ``x @ weight.T + bias`` with (out, in)-shaped weight.
+
+    A ``(T, out, in)`` weight (and ``(T, out)`` bias) carries a leading
+    lane axis: lane ``t`` maps batch rows ``[t*n, (t+1)*n)`` of ``x``, in
+    one node whose per-lane arithmetic is the plain path's.
+    """
+    if weight.ndim == 3:
+        return _lane_linear(x, weight, bias)
     out = x.matmul(weight.T)
     if bias is not None:
         out = out + bias
     return out
+
+
+def _lane_linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
+    lanes = weight.shape[0]
+    m = len(x) // lanes
+    if m * lanes != len(x):
+        raise ValueError(f"linear: batch {len(x)} does not split into {lanes} lanes")
+    rows = [slice(t * m, (t + 1) * m) for t in range(lanes)]
+    xd = x.data
+    out = np.concatenate([
+        xd[r] @ weight.data[t].T if bias is None
+        else xd[r] @ weight.data[t].T + bias.data[t]
+        for t, r in enumerate(rows)])
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(np.concatenate(
+                [g[r] @ weight.data[t] for t, r in enumerate(rows)]), own=True)
+        if weight.requires_grad:
+            weight._accumulate(np.stack(
+                [(xd[r].T @ g[r]).T for r in rows]), own=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(np.stack([g[r].sum(axis=0) for r in rows]),
+                             own=True)
+
+    return Tensor._make(_f32(out), parents, "linear", backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator,

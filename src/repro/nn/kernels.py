@@ -51,8 +51,6 @@ __all__ = [
     "reference_mode",
     "scatter_mode",
     "set_scatter_mode",
-    "fd_fuse_enabled",
-    "set_fd_fuse",
 ]
 
 
@@ -83,23 +81,6 @@ def reference_mode():
         yield
     finally:
         _FAST = previous
-
-
-# ----------------------------------------------------------------------
-# Fused finite-difference switch
-# ----------------------------------------------------------------------
-_FD_FUSE = os.environ.get("REPRO_FD_FUSE", "1").strip().lower() not in (
-    "0", "false", "no", "off")
-
-
-def fd_fuse_enabled() -> bool:
-    """Whether the Eq. 7 matcher may use the fused ±ε evaluation path."""
-    return _FD_FUSE
-
-
-def set_fd_fuse(enabled: bool) -> None:
-    global _FD_FUSE
-    _FD_FUSE = bool(enabled)
 
 
 # ----------------------------------------------------------------------

@@ -45,8 +45,24 @@ class Module:
     #: split into micro-batches (:func:`repro.utils.batching.micro_batches`).
     mixes_samples = False
 
+    #: Whether ``forward`` takes parameters stacked along a leading lane
+    #: axis, lane ``t`` of each parameter transforming batch rows
+    #: ``[t*n, (t+1)*n)`` of its input (the Eq. 7 ±ε passes run this way).
+    #: A module holding no tensor of its own need not declare it: it runs
+    #: lanes when all its children do (:meth:`runs_lanes`).
+    takes_lanes = False
+
     def __init__(self) -> None:
         self.training = True
+
+    def runs_lanes(self) -> bool:
+        """Whether a forward pass of this module runs lane-stacked
+        parameters correctly (see :attr:`takes_lanes`)."""
+        if self.takes_lanes:
+            return True
+        if any(isinstance(v, Tensor) for v in self.__dict__.values()):
+            return False
+        return all(child.runs_lanes() for child in self.children())
 
     # -- forward ---------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
@@ -169,6 +185,8 @@ class Sequential(Module):
 
 class Linear(Module):
     """Affine layer with Kaiming-uniform initialized (out, in) weight."""
+
+    takes_lanes = True
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True, *,
                  rng: np.random.Generator | None = None) -> None:

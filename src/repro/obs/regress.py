@@ -84,7 +84,7 @@ def metrics_from_snapshot(data: Mapping[str, Any],
 
     Names are path-like and stable: ``kernels/conv2d_fwd``,
     ``condense_step``, ``condense_step/peak_traced_bytes``,
-    ``fd_fuse/segment_fused``.
+    ``factorized/<case>/mib_per_acc``.
     """
     metrics: dict[str, float] = {}
 
@@ -120,16 +120,6 @@ def metrics_from_snapshot(data: Mapping[str, Any],
                         row["mib_per_acc"])
                 if "run_s" in row:
                     metrics[f"factorized/{case}/run_s"] = float(row["run_s"])
-    fd_fuse = data.get("fd_fuse") or {}
-    if want("fd_fuse"):
-        # Track the fused numbers (the regression target) and the unfused
-        # baseline (so a rot in the fallback path is caught too).
-        for key, name in (("fused_s", "fd_fuse/segment_fused"),
-                          ("unfused_s", "fd_fuse/segment_unfused"),
-                          ("fd_eval_fused_s", "fd_fuse/eval_fused"),
-                          ("fd_eval_unfused_s", "fd_fuse/eval_unfused")):
-            if key in fd_fuse:
-                metrics[name] = float(fd_fuse[key])
     return metrics
 
 

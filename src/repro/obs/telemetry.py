@@ -356,9 +356,6 @@ def collect_runtime_counters(registry: Telemetry | None = None, *,
     values: dict[str, float] = {}
     for key, val in kernels.plan_cache_info().items():
         values[f"plan_cache.{key}"] = float(val)
-    from ..condensation.matching import fd_fuse_stats  # local import, as above
-    for key, val in fd_fuse_stats().items():
-        values[f"fd.{key}"] = float(val)
     from .health import health_stats  # local: health imports this module
     for key, val in health_stats().items():
         values[f"health.{key}"] = float(val)

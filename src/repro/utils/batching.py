@@ -44,7 +44,7 @@ def micro_batches(x: np.ndarray, model, *, max_rows: int | None = None,
     array.  A ``model`` with a layer that mixes samples (batch statistics)
     gets the whole array as one slice, since splitting would change its
     result.  ``lanes`` is the number of copies of each row one pass stacks
-    (the fused ±ε evaluation runs two), so the cap covers the stacked
+    (the lane-stacked ±ε evaluation runs two), so the cap covers the stacked
     input.  ``max_rows`` caps the slice length either way.
     """
     n = len(x)

@@ -1,16 +1,18 @@
-"""Fused finite-difference engine: bit-identity and end-to-end runs.
+"""Lane-stacked ±ε evaluation of Eq. (7): byte identity and end-to-end runs.
 
 Two layers of guarantees:
 
-* the fused (lane-grouped) ±ε evaluation of Eq. (7) is **byte-equal** to
-  the sequential two-pass evaluation on the learner-test shapes;
-* a full seeded DECO learner run is bit-identical fused vs. unfused
-  (``condense_passes`` excluded: fusing legitimately halves the FD pass
-  count, which is the point).
+* the two perturbed input-gradient passes, run as one ordinary forward/
+  backward on ``[+ε, −ε]`` lane-stacked parameters, are **byte-equal** to
+  the sequential two-pass evaluation (:func:`_serial_fd_passes`), on the
+  learner-test ConvNet shapes and on an MLP;
+* a full seeded DECO run on an f=2 factorized buffer is bit-identical
+  stacked vs. sequential, buffer bytes after every segment included.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,23 +21,15 @@ import pytest
 from repro.condensation import matching
 from repro.nn import kernels
 from repro.nn.convnet import ConvNet
+from repro.nn.mlp import MLP
+from repro.utils.batching import micro_batches
 
 
-@pytest.fixture(autouse=True)
-def _restore_fd_fuse():
-    enabled = kernels.fd_fuse_enabled()
-    matching.clear_fd_fuse_verdicts()
-    matching.reset_fd_fuse_stats()
-    yield
-    kernels.set_fd_fuse(enabled)
-    matching.clear_fd_fuse_verdicts()
-    matching.reset_fd_fuse_stats()
-
-
-def _fd_case(shape, num_classes, width, depth, n, seed=0):
+def _fd_case(shape, num_classes, width, depth, n, seed=0, model=None):
     rng = np.random.default_rng(seed)
-    model = ConvNet(shape[0], num_classes, shape[-1], width=width,
-                    depth=depth, rng=np.random.default_rng(seed + 7))
+    if model is None:
+        model = ConvNet(shape[0], num_classes, shape[-1], width=width,
+                        depth=depth, rng=np.random.default_rng(seed + 7))
     x = rng.standard_normal((n, *shape)).astype(np.float32)
     y = rng.integers(0, num_classes, size=n).astype(np.int64)
     direction = [rng.standard_normal(p.data.shape).astype(np.float32)
@@ -43,8 +37,31 @@ def _fd_case(shape, num_classes, width, depth, n, seed=0):
     return model, x, y, direction
 
 
+def _assert_stacked_matches_serial(model, x, y, direction):
+    params = model.parameters()
+    originals = [p.data for p in params]
+    eps = 0.01 / float(np.sqrt(sum(float((d ** 2).sum())
+                                   for d in direction)))
+    parts = micro_batches(x, model, lanes=2)
+    stacked = matching._stacked_fd_passes(model, params, x, y, direction,
+                                          eps, parts)
+    serial = matching._serial_fd_passes(model, params, x, y, direction, eps,
+                                        None, parts)
+    assert stacked[0].tobytes() == serial[0].tobytes()
+    assert stacked[1].tobytes() == serial[1].tobytes()
+    assert all(p.data is orig for p, orig in zip(params, originals))
+    assert all(p.requires_grad for p in params)
+
+    stats: dict = {}
+    grad = matching.finite_difference_matching_grad(model, x, y, direction,
+                                                    stats_out=stats)
+    assert stats == {"passes": 2, "fused": True}
+    expected = (serial[0] - serial[1]) / (2.0 * eps)
+    assert grad.tobytes() == expected.tobytes()
+
+
 # ----------------------------------------------------------------------
-# Fused vs. sequential bit-identity
+# Stacked vs. sequential bit-identity
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shape,classes,width,depth,n", [
     ((1, 8, 8), 3, 4, 2, 6),       # the learner-test ConvNet
@@ -54,36 +71,18 @@ def _fd_case(shape, num_classes, width, depth, n, seed=0):
     ((3, 32, 32), 10, 16, 2, 16),
 ])
 def test_fused_fd_grad_byte_equal(shape, classes, width, depth, n):
-    model, x, y, direction = _fd_case(shape, classes, width, depth, n)
+    _assert_stacked_matches_serial(*_fd_case(shape, classes, width, depth, n))
 
-    kernels.set_fd_fuse(False)
-    reference = matching.finite_difference_matching_grad(model, x, y, direction)
 
-    kernels.set_fd_fuse(True)
-    matching.clear_fd_fuse_verdicts()
-    # First call verifies fused-vs-serial byte equality in situ ...
-    stats: dict = {}
-    verified = matching.finite_difference_matching_grad(
-        model, x, y, direction, stats_out=stats)
-    assert stats == {"passes": 1, "fused": True}
-    np.testing.assert_array_equal(reference, verified)
-    # ... later calls dispatch straight to the fused path.
-    stats = {}
-    fused = matching.finite_difference_matching_grad(
-        model, x, y, direction, stats_out=stats)
-    assert stats == {"passes": 1, "fused": True}
-    np.testing.assert_array_equal(reference, fused)
-
-    counts = matching.fd_fuse_stats()
-    assert counts["verifications"] == 1
-    assert counts["verification_failures"] == 0
-    assert counts["fused_dispatches"] == 2
-    assert counts["serial_fallbacks"] == 0
+def test_stacked_fd_grad_byte_equal_on_an_mlp():
+    model = MLP(48, 4, hidden=(16, 8), rng=np.random.default_rng(3))
+    assert model.runs_lanes()
+    _assert_stacked_matches_serial(*_fd_case((3, 4, 4), 4, 0, 0, 9,
+                                             model=model))
 
 
 def test_augmented_or_disabled_paths_stay_sequential():
     model, x, y, direction = _fd_case((1, 8, 8), 3, 4, 2, 6)
-    kernels.set_fd_fuse(True)
 
     from repro.data.transforms import sample_augmentation
     augmentation = sample_augmentation(8, np.random.default_rng(0))
@@ -92,16 +91,16 @@ def test_augmented_or_disabled_paths_stay_sequential():
         model, x, y, direction, augmentation=augmentation, stats_out=stats)
     assert stats == {"passes": 2, "fused": False}
 
-    kernels.set_fd_fuse(False)
+    # The seed kernels take no lane axis.
     stats = {}
-    matching.finite_difference_matching_grad(model, x, y, direction,
-                                             stats_out=stats)
+    with kernels.reference_mode():
+        matching.finite_difference_matching_grad(model, x, y, direction,
+                                                 stats_out=stats)
     assert stats == {"passes": 2, "fused": False}
 
 
 def test_zero_direction_short_circuits():
     model, x, y, direction = _fd_case((1, 8, 8), 3, 4, 2, 6)
-    kernels.set_fd_fuse(True)
     zeros = [np.zeros_like(d) for d in direction]
     stats: dict = {}
     grad = matching.finite_difference_matching_grad(model, x, y, zeros,
@@ -110,21 +109,28 @@ def test_zero_direction_short_circuits():
     assert not grad.any()
 
 
-def test_non_convnet_model_falls_back(monkeypatch):
-    model, x, y, direction = _fd_case((1, 8, 8), 3, 4, 2, 6)
-    kernels.set_fd_fuse(True)
-    kernels.set_fast_kernels(True)
-    monkeypatch.setattr(matching, "_fuse_layout", lambda m: None)
-    matching.reset_fd_fuse_stats()
-    stats: dict = {}
-    matching.finite_difference_matching_grad(model, x, y, direction,
-                                             stats_out=stats)
-    assert stats == {"passes": 2, "fused": False}
-    assert matching.fd_fuse_stats()["serial_fallbacks"] == 1
+def test_non_convnet_model_falls_back():
+    # The ResNet's standalone Conv2d/InstanceNorm2d layers take no lanes,
+    # and batch statistics tie every row to its slice: both models run
+    # their ±ε passes one by one.
+    from repro.nn.layers import BatchNorm2d, Flatten, Linear, Sequential
+    from repro.nn.resnet import ResNet
+
+    rng = np.random.default_rng(2)
+    batch_norm = Sequential(BatchNorm2d(1), Flatten(), Linear(64, 3, rng=rng))
+    assert any(m.mixes_samples for m in batch_norm.modules())
+    for model in (ResNet(1, 3, 8, width=4, depth=1, rng=rng), batch_norm):
+        assert not model.runs_lanes()
+        model, x, y, direction = _fd_case((1, 8, 8), 3, 0, 0, 6, model=model)
+        stats: dict = {}
+        grad = matching.finite_difference_matching_grad(
+            model, x, y, direction, stats_out=stats)
+        assert stats == {"passes": 2, "fused": False}
+        assert np.isfinite(grad).all() and grad.any()
 
 
 # ----------------------------------------------------------------------
-# End-to-end: seeded DECO learner run, fused vs. unfused
+# End-to-end: seeded DECO run on an f=2 buffer, stacked vs. sequential
 # ----------------------------------------------------------------------
 def _norm(v):
     if isinstance(v, float) and math.isnan(v):
@@ -132,39 +138,51 @@ def _norm(v):
     return v
 
 
-def _fingerprint(result):
-    # ``condense_passes`` legitimately differs: fusing halves the FD pass
-    # count.  Everything else must be bit-identical.
-    return (result.final_accuracy,
-            [sorted((k, _norm(v)) for k, v in d.items()
-                    if k != "condense_passes")
-             for d in result.history.diagnostics])
-
-
-def test_deco_learner_run_bit_identical_fused_vs_unfused():
+def _deco_stream(monkeypatch):
+    """A micro DECO run at decode factor 2: its result fingerprint, the
+    SHA-256 of the stored buffer after every condense call, and the count
+    of stacked FD evaluations."""
+    from repro.condensation.one_step import OneStepMatcher
     from repro.experiments import prepare_experiment, run_method
 
+    digests, fused = [], []
+    condense = OneStepMatcher.condense
+
+    def recording(self, buffer, *args, **kwargs):
+        stats = condense(self, buffer, *args, **kwargs)
+        digests.append(hashlib.sha256(buffer.images.tobytes()).hexdigest())
+        fused.append(stats.extra.get("fused", 0))
+        return stats
+
     prepared = prepare_experiment("core50", "micro", seed=0)
-    kernels.set_fd_fuse(False)
-    unfused = run_method(prepared, "deco", 1, seed=0)
-    kernels.set_fd_fuse(True)
-    matching.clear_fd_fuse_verdicts()
-    fused = run_method(prepared, "deco", 1, seed=0)
-    assert _fingerprint(unfused) == _fingerprint(fused)
-    # Fusing must actually have engaged — fewer passes, same results.
-    assert fused.condense_passes < unfused.condense_passes
+    with monkeypatch.context() as patch:
+        patch.setattr(OneStepMatcher, "condense", recording)
+        result = run_method(prepared, "deco", 1, seed=0, decode_factor=2)
+    fingerprint = (result.final_accuracy, result.condense_passes,
+                   [sorted((k, _norm(v)) for k, v in d.items())
+                    for d in result.history.diagnostics])
+    return fingerprint, digests, sum(fused)
+
+
+def test_deco_learner_run_bit_identical_fused_vs_unfused(monkeypatch):
+    stacked, stacked_digests, stacked_evals = _deco_stream(monkeypatch)
+    # Without the ConvNet's lane declaration its Conv2d/InstanceNorm2d
+    # children decide, and they take no lanes: every FD step runs serially.
+    monkeypatch.setattr(ConvNet, "takes_lanes", False)
+    serial, serial_digests, serial_evals = _deco_stream(monkeypatch)
+    assert stacked_evals > 0 and serial_evals == 0
+    assert stacked_digests and stacked_digests == serial_digests
+    assert stacked == serial
 
 
 # ----------------------------------------------------------------------
-# Telemetry-quiet verification (observability contract)
+# Telemetry of the stacked pass (observability contract)
 # ----------------------------------------------------------------------
 def _fd_sweep_worker(config, context, arrays):
-    """Sweep task: trigger one fresh fused-FD verification, count via obs."""
+    """Sweep task: one stacked FD evaluation, counted via obs."""
     from repro import obs as _obs  # picklable module-level worker
 
     kernels.set_fast_kernels(True)
-    kernels.set_fd_fuse(True)
-    matching.clear_fd_fuse_verdicts()
     model, x, y, direction = _fd_case((1, 8, 8), 3, 4, 2, 6,
                                       seed=config["seed"])
     stats: dict = {}
@@ -176,13 +194,11 @@ def _fd_sweep_worker(config, context, arrays):
 
 class TestTelemetryQuietVerification:
     def test_reference_run_emits_no_spans_or_counters(self):
-        # The sequential reference inside the first-use verification is
-        # probe work: it must not appear in the telemetry stream, so
-        # serial and worker runs keep counter parity.
+        # The stacked evaluation is one pass.fd_fused span: no sequential
+        # ±ε spans and no FD counters.
         from repro import obs
 
         model, x, y, direction = _fd_case((1, 8, 8), 3, 4, 2, 6)
-        kernels.set_fd_fuse(True)
         registry = obs.Telemetry()
         sink = obs.ListSink()
         registry.enable(sink)
@@ -190,19 +206,15 @@ class TestTelemetryQuietVerification:
             stats: dict = {}
             matching.finite_difference_matching_grad(model, x, y, direction,
                                                      stats_out=stats)
-        assert stats == {"passes": 1, "fused": True}
-        assert matching.fd_fuse_stats()["verifications"] == 1
+        assert stats == {"passes": 2, "fused": True}
 
-        span_names = {r["name"] for r in sink.records
-                      if r.get("type") == "span"}
-        assert "pass.fd_fused" in span_names
-        # The reference's ±ε passes ran (the verdict required them) but
-        # stayed silent.
+        span_names = [r["name"] for r in sink.records
+                      if r.get("type") == "span"]
+        assert span_names.count("pass.fd_fused") == 1
         assert "pass.fd_plus" not in span_names
         assert "pass.fd_minus" not in span_names
         counters = registry.snapshot()["counters"]
-        assert counters.get("fd.fused_dispatches") == 1
-        assert "fd.serial_fallbacks" not in counters
+        assert not [name for name in counters if name.startswith("fd.")]
 
     def test_fd_counter_parity_jobs1_vs_jobs2(self, tmp_path):
         from repro import obs
@@ -218,12 +230,12 @@ class TestTelemetryQuietVerification:
         with obs.scoped_telemetry(registry):
             serial_ok = [o.result for o in
                          run_sweep(_fd_sweep_worker, configs, jobs=1)]
+        # The worker-side counters: sweep.* is the driver's bookkeeping.
         serial = {name: value
                   for name, value in registry.snapshot()["counters"].items()
-                  if name.startswith("fd.")}
+                  if not name.startswith("sweep.")}
         assert serial_ok == [True, True]
-        assert serial.get("fd.fused_dispatches") == 2.0
-        assert "fd.serial_fallbacks" not in serial
+        assert serial.get("task.calls") == 2.0
 
         outcomes = run_sweep(_fd_sweep_worker, configs, jobs=2,
                              telemetry_dir=tmp_path)
@@ -232,5 +244,5 @@ class TestTelemetryQuietVerification:
         assert skipped == 0
         totals = {name: value
                   for name, value in aggregate_worker_counters(records).items()
-                  if name.startswith("fd.")}
+                  if not name.startswith("sweep.")}
         assert totals == serial

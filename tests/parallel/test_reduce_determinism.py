@@ -3,7 +3,7 @@
 The conv weight/bias gradients (a batched ``np.matmul`` summed over the
 batch), the instance-norm statistics and parameter gradients, and the loss
 sum are byte-identical at every BLAS thread count and across repeated
-runs.  Covers the plain autograd path, the fused finite-difference lane
+runs.  Covers the plain autograd path, the lane-stacked finite-difference
 path, and a full micro DECO learner segment.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn import kernels
 from repro.nn.losses import cross_entropy
 from repro.nn.tensor import Tensor
 
@@ -65,7 +64,7 @@ def test_training_step_stable_across_repeated_runs(threads, blas_threads):
 
 
 # ----------------------------------------------------------------------
-# Fused finite-difference lane path
+# Lane-stacked finite-difference path
 # ----------------------------------------------------------------------
 def _fd_gradient():
     from repro.condensation import matching
@@ -77,25 +76,21 @@ def _fd_gradient():
     y = rng.integers(0, 4, size=8).astype(np.int64)
     direction = [rng.standard_normal(p.data.shape).astype(np.float32)
                  for p in model.parameters()]
-    return matching.finite_difference_matching_grad(model, x, y, direction)
+    stats: dict = {}
+    grad = matching.finite_difference_matching_grad(model, x, y, direction,
+                                                    stats_out=stats)
+    assert stats["fused"]
+    return grad
 
 
 @pytest.mark.parametrize("threads", [2, 4])
 def test_fused_fd_lane_path_bit_identical_across_thread_counts(
         threads, blas_threads):
-    saved_fuse = kernels.fd_fuse_enabled()
-    saved_fast = kernels.fast_kernels_enabled()
-    kernels.set_fast_kernels(True)
-    kernels.set_fd_fuse(True)
-    try:
-        blas_threads(1)
-        serial = _fd_gradient()
-        blas_threads(threads)
-        threaded = _fd_gradient()
-        repeat = _fd_gradient()
-    finally:
-        kernels.set_fd_fuse(saved_fuse)
-        kernels.set_fast_kernels(saved_fast)
+    blas_threads(1)
+    serial = _fd_gradient()
+    blas_threads(threads)
+    threaded = _fd_gradient()
+    repeat = _fd_gradient()
     assert serial.tobytes() == threaded.tobytes()
     assert serial.tobytes() == repeat.tobytes()
 
