@@ -1,8 +1,9 @@
 """Micro-benchmark regression harness for the numpy kernel layer.
 
 Unlike the paper-level benchmarks in :mod:`benchmarks`, these scripts time
-individual kernels and one full condensation segment against the preserved
-seed implementations (``repro.nn.kernels.reference_mode``), and append
+individual kernels against the preserved seed implementations (which they
+call directly from :mod:`repro.nn.reference`) and one full condensation
+segment on its own, and append
 machine-readable results to ``bench_results/micro_kernels.json`` so future
 PRs have a performance trajectory to regress against.
 

@@ -1,11 +1,11 @@
 """Micro-benchmarks: individual kernels, fast vs seed reference.
 
-Times conv2d forward / forward+backward, instance norm, pooling, softmax,
-one ConvNet block (``conv_block``: Conv -> Norm -> ReLU -> Pool) forward+
-backward, the raw im2col/col2im primitives, and one full
-``parameter_gradients`` pass — each in fast-kernel mode and in
-:func:`repro.nn.kernels.reference_mode` (the preserved seed
-implementations) — and appends the measured
+Times conv2d forward / forward+backward, instance norm, average pooling,
+log-softmax, one ConvNet block (``conv_block``: Conv -> Norm -> ReLU ->
+Pool) forward+backward and the raw im2col/col2im primitives, each next to
+its preserved seed implementation in :mod:`repro.nn.reference` (the block
+next to the seed ops composed in sequence), plus one full
+``parameter_gradients`` pass (fast only).  Appends the measured
 seconds-per-call and speedups to ``bench_results/micro_kernels.json``.
 
 Usage::
@@ -23,9 +23,8 @@ import time
 
 import numpy as np
 
-from repro.nn import ConvNet, kernels
+from repro.nn import ConvNet, kernels, reference
 from repro.nn import functional as F
-from repro.nn.losses import cross_entropy
 from repro.nn.tensor import Tensor
 from repro.obs import collect_runtime_counters
 
@@ -85,63 +84,51 @@ def _append_history(section: str, data: dict) -> None:
                    metrics, tags)
 
 
-def timed_pair(fn, repeats: int) -> dict:
-    """Time ``fn`` with fast kernels and in seed reference mode."""
-    kernels.set_fast_kernels(True)
-    fast = best_of(fn, repeats)
-    with kernels.reference_mode():
-        ref = best_of(fn, repeats)
-    return {"fast_s": fast, "seed_s": ref,
-            "speedup": ref / fast if fast > 0 else float("inf")}
+def timed_pair(fast_fn, seed_fn, repeats: int) -> dict:
+    """Time a fast callable next to its seed counterpart."""
+    fast = best_of(fast_fn, repeats)
+    seed = best_of(seed_fn, repeats)
+    return {"fast_s": fast, "seed_s": seed,
+            "speedup": seed / fast if fast > 0 else float("inf")}
+
+
+def fwd_bwd(op, *inputs):
+    """A callable running ``op(*inputs)`` forward, then backward from a
+    ones seed, then clearing the inputs' gradients."""
+    def run():
+        out = op(*inputs)
+        out.backward(np.ones_like(out.data))
+        for t in inputs:
+            t.zero_grad()
+    return run
+
+
+def seed_block(x, w, b, gamma, beta):
+    """The ConvNet block composed from the seed ops."""
+    h = reference.instance_norm2d(
+        reference.conv2d(x, w, b, stride=1, padding=1), gamma, beta)
+    return reference.avg_pool2d(h.relu(), 2)
 
 
 def make_cases(rng: np.random.Generator) -> dict:
+    """``name -> (fast callable, seed callable)`` for every op case."""
     x = Tensor(rng.standard_normal((N, C, HW, HW)).astype(np.float32),
                requires_grad=True)
     w = Tensor(rng.standard_normal((OC, C, 3, 3)).astype(np.float32),
                requires_grad=True)
     b = Tensor(rng.standard_normal((OC,)).astype(np.float32),
                requires_grad=True)
-    xr = rng.standard_normal((N, C, HW, HW)).astype(np.float32)
-    g = np.ones((N, OC, HW, HW), dtype=np.float32)
-
-    def conv_fwd():
-        F.conv2d(Tensor(x.data), Tensor(w.data), Tensor(b.data),
-                 stride=1, padding=1)
-
-    def conv_fwd_bwd():
-        out = F.conv2d(x, w, b, stride=1, padding=1)
-        out.backward(g)
-        x.zero_grad(); w.zero_grad(); b.zero_grad()
-
-    def norm_fwd_bwd():
-        out = F.instance_norm2d(x)
-        out.backward(np.ones_like(out.data))
-        x.zero_grad()
-
-    def avg_pool_fwd_bwd():
-        out = F.avg_pool2d(x, 2)
-        out.backward(np.ones_like(out.data))
-        x.zero_grad()
-
-    def max_pool_fwd_bwd():
-        out = F.max_pool2d(x, 2)
-        out.backward(np.ones_like(out.data))
-        x.zero_grad()
-
     gamma = Tensor(np.ones(OC, dtype=np.float32), requires_grad=True)
     beta = Tensor(np.zeros(OC, dtype=np.float32), requires_grad=True)
+    flat = Tensor(x.data.reshape(N, -1)[:, :64], requires_grad=True)
+    xr = rng.standard_normal((N, C, HW, HW)).astype(np.float32)
 
-    def convnet_block_fwd_bwd():
-        out = F.conv_block(x, w, b, gamma, beta)
-        out.backward(np.ones_like(out.data))
-        for t in (x, w, b, gamma, beta):
-            t.zero_grad()
+    def conv_fwd(conv2d):
+        return lambda: conv2d(Tensor(x.data), Tensor(w.data), Tensor(b.data),
+                              stride=1, padding=1)
 
-    def softmax_fwd_bwd():
-        flat = Tensor(x.data.reshape(N, -1)[:, :64], requires_grad=True)
-        out = F.log_softmax(flat)
-        out.backward(np.ones_like(out.data))
+    def conv_fwd_bwd(conv2d):
+        return fwd_bwd(lambda *t: conv2d(*t, stride=1, padding=1), x, w, b)
 
     def im2col_col2im():
         plan = kernels.get_conv_plan(N, C, HW, HW, 3, 3, 1, 1)
@@ -153,14 +140,18 @@ def make_cases(rng: np.random.Generator) -> dict:
         return kernels.col2im_reference(cols, (N, C, HW, HW), 3, 3, 1, 1)
 
     return {
-        "conv2d_fwd": conv_fwd,
-        "conv2d_fwd_bwd": conv_fwd_bwd,
-        "instance_norm_fwd_bwd": norm_fwd_bwd,
-        "avg_pool2d_fwd_bwd": avg_pool_fwd_bwd,
-        "max_pool2d_fwd_bwd": max_pool_fwd_bwd,
-        "convnet_block_fwd_bwd": convnet_block_fwd_bwd,
-        "log_softmax_fwd_bwd": softmax_fwd_bwd,
-        "_im2col_col2im": (im2col_col2im, im2col_col2im_seed),
+        "conv2d_fwd": (conv_fwd(F.conv2d), conv_fwd(reference.conv2d)),
+        "conv2d_fwd_bwd": (conv_fwd_bwd(F.conv2d),
+                           conv_fwd_bwd(reference.conv2d)),
+        "instance_norm_fwd_bwd": (fwd_bwd(F.instance_norm2d, x),
+                                  fwd_bwd(reference.instance_norm2d, x)),
+        "avg_pool2d_fwd_bwd": (fwd_bwd(F.avg_pool2d, x),
+                               fwd_bwd(reference.avg_pool2d, x)),
+        "convnet_block_fwd_bwd": (fwd_bwd(F.conv_block, x, w, b, gamma, beta),
+                                  fwd_bwd(seed_block, x, w, b, gamma, beta)),
+        "log_softmax_fwd_bwd": (fwd_bwd(F.log_softmax, flat),
+                                fwd_bwd(reference.log_softmax, flat)),
+        "im2col_col2im": (im2col_col2im, im2col_col2im_seed),
     }
 
 
@@ -171,10 +162,8 @@ def bench_parameter_gradients(rng: np.random.Generator, repeats: int) -> dict:
     bx = rng.standard_normal((N, 3, HW, HW)).astype(np.float32)
     by = rng.integers(0, 10, N)
 
-    def one_pass():
-        parameter_gradients(model, bx, by)
-
-    return timed_pair(one_pass, repeats)
+    return {"fast_s": best_of(lambda: parameter_gradients(model, bx, by),
+                              repeats)}
 
 
 def main(argv=None) -> dict:
@@ -185,18 +174,9 @@ def main(argv=None) -> dict:
 
     rng = np.random.default_rng(0)
     results: dict[str, dict] = {}
-    for name, fn in make_cases(rng).items():
-        if isinstance(fn, tuple):  # primitives with distinct seed callable
-            fast_fn, seed_fn = fn
-            kernels.set_fast_kernels(True)
-            fast = best_of(fast_fn, args.repeats)
-            seed = best_of(seed_fn, args.repeats)
-            results[name.lstrip("_")] = {
-                "fast_s": fast, "seed_s": seed, "speedup": seed / fast}
-        else:
-            results[name] = timed_pair(fn, args.repeats)
+    for name, (fast_fn, seed_fn) in make_cases(rng).items():
+        results[name] = timed_pair(fast_fn, seed_fn, args.repeats)
     results["parameter_gradients"] = bench_parameter_gradients(rng, args.repeats)
-    kernels.set_fast_kernels(True)
 
     payload = {"shape": {"batch": N, "channels": C, "hw": HW, "out_channels": OC},
                "repeats": args.repeats, "cases": results,
@@ -206,8 +186,9 @@ def main(argv=None) -> dict:
     width = max(len(k) for k in results)
     print(f"{'case'.ljust(width)}  {'fast':>9}  {'seed':>9}  speedup")
     for name, row in results.items():
-        print(f"{name.ljust(width)}  {row['fast_s'] * 1e3:8.2f}ms "
-              f"{row['seed_s'] * 1e3:9.2f}ms  {row['speedup']:6.2f}x")
+        seed = (f"{row['seed_s'] * 1e3:9.2f}ms  {row['speedup']:6.2f}x"
+                if "seed_s" in row else f"{'-':>11}  {'-':>6}")
+        print(f"{name.ljust(width)}  {row['fast_s'] * 1e3:8.2f}ms {seed}")
     print(f"[saved to {RESULTS_PATH}]")
     return payload
 

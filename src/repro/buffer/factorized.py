@@ -36,6 +36,7 @@ single float32 matmuls over fixed layouts.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -96,7 +97,9 @@ class FactorizedSyntheticBuffer(SyntheticBuffer):
         Linear reduction factor ``f``: storage is
         ``(C, ceil(H/f), ceil(W/f))`` float32, so the per-slot payload is
         ``ceil(H/f) * ceil(W/f) / (H * W)`` of the full-resolution slot —
-        exactly ``1/f**2`` when ``f`` divides both sides.
+        exactly ``1/f**2`` when ``f`` divides both sides.  An integer
+        from 1 to the image's smaller side; anything else raises
+        ``ValueError``.
     """
 
     ledger_account = "buffer.synthetic.factorized"
@@ -104,11 +107,14 @@ class FactorizedSyntheticBuffer(SyntheticBuffer):
     def __init__(self, num_classes: int, ipc: int,
                  image_shape: tuple[int, int, int], *,
                  factor: int = 2) -> None:
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
         c, h, w = (int(v) for v in image_shape)
-        self.decode_factor = int(factor)
-        self._storage_shape = (c, -(-h // factor), -(-w // factor))
+        if isinstance(factor, bool) or not isinstance(factor, numbers.Integral):
+            raise ValueError(f"factor must be an integer, got {factor!r}")
+        if not 1 <= factor <= min(h, w):
+            raise ValueError(f"factor must be in [1, {min(h, w)}] for "
+                             f"{h}x{w} images, got {factor}")
+        self.decode_factor = f = int(factor)
+        self._storage_shape = (c, -(-h // f), -(-w // f))
         super().__init__(num_classes, ipc, (c, h, w))
 
     @property

@@ -142,7 +142,7 @@ def _encode(model, images: np.ndarray) -> np.ndarray:
     in micro-batches."""
     with no_grad():
         return np.concatenate([model.features(Tensor(images[part])).data
-                               for part in micro_batches(images, model)])
+                               for part in micro_batches(images)])
 
 
 class KCenter(SelectionStrategy):

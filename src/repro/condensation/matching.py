@@ -15,20 +15,18 @@ Every pass runs in micro-batches (:func:`repro.utils.batching.micro_batches`),
 so its activations and kernel scratch are bounded by the slice, not by the
 segment or the buffer.  Each slice's loss is its summed (weighted) CE
 scaled by ``1/n`` of the whole batch: the slices add up to the batch mean,
-parameter gradients accumulate over them, and input gradients (per-sample
-for a model without batch statistics) are written slice by slice.
+parameter gradients accumulate over them, and input gradients (per-sample,
+since every layer is) are written slice by slice.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Sequence
 
 import numpy as np
 
 from .. import obs
 from ..data.transforms import AugmentationParams, apply_augmentation
-from ..nn import kernels
 from ..nn.layers import Module, frozen_parameters
 from ..nn.losses import cross_entropy, gradient_distance
 from ..nn.tensor import Tensor
@@ -73,7 +71,7 @@ def parameter_gradients(model: Module, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y)
     model.zero_grad()
     loss = 0.0
-    for part in micro_batches(x, model):
+    for part in micro_batches(x):
         part_loss = _slice_loss(model, Tensor(x[part]), y[part],
                                 None if w is None else w[part], len(x),
                                 augmentation)
@@ -92,18 +90,16 @@ def _input_gradient_slices(model, x, y, w, augmentation, parts, *,
     """``grad_X`` of the batch-mean CE at fixed parameters, one backward
     per slice in ``parts``.
 
-    Under the fast kernels the model parameters are temporarily frozen so
-    the backward pass skips every parameter-gradient reduction — the FD
-    passes of Eq. (7) only consume ``grad_X``.  With ``lanes > 1`` the
-    parameters carry a leading lane axis: each slice runs tiled ``lanes``
-    times (lane ``t`` on copy ``t``) and the result is the
-    ``(lanes, *x.shape)`` stack of per-lane gradients.
+    The model parameters are temporarily frozen so the backward pass skips
+    every parameter-gradient reduction — the FD passes of Eq. (7) only
+    consume ``grad_X``.  With ``lanes > 1`` the parameters carry a leading
+    lane axis: each slice runs tiled ``lanes`` times (lane ``t`` on copy
+    ``t``) and the result is the ``(lanes, *x.shape)`` stack of per-lane
+    gradients.
     """
     grad = np.zeros((lanes,) + x.shape, dtype=np.float32)
     model.zero_grad()
-    freeze = (frozen_parameters(model) if kernels.fast_kernels_enabled()
-              else contextlib.nullcontext())
-    with freeze:
+    with frozen_parameters(model):
         for part in parts:
             xs, ys = x[part], y[part]
             ws = None if w is None else w[part]
@@ -125,7 +121,7 @@ def input_gradient(model: Module, x: np.ndarray, y: np.ndarray,
     evaluated over the micro-batches of ``x``."""
     x = np.asarray(x, dtype=np.float32)
     return _input_gradient_slices(model, x, np.asarray(y), w, augmentation,
-                                  micro_batches(x, model))
+                                  micro_batches(x))
 
 
 def distance_and_grad_wrt_gsyn(g_syn: Sequence[np.ndarray],
@@ -206,8 +202,7 @@ def _stacked_fd_passes(model, params, syn_x, syn_y, direction, eps, parts):
 def _serial_fd_passes(model, params, syn_x, syn_y, direction, eps,
                       augmentation, parts):
     """The two perturbed input-gradient passes run one after the other: the
-    path for a model that cannot run lanes (or mixes samples) and for
-    augmented passes.
+    path for a model that cannot run lanes and for augmented passes.
 
     The perturbed passes never mutate parameter arrays in place (they only
     rebind ``p.data``), so the current arrays themselves are the exact
@@ -257,8 +252,8 @@ def finite_difference_matching_grad(model: Module, syn_x: np.ndarray,
 
     The two perturbed passes run as one lane-stacked pass
     (``pass.fd_fused``) when the model runs lanes
-    (:meth:`~repro.nn.layers.Module.runs_lanes`), mixes no samples and no
-    augmentation applies, else sequentially (``pass.fd_plus`` /
+    (:meth:`~repro.nn.layers.Module.runs_lanes`) and no augmentation
+    applies, else sequentially (``pass.fd_plus`` /
     ``pass.fd_minus``); both give the same bytes.
 
     ``stats_out``, when given, receives ``{"passes": 0|2, "fused": bool}``
@@ -297,10 +292,8 @@ def _fd_matching_grad(model, syn_x, syn_y, direction, *, augmentation,
     syn_y = np.asarray(syn_y)
     # Both paths run over the same slices, sized for the stacked path's
     # two-lane composite.
-    parts = micro_batches(syn_x32, model, lanes=2)
-    fused = (augmentation is None and kernels.fast_kernels_enabled()
-             and model.runs_lanes()
-             and not any(m.mixes_samples for m in model.modules()))
+    parts = micro_batches(syn_x32, lanes=2)
+    fused = augmentation is None and model.runs_lanes()
     if fused:
         grad_plus, grad_minus = _stacked_fd_passes(
             model, params, syn_x32, syn_y, direction, eps, parts)

@@ -11,14 +11,12 @@ encoder — is added with weight ``alpha`` (Eq. 9).
 
 from __future__ import annotations
 
-import contextlib
 from typing import Sequence
 
 import numpy as np
 
 from .. import obs
 from ..buffer.buffer import SyntheticBuffer
-from ..nn import kernels
 from ..nn.layers import Module, frozen_parameters
 from ..nn.losses import feature_discrimination_loss
 from ..nn.optim import SGD
@@ -135,22 +133,19 @@ class OneStepMatcher(CondensationMethod):
         # positions come from one vectorized binary search.
         local_active = np.searchsorted(rows, active_rows)
 
-        # Only the active rows need a pixel gradient: a per-sample encoder
-        # maps a row's feature gradient to that row's pixels alone, and an
-        # encoder with batch statistics runs as one slice.  They are
-        # encoded last, so the last slice's graph, kept through the loss,
-        # serves as many of them as it holds.
+        # Only the active rows need a pixel gradient: the per-sample
+        # encoder maps a row's feature gradient to that row's pixels alone.
+        # They are encoded last, so the last slice's graph, kept through
+        # the loss, serves as many of them as it holds.
         order = np.concatenate(
             [np.setdiff1d(np.arange(len(rows)), local_active), local_active])
         x = buffer.decoded_images(rows)[order]
-        parts = micro_batches(x, deployed_model)
+        parts = micro_batches(x)
         # Only the gradient w.r.t. the buffer pixels is consumed, so the
         # deployed encoder's parameter gradients are pure waste — freeze
-        # them for the duration of the pass under the fast kernels.
-        freeze = (frozen_parameters(deployed_model)
-                  if kernels.fast_kernels_enabled() else contextlib.nullcontext())
+        # them for the duration of the pass.
         deployed_model.zero_grad()
-        with freeze:
+        with frozen_parameters(deployed_model):
             with no_grad():
                 chunks = [deployed_model.features(Tensor(x[p])).data
                           for p in parts[:-1]]
@@ -175,7 +170,7 @@ class OneStepMatcher(CondensationMethod):
             # The rows needing a gradient that the kept slice did not hold
             # run forward again.
             first, stop = len(x) - len(local_active), parts[-1].start
-            for p in micro_batches(x[first:stop], deployed_model):
+            for p in micro_batches(x[first:stop]):
                 p = slice(first + p.start, first + p.stop)
                 x_part = Tensor(x[p], requires_grad=True)
                 deployed_model.features(x_part).backward(feat_grad[p])

@@ -57,7 +57,7 @@ def train_model(model: Module, x: np.ndarray, y: np.ndarray, *,
             # Each micro-batch's summed loss, scaled by 1/len(idx): the
             # parts add up to the minibatch mean of Eq. 4 and its gradient.
             scale = 1.0 / len(idx)
-            for part in micro_batches(batch_x, model):
+            for part in micro_batches(batch_x):
                 logits = model(Tensor(batch_x[part]))
                 loss = cross_entropy(
                     logits, batch_y[part], reduction="sum",
@@ -83,7 +83,7 @@ def predict_logits(model: Module, x: np.ndarray,
     model.eval()
     with no_grad():
         outputs = [model(Tensor(x[part])).data
-                   for part in micro_batches(x, model, max_rows=batch_size)]
+                   for part in micro_batches(x, max_rows=batch_size)]
     model.train()
     return np.concatenate(outputs) if outputs else np.empty((0, model.num_classes))
 

@@ -6,12 +6,11 @@ with respect to parameters *and* inputs, a ConvNet backbone with an exposed
 encoder, SGD/Adam optimizers, and the paper's loss functions.
 """
 
-from . import functional, init, kernels, reference
+from . import functional, init, kernels
 from .convnet import ConvNet
-from .layers import (AvgPool2d, BatchNorm2d, Conv2d, Flatten, GroupNorm2d,
-                     Identity, InstanceNorm2d, LeakyReLU, Linear, MaxPool2d,
-                     Module, ReLU, Sequential, Sigmoid, Tanh,
-                     frozen_parameters)
+from .layers import (AvgPool2d, Conv2d, Flatten, Identity, InstanceNorm2d,
+                     LeakyReLU, Linear, Module, ReLU, Sequential, Sigmoid,
+                     Tanh, frozen_parameters)
 from .losses import (accuracy, cross_entropy, feature_discrimination_loss,
                      gradient_distance, mse_loss)
 from .mlp import MLP
@@ -21,10 +20,9 @@ from .tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, tensor
 
 __all__ = [
     "Tensor", "tensor", "no_grad", "is_grad_enabled", "concatenate", "stack", "where",
-    "functional", "init", "kernels", "reference", "frozen_parameters",
-    "Module", "Sequential", "Linear", "Conv2d", "InstanceNorm2d", "GroupNorm2d",
-    "BatchNorm2d", "ReLU", "LeakyReLU", "Tanh", "Sigmoid", "AvgPool2d", "MaxPool2d",
-    "Flatten", "Identity",
+    "functional", "init", "kernels", "frozen_parameters",
+    "Module", "Sequential", "Linear", "Conv2d", "InstanceNorm2d", "ReLU",
+    "LeakyReLU", "Tanh", "Sigmoid", "AvgPool2d", "Flatten", "Identity",
     "ConvNet", "MLP", "ResNet", "ResidualBlock",
     "Optimizer", "SGD", "Adam", "StepLR", "CosineLR",
     "cross_entropy", "accuracy", "feature_discrimination_loss", "gradient_distance",

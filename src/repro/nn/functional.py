@@ -1,25 +1,26 @@
 """Neural-network functional operations built on the autodiff engine.
 
-Contains the structured operations (convolution, pooling, normalization,
-softmax-family) that the :mod:`repro.nn.layers` modules wrap.
+Contains the structured operations the ConvNet backbone is made of
+(convolution, the fused Conv -> InstanceNorm -> ReLU -> AvgPool block,
+average pooling, instance normalization, the softmax family, linear) that
+the :mod:`repro.nn.layers` modules wrap.
 
 The hot paths run on the kernel layer in :mod:`repro.nn.kernels`:
 convolution fetches a cached :class:`~repro.nn.kernels.ConvPlan` (im2col
-geometry, col2im scatter tables) and contracts its fresh column buffer with
+geometry, col2im scatter table) and contracts its fresh column buffer with
 plain ``np.matmul``, so every activation and gradient is C-contiguous NCHW
 and the norm, ReLU and pooling ops after a conv never run on strided views.
 Every op skips redundant ``astype(float32)`` copies and skips gradient work
-for parents with ``requires_grad=False``.  Under
-:func:`repro.nn.kernels.reference_mode` the ops dispatch to the frozen seed
-implementations in :mod:`repro.nn.reference` instead (used by the
-kernel-equivalence tests and the micro-benchmarks).
+for parents with ``requires_grad=False``.  The frozen seed implementations
+in :mod:`repro.nn.reference` are the tests' oracle for these ops; nothing
+here dispatches to them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels, reference
+from . import kernels
 from .tensor import Tensor
 
 __all__ = [
@@ -28,17 +29,11 @@ __all__ = [
     "avg_pool_forward",
     "avg_pool_backward",
     "avg_pool2d",
-    "max_pool2d",
-    "global_avg_pool2d",
     "instance_norm2d",
-    "group_norm2d",
-    "batch_norm2d",
     "softmax",
     "log_softmax",
     "l2_normalize",
     "linear",
-    "dropout",
-    "embedding_lookup",
 ]
 
 
@@ -67,8 +62,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     oc, ic, kh, kw = weight.shape
     if ic != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ic}")
-    if not kernels.fast_kernels_enabled():
-        return reference.conv2d(x, weight, bias, stride=stride, padding=padding)
 
     plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
     xd = _f32(x.data)
@@ -128,8 +121,6 @@ def avg_pool_backward(g: np.ndarray, k: int) -> np.ndarray:
 
 def avg_pool2d(x: Tensor, kernel_size: int = 2) -> Tensor:
     """Non-overlapping average pooling; spatial dims must divide evenly."""
-    if not kernels.fast_kernels_enabled():
-        return reference.avg_pool2d(x, kernel_size)
     k = int(kernel_size)
     h, w = x.shape[2], x.shape[3]
     if h % k or w % k:
@@ -141,51 +132,6 @@ def avg_pool2d(x: Tensor, kernel_size: int = 2) -> Tensor:
             x._accumulate(avg_pool_backward(g, k), own=True)
 
     return Tensor._make(out, (x,), "avg_pool2d", backward)
-
-
-def max_pool2d(x: Tensor, kernel_size: int = 2) -> Tensor:
-    """Non-overlapping max pooling; spatial dims must divide evenly.
-
-    Retains only compact per-window argmax indices for the backward pass
-    (the seed implementation kept a full-resolution boolean mask plus tie
-    counts alive for the lifetime of the graph).  Ties route their entire
-    gradient to the first maximal element, like torch; the seed's
-    split-among-ties behaviour lives on in :func:`repro.nn.reference.max_pool2d`.
-    """
-    if not kernels.fast_kernels_enabled():
-        return reference.max_pool2d(x, kernel_size)
-    k = int(kernel_size)
-    n, c, h, w = x.shape
-    if h % k or w % k:
-        raise ValueError(f"max_pool2d: spatial dims ({h},{w}) not divisible by {k}")
-    oh, ow = h // k, w // k
-    kk = k * k
-    idx_dtype = np.uint8 if kk <= 255 else np.int32
-    windows = np.ascontiguousarray(
-        x.data.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
-    ).reshape(n, c, oh, ow, kk)
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    # Compact retention: one small integer per output pixel.
-    idx = idx.astype(idx_dtype)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            g32 = _f32(np.asarray(g))
-            buf = np.zeros((n, c, oh, ow, kk), dtype=np.float32)
-            np.put_along_axis(buf, idx[..., None].astype(np.int64),
-                              g32[..., None], axis=-1)
-            grad = np.ascontiguousarray(
-                buf.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
-            ).reshape(n, c, h, w)
-            x._accumulate(grad, own=True)
-
-    return Tensor._make(_f32(out), (x,), "max_pool2d", backward)
-
-
-def global_avg_pool2d(x: Tensor) -> Tensor:
-    """Average over the spatial dimensions: (N, C, H, W) -> (N, C)."""
-    return x.mean(axis=(2, 3))
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +209,6 @@ def instance_norm2d(x: Tensor, gamma: Tensor | None = None,
     This is the normalization used by the ConvNet backbone in the dataset
     condensation literature (DC/DSA/DM) and hence in DECO.
     """
-    if not kernels.fast_kernels_enabled():
-        return reference.instance_norm2d(x, gamma, beta, eps=eps)
     axes = (2, 3)
     xhat, var = _norm_stats(_f32(x.data), axes)
     inv_std = 1.0 / np.sqrt(var + np.float32(eps))
@@ -297,84 +241,6 @@ def instance_norm2d(x: Tensor, gamma: Tensor | None = None,
     return Tensor._make(_f32(out), parents, "instance_norm2d", backward)
 
 
-def group_norm2d(x: Tensor, num_groups: int, gamma: Tensor | None = None,
-                 beta: Tensor | None = None, eps: float = 1e-5) -> Tensor:
-    """Group normalization over (C/G, H, W) within each of ``num_groups``."""
-    if not kernels.fast_kernels_enabled():
-        return reference.group_norm2d(x, num_groups, gamma, beta, eps=eps)
-    n, c, h, w = x.shape
-    if c % num_groups:
-        raise ValueError(f"group_norm2d: {c} channels not divisible by {num_groups} groups")
-    xg = _f32(x.data).reshape(n, num_groups, c // num_groups, h, w)
-    axes = (2, 3, 4)
-    xhat_g, var = _norm_stats(xg, axes)
-    inv_std = 1.0 / np.sqrt(var + np.float32(eps))
-    xhat_g *= inv_std
-    xhat = xhat_g.reshape(n, c, h, w)
-    gamma_r = gamma.data.reshape(1, c, 1, 1) if gamma is not None else None
-    beta_r = beta.data.reshape(1, c, 1, 1) if beta is not None else None
-    if gamma_r is not None:
-        out = xhat * gamma_r
-        if beta_r is not None:
-            out += beta_r
-    elif beta_r is not None:
-        out = xhat + beta_r
-    else:
-        out = xhat
-
-    parents = [x]
-    if gamma is not None:
-        parents.append(gamma)
-    if beta is not None:
-        parents.append(beta)
-
-    def backward(g: np.ndarray) -> None:
-        _norm_param_grads(g, xhat, beta, gamma)
-        if x.requires_grad:
-            gy = g * gamma_r if gamma_r is not None else g
-            gyg = gy.reshape(n, num_groups, c // num_groups, h, w)
-            dx = _norm_backward(gyg, xhat_g, inv_std, axes)
-            x._accumulate(_f32(dx).reshape(x.shape), own=True)
-
-    return Tensor._make(_f32(out), parents, "group_norm2d", backward)
-
-
-def batch_norm2d(x: Tensor, gamma: Tensor | None = None,
-                 beta: Tensor | None = None, eps: float = 1e-5) -> Tensor:
-    """Training-mode batch normalization over (N, H, W) per channel."""
-    if not kernels.fast_kernels_enabled():
-        return reference.batch_norm2d(x, gamma, beta, eps=eps)
-    axes = (0, 2, 3)
-    xhat, var = _norm_stats(_f32(x.data), axes)
-    inv_std = 1.0 / np.sqrt(var + np.float32(eps))
-    xhat *= inv_std
-    c = x.shape[1]
-    gamma_r = gamma.data.reshape(1, c, 1, 1) if gamma is not None else None
-    beta_r = beta.data.reshape(1, c, 1, 1) if beta is not None else None
-    if gamma_r is not None:
-        out = xhat * gamma_r
-        if beta_r is not None:
-            out += beta_r
-    elif beta_r is not None:
-        out = xhat + beta_r
-    else:
-        out = xhat
-
-    parents = [x]
-    if gamma is not None:
-        parents.append(gamma)
-    if beta is not None:
-        parents.append(beta)
-
-    def backward(g: np.ndarray) -> None:
-        _norm_param_grads(g, xhat, beta, gamma)
-        if x.requires_grad:
-            gy = g * gamma_r if gamma_r is not None else g
-            x._accumulate(_f32(_norm_backward(gy, xhat, inv_std, axes)), own=True)
-
-    return Tensor._make(_f32(out), parents, "batch_norm2d", backward)
-
-
 # ----------------------------------------------------------------------
 # ConvNet block
 # ----------------------------------------------------------------------
@@ -402,8 +268,7 @@ def conv_block(x: Tensor, weight: Tensor, bias: Tensor | None,
     call, so the output and every gradient are byte-identical to the
     four-node chain; the block only keeps fewer activations alive.  The
     ReLU runs in place on the norm output, and its backward mask is taken
-    from that output.  Under :func:`repro.nn.kernels.reference_mode` the
-    block composes the per-layer (seed) ops.
+    from that output.
 
     The parameters may carry a leading lane axis (``weight`` of shape
     ``(T, OC, C, KH, KW)``, the others ``(T, OC)``): lane ``t``
@@ -411,10 +276,6 @@ def conv_block(x: Tensor, weight: Tensor, bias: Tensor | None,
     ``np.matmul`` and affine, so a ``T``-lane call is byte-identical to
     ``T`` single-lane calls on the row blocks.
     """
-    if not kernels.fast_kernels_enabled():
-        h = instance_norm2d(conv2d(x, weight, bias, stride=stride,
-                                   padding=padding), gamma, beta, eps=eps)
-        return avg_pool2d(h.relu(), pool)
     lanes = weight.shape[0] if weight.ndim == 5 else 1
     n, c, h, w = x.shape
     oc, ic, kh, kw = weight.shape[-4:]
@@ -498,8 +359,6 @@ def conv_block(x: Tensor, weight: Tensor, bias: Tensor | None,
 # ----------------------------------------------------------------------
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax with a fused backward pass."""
-    if not kernels.fast_kernels_enabled():
-        return reference.log_softmax(x, axis=axis)
     xd = _f32(x.data)
     out = xd - xd.max(axis=axis, keepdims=True)
     e = np.exp(out)
@@ -516,8 +375,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax with a fused backward pass."""
-    if not kernels.fast_kernels_enabled():
-        return reference.softmax(x, axis=axis)
     xd = _f32(x.data)
     shifted = xd - xd.max(axis=axis, keepdims=True)
     out = np.exp(shifted, out=shifted)
@@ -578,18 +435,3 @@ def _lane_linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
 
     return Tensor._make(_f32(out), parents, "linear", backward)
 
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator,
-            training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
-    if not training or p <= 0.0:
-        return x
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(np.float32) / keep
-    return x * Tensor(mask)
-
-
-def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup with scatter-add gradients (used by prototype models)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    return table[idx]

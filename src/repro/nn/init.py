@@ -53,10 +53,10 @@ def reinitialize(module, rng: np.random.Generator) -> None:
     """Re-randomize every parameter of ``module`` in place.
 
     Convolution/linear weights get Kaiming-uniform draws; biases get the
-    fan-in uniform; normalization affine parameters reset to (1, 0).  This is
+    fan-in uniform; instance-norm affine parameters reset to (1, 0).  This is
     the "randomize initial model parameters" step of Algorithm 1.
     """
-    from .layers import BatchNorm2d, Conv2d, GroupNorm2d, InstanceNorm2d, Linear
+    from .layers import Conv2d, InstanceNorm2d, Linear
 
     for sub in module.modules():
         if isinstance(sub, Conv2d):
@@ -68,7 +68,7 @@ def reinitialize(module, rng: np.random.Generator) -> None:
             sub.weight.data = kaiming_uniform(rng, sub.weight.shape, fan_in=sub.in_features)
             if sub.bias is not None:
                 sub.bias.data = uniform_fan(rng, sub.bias.shape, fan_in=sub.in_features)
-        elif isinstance(sub, (InstanceNorm2d, GroupNorm2d, BatchNorm2d)):
+        elif isinstance(sub, InstanceNorm2d):
             if sub.gamma is not None:
                 sub.gamma.data = np.ones_like(sub.gamma.data)
             if sub.beta is not None:

@@ -1,36 +1,27 @@
-"""Cached convolution kernel plans and the fast/reference kernel switch.
+"""Cached convolution kernel plans and the seed im2col/col2im oracles.
 
 Every conv call in the condensation hot loop used to re-derive its im2col
 geometry, allocate fresh column buffers, and run a Python ``kh x kw``
 scatter loop for the input gradient.  This module centralizes that
 per-shape work in a :class:`ConvPlan` that is computed once and cached in a
-bounded LRU keyed on ``(n, c, h, w, kh, kw, stride, pad)``:
-
-* the im2col window geometry (strided-view shape plus column-buffer shape);
-* a *clipped slice table* for the col2im scatter-add, precomputed so the
-  scatter writes straight into the **unpadded** gradient canvas (no padded
-  scratch, no interior copy);
-* *flat scatter indices* for a single-call ``np.bincount`` col2im
-  (selectable via :func:`set_scatter_mode`; kept because it is the fully
-  vectorized formulation, but the precomputed slice table measures 2-4x
-  faster under numpy's strided adds, so it is the default).
+bounded LRU keyed on ``(n, c, h, w, kh, kw, stride, pad)``: the im2col
+window geometry (strided-view shape plus column-buffer shape) and a
+*clipped slice table* for the col2im scatter-add, precomputed so the
+scatter writes straight into the **unpadded** gradient canvas (no padded
+scratch, no interior copy).
 
 The column buffer is always C-contiguous ``(n, c*kh*kw, oh*ow)``, and the
 conv contractions in :mod:`repro.nn.functional` are plain ``np.matmul``
 calls on it, so every activation and gradient stays C-contiguous NCHW.
 
-The module also owns the **fast/reference switch**: the seed (pre-plan)
-implementations of ``_im2col``/``_col2im`` are preserved verbatim as
-:func:`im2col_reference`/:func:`col2im_reference`, and
-:func:`reference_mode` routes :mod:`repro.nn.functional` through the seed
-code paths — both for the kernel-equivalence tests and for measuring
-speedups against the seed in ``benchmarks/micro``.
+The seed (pre-plan) ``_im2col``/``_col2im`` are preserved verbatim as
+:func:`im2col_reference`/:func:`col2im_reference`: the test oracle for
+the kernels and the baseline of the micro-benchmarks, which call them
+directly.  No production op dispatches to them.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import threading
 from collections import OrderedDict
 
@@ -46,67 +37,7 @@ __all__ = [
     "col2im",
     "im2col_reference",
     "col2im_reference",
-    "fast_kernels_enabled",
-    "set_fast_kernels",
-    "reference_mode",
-    "scatter_mode",
-    "set_scatter_mode",
 ]
-
-
-# ----------------------------------------------------------------------
-# Fast/reference switch
-# ----------------------------------------------------------------------
-_FAST = os.environ.get("REPRO_FAST_KERNELS", "1").strip().lower() not in (
-    "0", "false", "no", "off")
-
-
-def fast_kernels_enabled() -> bool:
-    """Whether ops dispatch to the plan-cached fast kernels."""
-    return _FAST
-
-
-def set_fast_kernels(enabled: bool) -> None:
-    global _FAST
-    _FAST = bool(enabled)
-
-
-@contextlib.contextmanager
-def reference_mode():
-    """Route nn ops through the seed (pre-optimization) implementations."""
-    global _FAST
-    previous = _FAST
-    _FAST = False
-    try:
-        yield
-    finally:
-        _FAST = previous
-
-
-# ----------------------------------------------------------------------
-# col2im scatter strategy
-# ----------------------------------------------------------------------
-_SCATTER_MODE = os.environ.get("REPRO_SCATTER_MODE", "slices")
-_VALID_SCATTER = ("slices", "bincount")
-
-
-def scatter_mode() -> str:
-    return _SCATTER_MODE
-
-
-def set_scatter_mode(mode: str) -> None:
-    """Select the col2im scatter strategy.
-
-    ``"slices"`` (default) applies the plan's precomputed clipped slice
-    table — a short loop of large SIMD adds.  ``"bincount"`` performs one
-    vectorized ``np.bincount`` over the plan's precomputed flat indices;
-    fully loop-free but measured 2-4x slower on CIFAR-scale shapes, so it
-    is kept selectable rather than default.
-    """
-    global _SCATTER_MODE
-    if mode not in _VALID_SCATTER:
-        raise ValueError(f"scatter mode must be one of {_VALID_SCATTER}, got {mode!r}")
-    _SCATTER_MODE = mode
 
 
 # ----------------------------------------------------------------------
@@ -117,8 +48,7 @@ class ConvPlan:
 
     __slots__ = (
         "n", "c", "h", "w", "kh", "kw", "stride", "pad",
-        "hp", "wp", "oh", "ow", "cols_shape6", "cols_shape",
-        "slices", "_scatter_index",
+        "hp", "wp", "oh", "ow", "cols_shape6", "cols_shape", "slices",
     )
 
     def __init__(self, n: int, c: int, h: int, w: int, kh: int, kw: int,
@@ -134,9 +64,8 @@ class ConvPlan:
         self.cols_shape6 = (n, c, kh, kw, self.oh, self.ow)
         self.cols_shape = (n, c * kh * kw, self.oh * self.ow)
         self.slices = self._build_slices()
-        self._scatter_index: np.ndarray | None = None
 
-    # -- scatter tables ----------------------------------------------------
+    # -- scatter table -----------------------------------------------------
     def _build_slices(self):
         """Clipped slice table: (i, j) -> destination/source slices.
 
@@ -166,40 +95,11 @@ class ConvPlan:
                 out.append((i, j, dst_h, dst_w, src_a, src_b))
         return tuple(out)
 
-    @property
-    def scatter_index(self) -> np.ndarray:
-        """Flat scatter targets (into the padded canvas) per dcols element.
-
-        Built lazily — only the ``"bincount"`` scatter mode needs it.  Index
-        order matches ``dcols.ravel()`` for a contiguous
-        ``(n, c, kh, kw, oh, ow)`` gradient-column buffer.
-        """
-        if self._scatter_index is None:
-            s, wp = self.stride, self.wp
-            i = np.arange(self.kh)[:, None, None, None]
-            j = np.arange(self.kw)[None, :, None, None]
-            a = np.arange(self.oh)[None, None, :, None]
-            b = np.arange(self.ow)[None, None, None, :]
-            base = ((i + a * s) * wp + (j + b * s)).ravel()
-            plane = self.hp * self.wp
-            total = self.n * self.c * plane
-            dtype = np.int32 if total < 2 ** 31 else np.int64
-            offsets = (np.arange(self.n * self.c, dtype=dtype) * plane)
-            self._scatter_index = (offsets[:, None]
-                                   + base[None, :].astype(dtype)).ravel()
-        return self._scatter_index
-
     def approx_nbytes(self) -> int:
-        """Approximate resident bytes of this plan.
-
-        The lazily built scatter index dominates; the slice table is covered
-        by a flat per-entry overhead estimate (the ledger's 10% audit
-        tolerance absorbs the slack).
-        """
-        total = 512 + 96 * len(self.slices)
-        if self._scatter_index is not None:
-            total += self._scatter_index.nbytes
-        return total
+        """Approximate resident bytes of this plan: a flat per-entry
+        overhead estimate for the slice table (the ledger's 10% audit
+        tolerance absorbs the slack)."""
+        return 512 + 96 * len(self.slices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ConvPlan(n={self.n}, c={self.c}, hw=({self.h},{self.w}), "
@@ -208,7 +108,7 @@ class ConvPlan:
 
 _PLAN_LOCK = threading.Lock()
 _PLAN_CACHE: OrderedDict[tuple, ConvPlan] = OrderedDict()
-_PLAN_CACHE_LIMIT = max(1, int(os.environ.get("REPRO_PLAN_CACHE", "32")))
+_PLAN_CACHE_LIMIT = 32
 _PLAN_HITS = 0
 _PLAN_MISSES = 0
 _PLAN_EVICTIONS = 0
@@ -279,7 +179,7 @@ _default_ledger.register_provider("cache.conv_plans", plan_cache_nbytes)
 
 
 # ----------------------------------------------------------------------
-# Fast im2col / col2im
+# im2col / col2im
 # ----------------------------------------------------------------------
 def im2col(x: np.ndarray, plan: ConvPlan) -> np.ndarray:
     """Expand NCHW ``x`` into a fresh C-contiguous (n, c, kh, kw, oh, ow)
@@ -307,8 +207,6 @@ def col2im(dcols: np.ndarray, plan: ConvPlan) -> np.ndarray:
 
     Returns a freshly allocated array the caller may take ownership of.
     """
-    if _SCATTER_MODE == "bincount":
-        return _col2im_bincount(dcols, plan)
     d6 = dcols.reshape(plan.cols_shape6)
     dx = np.zeros((plan.n, plan.c, plan.h, plan.w), dtype=np.float32)
     for i, j, dst_h, dst_w, src_a, src_b in plan.slices:
@@ -316,21 +214,9 @@ def col2im(dcols: np.ndarray, plan: ConvPlan) -> np.ndarray:
     return dx
 
 
-def _col2im_bincount(dcols: np.ndarray, plan: ConvPlan) -> np.ndarray:
-    """Single-call vectorized scatter over the plan's flat indices."""
-    d6 = np.ascontiguousarray(dcols.reshape(plan.cols_shape6))
-    flat = np.bincount(plan.scatter_index, weights=d6.ravel(),
-                       minlength=plan.n * plan.c * plan.hp * plan.wp)
-    dx = flat.reshape(plan.n, plan.c, plan.hp, plan.wp)
-    p = plan.pad
-    if p:
-        dx = dx[:, :, p:-p, p:-p]
-    return np.ascontiguousarray(dx, dtype=np.float32)
-
-
 # ----------------------------------------------------------------------
-# Seed reference implementations (kept for equivalence tests and
-# reference-mode benchmarking; do not optimize these)
+# Seed reference implementations (the test and benchmark oracle; do not
+# optimize these)
 # ----------------------------------------------------------------------
 def im2col_reference(x: np.ndarray, kh: int, kw: int, stride: int,
                      pad: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Layer/module abstractions over the functional ops.
 
 Mirrors the small subset of ``torch.nn`` that the paper's experiments need:
-``Linear``, ``Conv2d``, the normalization layers, activations, pooling, and
+``Linear``, ``Conv2d``, ``InstanceNorm2d``, activations, average pooling, and
 ``Sequential`` containers, all hanging off a minimal :class:`Module` base
 with parameter traversal and state-dict (de)serialization.
 """
@@ -24,14 +24,11 @@ __all__ = [
     "Linear",
     "Conv2d",
     "InstanceNorm2d",
-    "GroupNorm2d",
-    "BatchNorm2d",
     "ReLU",
     "LeakyReLU",
     "Tanh",
     "Sigmoid",
     "AvgPool2d",
-    "MaxPool2d",
     "Flatten",
     "Identity",
 ]
@@ -39,11 +36,6 @@ __all__ = [
 
 class Module:
     """Base class providing parameter traversal and serialization."""
-
-    #: Whether one sample's output depends on the other samples of its
-    #: batch (batch statistics).  A model containing such a layer is never
-    #: split into micro-batches (:func:`repro.utils.batching.micro_batches`).
-    mixes_samples = False
 
     #: Whether ``forward`` takes parameters stacked along a leading lane
     #: axis, lane ``t`` of each parameter transforming batch rows
@@ -241,37 +233,6 @@ class InstanceNorm2d(Module):
         return F.instance_norm2d(x, self.gamma, self.beta, eps=self.eps)
 
 
-class GroupNorm2d(Module):
-    """Affine group normalization."""
-
-    def __init__(self, num_groups: int, num_channels: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_groups = num_groups
-        self.num_channels = num_channels
-        self.eps = eps
-        self.gamma = Tensor(np.ones(num_channels, dtype=np.float32), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_channels, dtype=np.float32), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.group_norm2d(x, self.num_groups, self.gamma, self.beta, eps=self.eps)
-
-
-class BatchNorm2d(Module):
-    """Training-mode batch normalization (no running statistics)."""
-
-    mixes_samples = True
-
-    def __init__(self, num_channels: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_channels = num_channels
-        self.eps = eps
-        self.gamma = Tensor(np.ones(num_channels, dtype=np.float32), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_channels, dtype=np.float32), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.batch_norm2d(x, self.gamma, self.beta, eps=self.eps)
-
-
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
@@ -303,15 +264,6 @@ class AvgPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.avg_pool2d(x, self.kernel_size)
-
-
-class MaxPool2d(Module):
-    def __init__(self, kernel_size: int = 2) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size)
 
 
 class Flatten(Module):

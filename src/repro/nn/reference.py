@@ -1,16 +1,12 @@
-"""Seed (pre-optimization) implementations of the structured nn ops.
+"""Seed (pre-optimization) implementations of the structured nn ops: the
+test oracle.
 
 These are the verbatim op bodies the repository shipped with before the
-kernel-level overhaul (plan cache, copy elimination).  They
-serve two purposes:
-
-* **Equivalence testing** — ``tests/nn/test_kernels.py`` asserts the fast
-  kernels in :mod:`repro.nn.functional` match these numerics (forward and
-  backward) to 1e-5 across a grid of shapes/strides/paddings.
-* **Regression benchmarking** — ``benchmarks/micro`` measures the fast
-  kernels against this baseline under
-  :func:`repro.nn.kernels.reference_mode`, which makes
-  :mod:`repro.nn.functional` dispatch here.
+kernel-level overhaul (plan cache, copy elimination).  No production code
+calls them.  ``tests/nn/test_kernels.py`` and ``tests/nn/test_conv_block.py``
+assert that the ops of :mod:`repro.nn.functional` match them (forward and
+backward) to 1e-5 across a grid of shapes, strides and paddings, and
+``benchmarks/micro`` times the fast ops against them.
 
 Do not optimize this module; it is the frozen baseline.
 """
@@ -25,10 +21,7 @@ from .tensor import Tensor
 __all__ = [
     "conv2d",
     "avg_pool2d",
-    "max_pool2d",
     "instance_norm2d",
-    "group_norm2d",
-    "batch_norm2d",
     "softmax",
     "log_softmax",
 ]
@@ -84,25 +77,6 @@ def avg_pool2d(x: Tensor, kernel_size: int = 2) -> Tensor:
     return Tensor._make(out.astype(np.float32), (x,), "avg_pool2d", backward)
 
 
-def max_pool2d(x: Tensor, kernel_size: int = 2) -> Tensor:
-    """Seed max pooling: retains full boolean mask + counts on the graph."""
-    k = int(kernel_size)
-    n, c, h, w = x.shape
-    if h % k or w % k:
-        raise ValueError(f"max_pool2d: spatial dims ({h},{w}) not divisible by {k}")
-    oh, ow = h // k, w // k
-    windows = x.data.reshape(n, c, oh, k, ow, k)
-    out = windows.max(axis=(3, 5))
-    mask = windows == out[:, :, :, None, :, None]
-    counts = mask.sum(axis=(3, 5), keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        grad = (mask / counts) * g[:, :, :, None, :, None]
-        x._accumulate(grad.reshape(x.shape).astype(np.float32))
-
-    return Tensor._make(out.astype(np.float32), (x,), "max_pool2d", backward)
-
-
 def _norm_backward(g, xhat, inv_std, axes):
     """Seed normalization backward for y = xhat over ``axes``."""
     m = 1
@@ -144,78 +118,6 @@ def instance_norm2d(x: Tensor, gamma: Tensor | None = None,
             x._accumulate(_norm_backward(gy, xhat, inv_std, axes).astype(np.float32))
 
     return Tensor._make(out.astype(np.float32), parents, "instance_norm2d", backward)
-
-
-def group_norm2d(x: Tensor, num_groups: int, gamma: Tensor | None = None,
-                 beta: Tensor | None = None, eps: float = 1e-5) -> Tensor:
-    """Seed group normalization."""
-    n, c, h, w = x.shape
-    if c % num_groups:
-        raise ValueError(f"group_norm2d: {c} channels not divisible by {num_groups} groups")
-    xg = x.data.reshape(n, num_groups, c // num_groups, h, w)
-    axes = (2, 3, 4)
-    mean = xg.mean(axis=axes, keepdims=True)
-    var = xg.var(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = ((xg - mean) * inv_std).reshape(n, c, h, w)
-    out = xhat
-    if gamma is not None:
-        out = out * gamma.data.reshape(1, c, 1, 1)
-    if beta is not None:
-        out = out + beta.data.reshape(1, c, 1, 1)
-
-    parents = [x]
-    if gamma is not None:
-        parents.append(gamma)
-    if beta is not None:
-        parents.append(beta)
-
-    def backward(g: np.ndarray) -> None:
-        if beta is not None and beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2, 3)))
-        if gamma is not None and gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            gy = g * gamma.data.reshape(1, c, 1, 1) if gamma is not None else g
-            gyg = gy.reshape(n, num_groups, c // num_groups, h, w)
-            xhatg = xhat.reshape(n, num_groups, c // num_groups, h, w)
-            dx = _norm_backward(gyg, xhatg, inv_std, axes)
-            x._accumulate(dx.reshape(x.shape).astype(np.float32))
-
-    return Tensor._make(out.astype(np.float32), parents, "group_norm2d", backward)
-
-
-def batch_norm2d(x: Tensor, gamma: Tensor | None = None,
-                 beta: Tensor | None = None, eps: float = 1e-5) -> Tensor:
-    """Seed training-mode batch normalization."""
-    axes = (0, 2, 3)
-    mean = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    c = x.shape[1]
-    out = xhat
-    if gamma is not None:
-        out = out * gamma.data.reshape(1, c, 1, 1)
-    if beta is not None:
-        out = out + beta.data.reshape(1, c, 1, 1)
-
-    parents = [x]
-    if gamma is not None:
-        parents.append(gamma)
-    if beta is not None:
-        parents.append(beta)
-
-    def backward(g: np.ndarray) -> None:
-        if beta is not None and beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2, 3)))
-        if gamma is not None and gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            gy = g * gamma.data.reshape(1, c, 1, 1) if gamma is not None else g
-            x._accumulate(_norm_backward(gy, xhat, inv_std, axes).astype(np.float32))
-
-    return Tensor._make(out.astype(np.float32), parents, "batch_norm2d", backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -21,8 +21,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import kernels
-
 __all__ = [
     "Tensor",
     "tensor",
@@ -161,8 +159,7 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            if (own and grad.dtype == np.float32 and grad.flags.writeable
-                    and kernels.fast_kernels_enabled()):
+            if own and grad.dtype == np.float32 and grad.flags.writeable:
                 self.grad = grad
             else:
                 self.grad = np.array(grad, dtype=np.float32, copy=True)
@@ -246,10 +243,9 @@ class Tensor:
         data = self.data * other.data
 
         def backward(g: np.ndarray) -> None:
-            fast = kernels.fast_kernels_enabled()
-            if self.requires_grad or not fast:
+            if self.requires_grad:
                 self._accumulate(_unbroadcast(g * other.data, self.shape), own=True)
-            if other.requires_grad or not fast:
+            if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.shape), own=True)
 
         return Tensor._make(data, (self, other), "mul", backward)
@@ -261,10 +257,9 @@ class Tensor:
         data = self.data / other.data
 
         def backward(g: np.ndarray) -> None:
-            fast = kernels.fast_kernels_enabled()
-            if self.requires_grad or not fast:
+            if self.requires_grad:
                 self._accumulate(_unbroadcast(g / other.data, self.shape), own=True)
-            if other.requires_grad or not fast:
+            if other.requires_grad:
                 other._accumulate(
                     _unbroadcast(-g * self.data / (other.data ** 2), other.shape),
                     own=True)
@@ -329,17 +324,8 @@ class Tensor:
         return Tensor._make(data, (self,), "sigmoid", backward)
 
     def relu(self) -> "Tensor":
-        if not kernels.fast_kernels_enabled():
-            mask = self.data > 0
-            data = np.where(mask, self.data, 0.0).astype(np.float32)
-
-            def backward(g: np.ndarray) -> None:
-                self._accumulate(g * mask)
-
-            return Tensor._make(data, (self,), "relu", backward)
-
-        # np.maximum keeps float32 without the where+astype copy the seed
-        # made; the backward mask is derived lazily from the retained input.
+        # np.maximum keeps float32 without a where+astype copy; the
+        # backward mask is derived lazily from the retained input.
         source = self.data
         data = np.maximum(source, 0.0)
 
@@ -490,15 +476,14 @@ class Tensor:
         data = self.data @ other.data
 
         def backward(g: np.ndarray) -> None:
-            fast = kernels.fast_kernels_enabled()
-            if self.requires_grad or not fast:
+            if self.requires_grad:
                 if other.ndim == 1:
                     grad_self = np.outer(g, other.data) if self.ndim == 2 else g * other.data
                 else:
                     grad_self = g @ np.swapaxes(other.data, -1, -2)
                 self._accumulate(_unbroadcast(np.asarray(grad_self, dtype=np.float32),
                                               self.shape), own=True)
-            if other.requires_grad or not fast:
+            if other.requires_grad:
                 if self.ndim == 1:
                     grad_other = np.outer(self.data, g) if other.ndim == 2 else g * self.data
                 else:

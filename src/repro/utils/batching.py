@@ -33,7 +33,7 @@ def iterate_minibatches(num_items: int, batch_size: int, *,
         yield batch
 
 
-def micro_batches(x: np.ndarray, model, *, max_rows: int | None = None,
+def micro_batches(x: np.ndarray, *, max_rows: int | None = None,
                   lanes: int = 1) -> list[slice]:
     """Split the rows of ``x`` evenly into slices of at most
     :data:`MICRO_BATCH_BYTES` of float32 input each (at least one row).
@@ -41,19 +41,16 @@ def micro_batches(x: np.ndarray, model, *, max_rows: int | None = None,
     Every pass over an array of arbitrary length (a training minibatch, an
     evaluation set, a selection pool, a condensation batch) runs slice by
     slice, so its transient memory is bounded by the slice, not by the
-    array.  A ``model`` with a layer that mixes samples (batch statistics)
-    gets the whole array as one slice, since splitting would change its
-    result.  ``lanes`` is the number of copies of each row one pass stacks
-    (the lane-stacked ±ε evaluation runs two), so the cap covers the stacked
-    input.  ``max_rows`` caps the slice length either way.
+    array; every layer of the models that run this way is per-sample, so
+    the split leaves each row's result unchanged.  ``lanes`` is the number
+    of copies of each row one pass stacks (the lane-stacked ±ε evaluation
+    runs two), so the cap covers the stacked input.  ``max_rows`` caps the
+    slice length further.
     """
     n = len(x)
     if n == 0:
         return []
-    if any(m.mixes_samples for m in model.modules()):
-        per = n
-    else:
-        per = max(1, MICRO_BATCH_BYTES // (4 * lanes * (x.size // n) or 1))
+    per = max(1, MICRO_BATCH_BYTES // (4 * lanes * (x.size // n) or 1))
     if max_rows is not None:
         per = min(per, max_rows)
     parts = -(-n // per)

@@ -51,6 +51,19 @@ class TestFactorizedGeometry:
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
             FactorizedSyntheticBuffer(2, 1, SHAPE, factor=0)
+        # Not an integer: fails at construction, not deep inside numpy.
+        for factor in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="integer"):
+                FactorizedSyntheticBuffer(2, 1, SHAPE, factor=factor)
+        # Larger than the image's smaller side: every such factor would
+        # store the same 1-pixel payload.
+        for factor in (33, 64):
+            with pytest.raises(ValueError, match=r"\[1, 32\]"):
+                FactorizedSyntheticBuffer(2, 1, (3, 32, 48), factor=factor)
+        largest = FactorizedSyntheticBuffer(2, 1, (3, 32, 48), factor=32)
+        assert largest.storage_shape == (3, 1, 2)
+        assert FactorizedSyntheticBuffer(
+            2, 1, SHAPE, factor=np.int64(2)).decode_factor == 2
 
     def test_payload_is_exactly_inverse_square_of_factor(self):
         # The acceptance ratio: ceil(H/f)*ceil(W/f)/(H*W) of the f=1

@@ -26,8 +26,6 @@ from repro.condensation.matching import input_gradient, parameter_gradients
 from repro.condensation.one_step import OneStepMatcher
 from repro.core.training import train_model
 from repro.nn.convnet import ConvNet
-from repro.nn.layers import (AvgPool2d, BatchNorm2d, Conv2d, Flatten, Module,
-                             ReLU, Sequential)
 from repro.nn.losses import cross_entropy, feature_discrimination_loss
 from repro.nn.tensor import Tensor
 from repro.utils import batching
@@ -90,9 +88,8 @@ class TestSlicedEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_sliced_condense_matches_one_slice(self, monkeypatch, seed):
         buf, real_x, real_y, real_w = _segment(seed=seed)
-        model = _net(buf.image_shape, 10, np.random.default_rng(0))
-        assert len(batching.micro_batches(real_x, model)) > 1
-        assert len(batching.micro_batches(buf.images, model, lanes=2)) > 1
+        assert len(batching.micro_batches(real_x)) > 1
+        assert len(batching.micro_batches(buf.images, lanes=2)) > 1
         before = buf.images.copy()
         sliced, sliced_stats = _condense(buf, real_x, real_y, real_w)
 
@@ -110,7 +107,7 @@ class TestSlicedEquivalence:
     def test_one_slice_passes_are_the_whole_batch_bytes(self):
         buf, real_x, real_y, real_w = _segment(shape=(3, 8, 8), real=12)
         model = _net(buf.image_shape, 10, np.random.default_rng(0))
-        assert len(batching.micro_batches(real_x, model)) == 1
+        assert len(batching.micro_batches(real_x)) == 1
 
         grads, _ = parameter_gradients(model, real_x, real_y, real_w)
         model.zero_grad()
@@ -131,7 +128,7 @@ class TestSlicedEquivalence:
         y = rng.integers(0, 4, 23)
         w = rng.uniform(0.3, 1.0, 23).astype(np.float32)
         model = _net(x.shape[1:], 4, np.random.default_rng(0))
-        assert len(batching.micro_batches(x, model)) > 1
+        assert len(batching.micro_batches(x)) > 1
 
         grads, loss = parameter_gradients(model, x, y, w)
         x_grad = input_gradient(model, x, y, w)
@@ -146,27 +143,12 @@ class TestSlicedEquivalence:
         model.zero_grad()
 
 
-class _BatchStatsEncoder(Module):
-    """A deployed model whose features mix the rows of a batch."""
-
-    def __init__(self, rng):
-        super().__init__()
-        self.encoder = Sequential(Conv2d(3, 4, 3, padding=1, rng=rng),
-                                  BatchNorm2d(4), ReLU(), AvgPool2d(4),
-                                  Flatten())
-
-    def features(self, x):
-        return self.encoder(x)
-
-    def forward(self, x):
-        return self.features(x)
-
-
 class TestDiscriminationPass:
-    @pytest.mark.parametrize("deployed", ["convnet", "batch_stats"])
-    @pytest.mark.parametrize("active", [[0], [0, 1]])
-    def test_sliced_step_follows_the_one_graph_gradient(self, deployed,
-                                                         active):
+    # The ids date from when a batch-statistics encoder was a second
+    # deployed model.
+    @pytest.mark.parametrize("active", [[0], [0, 1]],
+                             ids=["active0-convnet", "active1-convnet"])
+    def test_sliced_step_follows_the_one_graph_gradient(self, active):
         # Two classes, so each active row's negative class is the other
         # one and the Eq. 8 terms are fixed.  Its first SGD step moves the
         # active rows by lr * alpha * grad on top of the matching step.
@@ -175,9 +157,7 @@ class TestDiscriminationPass:
         alpha, lr = 0.5, 0.1
 
         def make_deployed():
-            rng = np.random.default_rng(5)
-            return (_net(shape, 2, rng) if deployed == "convnet"
-                    else _BatchStatsEncoder(rng))
+            return _net(shape, 2, np.random.default_rng(5))
 
         def step(alpha):
             buf, real_x, real_y, real_w = _segment(**segment)
@@ -191,8 +171,8 @@ class TestDiscriminationPass:
 
         buf = _segment(**segment)[0]
         rows = buf.indices_for_classes(active)
-        if deployed == "convnet":  # the feature pass runs in slices
-            assert len(batching.micro_batches(buf.images, make_deployed())) > 1
+        # the feature pass runs in slices
+        assert len(batching.micro_batches(buf.images)) > 1
         x = Tensor(buf.images, requires_grad=True)
         feature_discrimination_loss(
             make_deployed().features(x), buf.labels, rows,
@@ -223,8 +203,7 @@ class TestDegenerateInputs:
         # (and the fused pass at two lanes per row) runs row by row.
         segment = dict(classes=3, ipc=2, shape=(1, 128, 128), real=4)
         buf, real_x, real_y, real_w = _segment(**segment)
-        model = _net(buf.image_shape, 3, np.random.default_rng(0), width=4)
-        assert batching.micro_batches(buf.images, model, lanes=2) == [
+        assert batching.micro_batches(buf.images, lanes=2) == [
             slice(i, i + 1) for i in range(len(buf.images))]
         sliced, stats = _condense(buf, real_x, real_y, real_w, width=4)
         assert stats.extra["fused"] == 1

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.condensation import matching
-from repro.nn import kernels
 from repro.nn.convnet import ConvNet
 from repro.nn.mlp import MLP
 from repro.utils.batching import micro_batches
@@ -42,7 +41,7 @@ def _assert_stacked_matches_serial(model, x, y, direction):
     originals = [p.data for p in params]
     eps = 0.01 / float(np.sqrt(sum(float((d ** 2).sum())
                                    for d in direction)))
-    parts = micro_batches(x, model, lanes=2)
+    parts = micro_batches(x, lanes=2)
     stacked = matching._stacked_fd_passes(model, params, x, y, direction,
                                           eps, parts)
     serial = matching._serial_fd_passes(model, params, x, y, direction, eps,
@@ -91,13 +90,6 @@ def test_augmented_or_disabled_paths_stay_sequential():
         model, x, y, direction, augmentation=augmentation, stats_out=stats)
     assert stats == {"passes": 2, "fused": False}
 
-    # The seed kernels take no lane axis.
-    stats = {}
-    with kernels.reference_mode():
-        matching.finite_difference_matching_grad(model, x, y, direction,
-                                                 stats_out=stats)
-    assert stats == {"passes": 2, "fused": False}
-
 
 def test_zero_direction_short_circuits():
     model, x, y, direction = _fd_case((1, 8, 8), 3, 4, 2, 6)
@@ -111,22 +103,17 @@ def test_zero_direction_short_circuits():
 
 def test_non_convnet_model_falls_back():
     # The ResNet's standalone Conv2d/InstanceNorm2d layers take no lanes,
-    # and batch statistics tie every row to its slice: both models run
-    # their ±ε passes one by one.
-    from repro.nn.layers import BatchNorm2d, Flatten, Linear, Sequential
+    # so it runs its ±ε passes one by one.
     from repro.nn.resnet import ResNet
 
-    rng = np.random.default_rng(2)
-    batch_norm = Sequential(BatchNorm2d(1), Flatten(), Linear(64, 3, rng=rng))
-    assert any(m.mixes_samples for m in batch_norm.modules())
-    for model in (ResNet(1, 3, 8, width=4, depth=1, rng=rng), batch_norm):
-        assert not model.runs_lanes()
-        model, x, y, direction = _fd_case((1, 8, 8), 3, 0, 0, 6, model=model)
-        stats: dict = {}
-        grad = matching.finite_difference_matching_grad(
-            model, x, y, direction, stats_out=stats)
-        assert stats == {"passes": 2, "fused": False}
-        assert np.isfinite(grad).all() and grad.any()
+    model = ResNet(1, 3, 8, width=4, depth=1, rng=np.random.default_rng(2))
+    assert not model.runs_lanes()
+    model, x, y, direction = _fd_case((1, 8, 8), 3, 0, 0, 6, model=model)
+    stats: dict = {}
+    grad = matching.finite_difference_matching_grad(
+        model, x, y, direction, stats_out=stats)
+    assert stats == {"passes": 2, "fused": False}
+    assert np.isfinite(grad).all() and grad.any()
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +169,6 @@ def _fd_sweep_worker(config, context, arrays):
     """Sweep task: one stacked FD evaluation, counted via obs."""
     from repro import obs as _obs  # picklable module-level worker
 
-    kernels.set_fast_kernels(True)
     model, x, y, direction = _fd_case((1, 8, 8), 3, 4, 2, 6,
                                       seed=config["seed"])
     stats: dict = {}

@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.training import evaluate_accuracy, predict_logits, train_model
 from repro.nn.convnet import ConvNet
-from repro.nn.layers import (BatchNorm2d, Conv2d, Flatten, Linear, ReLU,
-                             Sequential)
+from repro.nn.layers import Conv2d
 from repro.nn.losses import cross_entropy
 from repro.nn.mlp import MLP
 from repro.nn.optim import SGD
@@ -186,19 +185,3 @@ class TestMicroBatchEquivalence:
             tol = (dict(rtol=0, atol=1e-6) if id(q) in biases
                    else dict(rtol=1e-5, atol=1e-6))
             np.testing.assert_allclose(p.data, q.data, **tol)
-
-    def test_batch_statistics_model_runs_as_one_batch(self, rng):
-        def model():
-            r = np.random.default_rng(6)
-            return Sequential(Conv2d(3, 4, 3, padding=1, rng=r),
-                              BatchNorm2d(4), ReLU(), Flatten(),
-                              Linear(4 * 16 * 16, 10, rng=r))
-
-        x, y = _images(rng, 81)
-        ours, ref = model(), model()
-        train_model(ours, x, y, epochs=2, lr=1e-2,
-                    rng=np.random.default_rng(4))
-        _reference_train(ref, x, y, None, epochs=2, lr=1e-2,
-                         rng=np.random.default_rng(4))
-        for p, q in zip(ours.parameters(), ref.parameters()):
-            np.testing.assert_array_equal(p.data, q.data)

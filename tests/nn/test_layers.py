@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import (AvgPool2d, BatchNorm2d, Conv2d, Flatten,
-                             GroupNorm2d, Identity, InstanceNorm2d, LeakyReLU,
-                             Linear, MaxPool2d, Module, ReLU, Sequential,
-                             Sigmoid, Tanh)
+from repro.nn.layers import (AvgPool2d, Conv2d, Flatten, Identity,
+                             InstanceNorm2d, LeakyReLU, Linear, Module, ReLU,
+                             Sequential, Sigmoid, Tanh)
 from repro.nn.tensor import Tensor
 
 
@@ -132,15 +131,6 @@ class TestIndividualLayers:
         layer = InstanceNorm2d(3, affine=False)
         assert layer.parameters() == []
 
-    def test_group_norm_params(self):
-        layer = GroupNorm2d(2, 4)
-        assert len(layer.parameters()) == 2
-
-    def test_batch_norm_forward(self, rng):
-        layer = BatchNorm2d(2)
-        out = layer(Tensor(rng.standard_normal((4, 2, 3, 3)).astype(np.float32)))
-        assert out.shape == (4, 2, 3, 3)
-
     @pytest.mark.parametrize("activation,low,high", [
         (ReLU(), 0.0, np.inf),
         (Sigmoid(), 0.0, 1.0),
@@ -159,7 +149,6 @@ class TestIndividualLayers:
     def test_pools(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 4, 4)).astype(np.float32))
         assert AvgPool2d(2)(x).shape == (1, 1, 2, 2)
-        assert MaxPool2d(2)(x).shape == (1, 1, 2, 2)
 
     def test_flatten_layer(self):
         x = Tensor(np.zeros((2, 3, 4), dtype=np.float32))

@@ -74,14 +74,6 @@ def test_avg_pool_preserves_mean(a):
 
 
 @settings(**SETTINGS)
-@given(small_arrays((2, 3, 4, 4)))
-def test_max_pool_bounded_by_input(a):
-    pooled = F.max_pool2d(Tensor(a), 2).data
-    assert pooled.max() <= a.max() + 1e-6
-    assert pooled.min() >= a.min() - 1e-6
-
-
-@settings(**SETTINGS)
 @given(small_arrays((3, 5)))
 def test_l2_normalize_is_idempotent(a):
     once = F.l2_normalize(Tensor(a + 0.1), axis=1).data

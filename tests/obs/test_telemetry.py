@@ -9,7 +9,6 @@ import pytest
 
 from repro import obs
 from repro.nn import functional as F
-from repro.nn import kernels
 from repro.nn.tensor import Tensor
 from repro.obs import JsonlSink, ListSink, Telemetry
 from repro.obs.telemetry import _NOOP_SPAN
@@ -160,7 +159,6 @@ class TestRuntimeCounters:
     def test_collect_pulls_kernel_and_arena_stats(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
         w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
-        kernels.set_fast_kernels(True)
         F.conv2d(x, w, stride=1, padding=1)
 
         sink = ListSink()

@@ -1,10 +1,9 @@
 """Bit-identity guarantees: thread counts and parallel runs never change results.
 
 * BLAS threads — the conv contraction is a plain ``np.matmul``, so the
-  only intra-op threads are the BLAS library's.  conv2d forward/backward,
-  max-pool forward/backward and log-softmax produce bit-identical tensors
-  and gradients with 1 vs 4 BLAS threads (in both col2im scatter modes),
-  and so does a seeded end-to-end ``DECOLearner`` run (via
+  only intra-op threads are the BLAS library's.  conv2d forward/backward
+  and log-softmax produce bit-identical tensors and gradients with 1 vs 4
+  BLAS threads, and so does a seeded end-to-end ``DECOLearner`` run (via
   ``run_method``); no op starts a thread of its own.
 * Process sweep — a grid fanned out to worker processes returns results
   bit-identical to the serial loop, in the same order.
@@ -19,7 +18,6 @@ import numpy as np
 
 from repro.experiments import prepare_experiment, run_method, run_method_grid
 from repro.nn import functional as F
-from repro.nn import kernels
 from repro.nn.tensor import Tensor
 
 
@@ -63,25 +61,6 @@ def test_small_batches_never_dispatch_to_the_pool(monkeypatch):
     assert started == []
 
 
-def test_max_pool_bit_identical_across_thread_counts(blas_threads):
-    rng = np.random.default_rng(4)
-    data = rng.standard_normal((64, 8, 16, 16)).astype(np.float32)
-    g = rng.standard_normal((64, 8, 8, 8)).astype(np.float32)
-
-    def run():
-        x = Tensor(data.copy(), requires_grad=True)
-        out = F.max_pool2d(x, 2)
-        (out * Tensor(g)).sum().backward()
-        return out.data.copy(), x.grad.copy()
-
-    blas_threads(1)
-    s_out, s_grad = run()
-    blas_threads(4)
-    p_out, p_grad = run()
-    np.testing.assert_array_equal(s_out, p_out)
-    np.testing.assert_array_equal(s_grad, p_grad)
-
-
 def test_log_softmax_bit_identical_across_thread_counts(blas_threads):
     rng = np.random.default_rng(5)
     data = rng.standard_normal((256, 256)).astype(np.float32)
@@ -98,21 +77,6 @@ def test_log_softmax_bit_identical_across_thread_counts(blas_threads):
     p_out, p_grad = run()
     np.testing.assert_array_equal(s_out, p_out)
     np.testing.assert_array_equal(s_grad, p_grad)
-
-
-def test_bincount_scatter_mode_falls_back_to_serial_backward(blas_threads):
-    # The bincount col2im is one serial ``np.bincount`` call: its backward
-    # must not depend on how many threads the BLAS contraction used.
-    kernels.set_scatter_mode("bincount")
-    try:
-        blas_threads(1)
-        serial = _conv_case(64)
-        blas_threads(4)
-        threaded = _conv_case(64)
-    finally:
-        kernels.set_scatter_mode("slices")
-    for s, p in zip(serial, threaded):
-        np.testing.assert_array_equal(s, p)
 
 
 # ----------------------------------------------------------------------

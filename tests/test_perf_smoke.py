@@ -22,7 +22,7 @@ from repro import obs
 from repro.buffer.buffer import SyntheticBuffer
 from repro.condensation.one_step import OneStepMatcher
 from repro.nn import functional as F
-from repro.nn import kernels
+from repro.nn import reference
 from repro.nn.convnet import ConvNet
 from repro.nn.tensor import Tensor
 from repro.obs import ListSink
@@ -68,16 +68,10 @@ def test_fast_conv_not_slower_than_seed():
     x = rng.standard_normal((32, 8, 16, 16)).astype(np.float32)
     w = rng.standard_normal((8, 8, 3, 3)).astype(np.float32)
 
-    def fwd():
-        F.conv2d(Tensor(x), Tensor(w), stride=1, padding=1)
-
-    kernels.set_fast_kernels(True)
-    try:
-        fast = _best_of(fwd)
-        with kernels.reference_mode():
-            seed = _best_of(fwd)
-    finally:
-        kernels.set_fast_kernels(True)
+    fast = _best_of(lambda: F.conv2d(Tensor(x), Tensor(w), stride=1,
+                                     padding=1))
+    seed = _best_of(lambda: reference.conv2d(Tensor(x), Tensor(w), stride=1,
+                                             padding=1))
     # The fast path wins ~3x here; allow wide headroom for noisy machines.
     assert fast <= seed * 1.5, (
         f"fast conv2d regressed: {fast * 1e3:.2f}ms vs seed {seed * 1e3:.2f}ms")

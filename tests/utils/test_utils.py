@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.nn.convnet import ConvNet
 from repro.utils.batching import (MICRO_BATCH_BYTES, iterate_minibatches,
                                   micro_batches)
 from repro.utils.metrics import (RunningMean, confusion_matrix, mean_and_std,
@@ -115,12 +114,11 @@ class TestBatching:
         (3, 16, [3]), (0, 16, [])])
     def test_micro_batches_split_evenly_under_the_byte_cap(self, n, hw, sizes):
         x = np.zeros((n, 3, hw, hw), dtype=np.float32)
-        model = ConvNet(3, 10, hw, width=4, depth=2)
-        parts = micro_batches(x, model)
+        parts = micro_batches(x)
         assert [p.stop - p.start for p in parts] == sizes
         assert all(x[p].nbytes <= MICRO_BATCH_BYTES for p in parts)
         assert [p.start for p in parts[1:]] == [p.stop for p in parts[:-1]]
-        capped = micro_batches(x, model, max_rows=2)
+        capped = micro_batches(x, max_rows=2)
         assert all(p.stop - p.start <= 2 for p in capped)
         assert sum(p.stop - p.start for p in capped) == n
 
@@ -128,8 +126,7 @@ class TestBatching:
         (100, 16, [10] * 10), (20, 32, [2] * 10), (1, 64, [1])])
     def test_lanes_share_the_byte_cap(self, n, hw, sizes):
         x = np.zeros((n, 3, hw, hw), dtype=np.float32)
-        model = ConvNet(3, 10, hw, width=4, depth=2)
-        parts = micro_batches(x, model, lanes=2)
+        parts = micro_batches(x, lanes=2)
         assert [p.stop - p.start for p in parts] == sizes
         assert all(2 * x[p].nbytes <= MICRO_BATCH_BYTES
                    for p in parts if p.stop - p.start > 1)
