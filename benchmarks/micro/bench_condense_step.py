@@ -3,9 +3,12 @@
 This is the acceptance benchmark for the kernel layer: the paper's
 condensation configuration (ConvNet depth 3, 32x32 inputs, real batch 128,
 10 classes at 10 images per class, feature-discrimination weight 0.1).
+Two fixed cases run it: every class active (``fast_s``), and a "stream
+segment" with 2 of the 10 classes active (``cases.stream_segment``), whose
+discrimination pass also encodes passive rows of the other classes.
 The best-of-N time is kept so scheduler noise cannot inflate it, and one
-more untimed segment records the traced peak memory.  Results are appended
-to ``bench_results/micro_kernels.json``.
+more untimed all-classes segment records the traced peak memory.  Results
+are appended to ``bench_results/micro_kernels.json``.
 
 Usage::
 
@@ -31,10 +34,14 @@ except ImportError:  # pragma: no cover - script mode
     from bench_kernels import RESULTS_PATH, merge_results
 
 CLASSES, IPC, HW, WIDTH, DEPTH, BATCH = 10, 10, 32, 16, 3, 128
+#: The classes a stream segment activates in the "stream segment" case.
+STREAM_CLASSES = (3, 7)
 
 
-def run_segment(iterations: int) -> float:
-    """One condense segment; returns its wall time in seconds."""
+def run_segment(iterations: int,
+                active: tuple[int, ...] = tuple(range(CLASSES))) -> float:
+    """One condense segment over the ``active`` classes; returns its wall
+    time in seconds."""
     rng = np.random.default_rng(0)
     buf = SyntheticBuffer(CLASSES, IPC, (3, HW, HW))
     buf.images[:] = rng.standard_normal(buf.images.shape).astype(np.float32)
@@ -46,7 +53,7 @@ def run_segment(iterations: int) -> float:
     deployed = ConvNet(3, CLASSES, HW, width=WIDTH, depth=DEPTH,
                        rng=np.random.default_rng(5))
     t0 = time.perf_counter()
-    matcher.condense(buf, list(range(CLASSES)), real_x, real_y, None,
+    matcher.condense(buf, list(active), real_x, real_y, None,
                      model_factory=factory, rng=np.random.default_rng(1),
                      deployed_model=deployed)
     return time.perf_counter() - t0
@@ -62,6 +69,9 @@ def main(argv=None) -> dict:
 
     run_segment(args.iterations)  # warm up (plan cache, page faults)
     fast_times = [run_segment(args.iterations) for _ in range(args.repeats)]
+    run_segment(args.iterations, STREAM_CLASSES)
+    stream_times = [run_segment(args.iterations, STREAM_CLASSES)
+                    for _ in range(args.repeats)]
 
     # Peak-memory pass: one untimed segment under tracemalloc.  The gauge
     # lands in the bench history, where `repro obs regress` judges it like
@@ -81,6 +91,9 @@ def main(argv=None) -> dict:
         "repeats": args.repeats,
         "fast_s": fast,
         "fast_all_s": fast_times,
+        "cases": {"stream_segment": {"active_classes": list(STREAM_CLASSES),
+                                     "fast_s": min(stream_times),
+                                     "fast_all_s": stream_times}},
         "peak_traced_bytes": int(peak_traced),
         "counters": collect_runtime_counters(emit=False),
     }
@@ -88,6 +101,8 @@ def main(argv=None) -> dict:
     print(f"condense segment (ConvNet depth {DEPTH}, {HW}x{HW}, "
           f"batch {BATCH}, {args.iterations} iters):")
     print(f"  segment time : {fast:.3f} s (best of {args.repeats})")
+    print(f"  stream segment ({len(STREAM_CLASSES)} of {CLASSES} classes): "
+          f"{min(stream_times):.3f} s")
     print(f"  peak traced  : {peak_traced / 2 ** 20:.1f} MiB")
     print(f"[saved to {RESULTS_PATH}]")
     return payload

@@ -5,7 +5,9 @@ log-softmax, one ConvNet block (``conv_block``: Conv -> Norm -> ReLU ->
 Pool) forward+backward and the raw im2col/col2im primitives, each next to
 its preserved seed implementation in :mod:`repro.nn.reference` (the block
 next to the seed ops composed in sequence), plus one full
-``parameter_gradients`` pass (fast only).  Appends the measured
+``parameter_gradients`` pass (fast only) and the closed-form gradient
+distance ``distance_and_grad`` (next to the autodiff graph of
+``gradient_distance``).  Appends the measured
 seconds-per-call and speedups to ``bench_results/micro_kernels.json``.
 
 Usage::
@@ -166,6 +168,31 @@ def bench_parameter_gradients(rng: np.random.Generator, repeats: int) -> dict:
                               repeats)}
 
 
+def bench_distance_and_grad(rng: np.random.Generator, repeats: int) -> dict:
+    """``D`` and ``grad_{g_syn} D`` for one ConvNet g_syn/g_real pair:
+    the closed form next to backpropagating the ``gradient_distance``
+    graph it reproduces."""
+    from repro.condensation.matching import (distance_and_grad_wrt_gsyn,
+                                             parameter_gradients)
+    from repro.nn.losses import gradient_distance
+    model = ConvNet(3, 10, HW, width=OC, depth=3,
+                    rng=np.random.default_rng(7))
+    g_syn, _ = parameter_gradients(
+        model, rng.standard_normal((20, 3, HW, HW)).astype(np.float32),
+        np.arange(20) % 10)
+    g_real, _ = parameter_gradients(
+        model, rng.standard_normal((N, 3, HW, HW)).astype(np.float32),
+        rng.integers(0, 10, N))
+
+    def graph():
+        wrapped = [Tensor(g, requires_grad=True) for g in g_syn]
+        gradient_distance(wrapped, g_real).backward()
+        return [t.grad for t in wrapped]
+
+    return timed_pair(lambda: distance_and_grad_wrt_gsyn(g_syn, g_real),
+                      graph, repeats)
+
+
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=5,
@@ -177,6 +204,7 @@ def main(argv=None) -> dict:
     for name, (fast_fn, seed_fn) in make_cases(rng).items():
         results[name] = timed_pair(fast_fn, seed_fn, args.repeats)
     results["parameter_gradients"] = bench_parameter_gradients(rng, args.repeats)
+    results["distance_and_grad"] = bench_distance_and_grad(rng, args.repeats)
 
     payload = {"shape": {"batch": N, "channels": C, "hw": HW, "out_channels": OC},
                "repeats": args.repeats, "cases": results,

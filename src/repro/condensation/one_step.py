@@ -97,9 +97,12 @@ class OneStepMatcher(CondensationMethod):
                 None if real_w is None else real_w[idx])
 
     def _discrimination_grad(self, buffer: SyntheticBuffer,
-                             active_rows: np.ndarray, deployed_model: Module,
-                             rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """Gradient of Eq. (8) w.r.t. the active buffer pixels.
+                             active_rows: np.ndarray, syn_x: np.ndarray,
+                             deployed_model: Module,
+                             rng: np.random.Generator,
+                             passive_features: dict[int, np.ndarray]
+                             ) -> tuple[np.ndarray, float]:
+        """Gradient of Eq. (8) w.r.t. the active buffer pixels ``syn_x``.
 
         Only the involved classes — the active samples' own classes plus the
         pre-sampled negative class of each — are encoded, keeping the cost
@@ -107,12 +110,18 @@ class OneStepMatcher(CondensationMethod):
         buffer, where encoding all 100 class blocks per iteration would
         dominate the runtime).
 
+        The involved rows that are not being optimized ("passive" rows)
+        keep their pixels, and the deployed encoder its weights, for the
+        whole ``condense`` call, so their features come from
+        ``passive_features`` (row -> feature), encoded once per call the
+        first time a row is involved.
+
         The loss mixes samples, so it runs in three steps to keep the
-        encoder's memory bounded by one micro-batch: the features of every
-        involved row, slice by slice, keeping the graph of the last slice
-        only; the Eq. 8 loss and its gradient at those features; then the
-        backward of each slice whose pixels need a gradient, seeded with
-        its rows of the feature gradient (the kept graph first, the other
+        encoder's memory bounded by one micro-batch: the features of the
+        active rows, slice by slice, keeping the graph of the last slice
+        only; the Eq. 8 loss and its gradient at the involved rows'
+        features; then the backward of each active slice, seeded with its
+        rows of the feature gradient (the kept graph first, the other
         slices after running forward again).
         """
         zero = (np.zeros((len(active_rows), *buffer.image_shape),
@@ -132,29 +141,36 @@ class OneStepMatcher(CondensationMethod):
         # ranges) and contains every active row, so the active rows' local
         # positions come from one vectorized binary search.
         local_active = np.searchsorted(rows, active_rows)
+        is_passive = np.ones(len(rows), dtype=bool)
+        is_passive[local_active] = False
+        passive_rows = rows[is_passive].tolist()
 
-        # Only the active rows need a pixel gradient: the per-sample
-        # encoder maps a row's feature gradient to that row's pixels alone.
-        # They are encoded last, so the last slice's graph, kept through
-        # the loss, serves as many of them as it holds.
-        order = np.concatenate(
-            [np.setdiff1d(np.arange(len(rows)), local_active), local_active])
-        x = buffer.decoded_images(rows)[order]
-        parts = micro_batches(x)
+        parts = micro_batches(syn_x)
         # Only the gradient w.r.t. the buffer pixels is consumed, so the
         # deployed encoder's parameter gradients are pure waste — freeze
         # them for the duration of the pass.
         deployed_model.zero_grad()
         with frozen_parameters(deployed_model):
+            missing = [r for r in passive_rows if r not in passive_features]
             with no_grad():
-                chunks = [deployed_model.features(Tensor(x[p])).data
+                if missing:
+                    x_missing = buffer.decoded_images(missing)
+                    for p in micro_batches(x_missing):
+                        passive_features.update(zip(
+                            missing[p], deployed_model.features(
+                                Tensor(x_missing[p])).data))
+                chunks = [deployed_model.features(Tensor(syn_x[p])).data
                           for p in parts[:-1]]
-            kept = Tensor(x[parts[-1]], requires_grad=True)
+            kept = Tensor(syn_x[parts[-1]], requires_grad=True)
             kept_feats = deployed_model.features(kept)
             chunks.append(kept_feats.data)
-            position = np.argsort(order)  # row -> its index in x
-            feats = Tensor(np.concatenate(chunks)[position],
-                           requires_grad=True)
+            active_feats = np.concatenate(chunks)
+            feats = np.empty((len(rows),) + active_feats.shape[1:],
+                             dtype=np.float32)
+            feats[local_active] = active_feats
+            if passive_rows:
+                feats[is_passive] = [passive_features[r] for r in passive_rows]
+            feats = Tensor(feats, requires_grad=True)
             loss = feature_discrimination_loss(
                 feats, buffer.labels[rows], local_active, rng,
                 temperature=self.tau, negative_classes=negatives)
@@ -162,21 +178,19 @@ class OneStepMatcher(CondensationMethod):
                 return zero
             loss.backward()
 
-            feat_grad = feats.grad[order]
-            grad = np.zeros_like(x)
+            feat_grad = feats.grad[local_active]
+            grad = np.zeros_like(syn_x)
             kept_feats.backward(feat_grad[parts[-1]])
             grad[parts[-1]] = kept.grad
             del kept_feats  # free the kept graph before the re-runs
-            # The rows needing a gradient that the kept slice did not hold
-            # run forward again.
-            first, stop = len(x) - len(local_active), parts[-1].start
-            for p in micro_batches(x[first:stop]):
-                p = slice(first + p.start, first + p.stop)
-                x_part = Tensor(x[p], requires_grad=True)
+            # The active slices the kept graph did not hold run forward
+            # again.
+            for p in parts[:-1]:
+                x_part = Tensor(syn_x[p], requires_grad=True)
                 deployed_model.features(x_part).backward(feat_grad[p])
                 grad[p] = x_part.grad
         deployed_model.zero_grad()
-        return grad[position[local_active]], loss.item()
+        return grad, loss.item()
 
     # -- main entry ---------------------------------------------------------
     def condense(self, buffer: SyntheticBuffer, active_classes: Sequence[int],
@@ -203,6 +217,9 @@ class OneStepMatcher(CondensationMethod):
         stats = CondensationStats()
         use_disc = self.alpha != 0.0 and deployed_model is not None
         model = model_factory(rng)
+        # Deployed-encoder features of the passive rows, valid for this
+        # call only: the next call may see new weights or new pixels.
+        passive_features: dict[int, np.ndarray] = {}
         matching_passes = 0
         fused_evals = 0
         monitor = obs.get_monitor()
@@ -254,13 +271,12 @@ class OneStepMatcher(CondensationMethod):
             matching_passes += 3 + fd_passes
 
             if use_disc:
-                # Keep the deployed model's view of the buffer current: the
-                # non-active rows come from the buffer, the active rows from
-                # the payload being optimized.
-                buffer.images[active_rows] = syn_store.data
+                # The active rows are encoded from the payload being
+                # optimized, the passive ones from the buffer.
                 with obs.span("pass.discrimination"):
                     disc_grad, disc_loss = self._discrimination_grad(
-                        buffer, active_rows, deployed_model, rng)
+                        buffer, active_rows, syn_x, deployed_model, rng,
+                        passive_features)
                 total_grad = total_grad + self.alpha * disc_grad
                 stats.forward_backward_passes += 1
                 stats.extra["discrimination_loss"] = disc_loss

@@ -78,19 +78,37 @@ class Module:
         for child in self.children():
             yield from child.modules()
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    def _named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        """Every tensor this module and its children hold, frozen or not."""
         for name, value in self.__dict__.items():
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Tensor):
                 yield prefix + name, value
             elif isinstance(value, Module):
-                yield from value.named_parameters(prefix + name + ".")
+                yield from value._named_tensors(prefix + name + ".")
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item.named_parameters(f"{prefix}{name}.{i}.")
+                        yield from item._named_tensors(f"{prefix}{name}.{i}.")
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        for name, value in self._named_tensors(prefix):
+            if value.requires_grad:
+                yield name, value
 
     def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
+        """The tensors that currently require a gradient, in
+        :meth:`named_parameters` order.
+
+        The module tree is walked once, on the first call: which tensors a
+        module holds is fixed once it is built (training rebinds their
+        ``data``, never the tensors).  ``requires_grad`` is read at every
+        call, so the list is empty inside :func:`frozen_parameters`.  A
+        ``copy.deepcopy`` copies the list along with the tensors it names.
+        """
+        tensors = self.__dict__.get("_tensors")
+        if tensors is None:
+            tensors = self._tensors = [t for _, t in self._named_tensors()]
+        return [p for p in tensors if p.requires_grad]
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())

@@ -83,7 +83,8 @@ def metrics_from_snapshot(data: Mapping[str, Any],
     """Flatten a ``micro_kernels.json`` snapshot into ``name -> seconds``.
 
     Names are path-like and stable: ``kernels/conv2d_fwd``,
-    ``condense_step``, ``condense_step/peak_traced_bytes``,
+    ``condense_step``, ``condense_step/<case>``,
+    ``condense_step/peak_traced_bytes``,
     ``factorized/<case>/mib_per_acc``.
     """
     metrics: dict[str, float] = {}
@@ -100,6 +101,9 @@ def metrics_from_snapshot(data: Mapping[str, Any],
     if want("condense_step"):
         if "fast_s" in condense:
             metrics["condense_step"] = float(condense["fast_s"])
+        for case, row in (condense.get("cases") or {}).items():
+            if isinstance(row, Mapping) and "fast_s" in row:
+                metrics[f"condense_step/{case}"] = float(row["fast_s"])
         # The peak-memory gauge rides in the same history and is judged by
         # the same trailing-median rule as the timings: a segment that
         # starts allocating 20% more transient bytes is a regression too.

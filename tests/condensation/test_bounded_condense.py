@@ -16,6 +16,8 @@ rounding-level drift of the pixels also moves which ReLUs the ±ε passes
 straddle, and each such kink adds a spike to the FD gradient.
 """
 
+import collections
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.condensation.matching import input_gradient, parameter_gradients
 from repro.condensation.one_step import OneStepMatcher
 from repro.core.training import train_model
 from repro.nn.convnet import ConvNet
+from repro.nn.layers import Module
 from repro.nn.losses import cross_entropy, feature_discrimination_loss
 from repro.nn.tensor import Tensor
 from repro.utils import batching
@@ -221,3 +224,80 @@ class TestDegenerateInputs:
         without, _ = _condense(*_segment(**segment), alpha=0.0)
         assert stats.extra.get("discrimination_loss", 0.0) == 0.0
         np.testing.assert_array_equal(with_disc, without)
+
+
+class _CountingEncoder(Module):
+    """A deployed model that counts how often each input row (by its
+    bytes) reaches ``features``."""
+
+    def __init__(self, net):
+        super().__init__()
+        self.net = net
+        self.seen = collections.Counter()
+
+    def features(self, x):
+        self.seen.update(row.tobytes() for row in x.data)
+        return self.net.features(x)
+
+    def forward(self, x):
+        return self.net(x)
+
+
+class TestPassiveFeatures:
+    """The rows of the involved classes that are not being optimized keep
+    their pixels, and the deployed model its weights, for a whole
+    ``condense`` call, so each is encoded at most once per call."""
+
+    SEGMENT = dict(classes=4, ipc=3, shape=(3, 16, 16), real=16)
+
+    def _condense(self, buf, real, deployed, *, matcher=None, seed=7):
+        matcher = matcher or OneStepMatcher(iterations=6, alpha=0.5)
+        shape = buf.image_shape
+        return matcher.condense(
+            buf, [1], *real, model_factory=lambda r: _net(shape, 4, r, 8),
+            rng=np.random.default_rng(seed), deployed_model=deployed)
+
+    def test_buffer_bytes_match_the_every_iteration_encoding(self):
+        buf, *real = _segment(**self.SEGMENT)
+        stats = self._condense(
+            buf, real, _net(buf.image_shape, 4, np.random.default_rng(5), 8))
+        assert stats.iterations == 6 and stats.extra["discrimination_loss"]
+        # The buffer a condense call left when the deployed encoder re-ran
+        # on every involved row in each of the six iterations.
+        digest = hashlib.sha256(buf.images.tobytes()).hexdigest()
+        assert digest == ("844d2f048bebcec9657688101cefeaca"
+                          "6e00328e0186bfc5377acab6abb4ebc5")
+
+    def test_each_passive_row_is_encoded_at_most_once_per_call(self):
+        buf, *real = _segment(**self.SEGMENT)
+        passive = np.setdiff1d(np.arange(len(buf.images)),
+                               buf.indices_for_classes([1]))
+        passive_rows = {buf.images[r].tobytes() for r in passive}
+        deployed = _CountingEncoder(
+            _net(buf.image_shape, 4, np.random.default_rng(5), 8))
+        for _ in range(2):
+            deployed.seen.clear()
+            self._condense(buf, real, deployed)
+            counts = [deployed.seen[row] for row in passive_rows]
+            # Six iterations draw the negative classes of the three active
+            # rows from the other three classes, so some passive rows are
+            # involved; none of them is encoded twice.
+            assert max(counts) == 1
+            assert sum(deployed.seen.values()) > sum(counts)
+
+    def test_a_later_call_encodes_with_the_new_weights(self):
+        def run(swap_in_place):
+            buf, *real = _segment(**self.SEGMENT)
+            matcher = OneStepMatcher(iterations=3, alpha=0.5)
+            deployed = _net(buf.image_shape, 4, np.random.default_rng(5), 8)
+            self._condense(buf, real, deployed, matcher=matcher)
+            retrained = _net(buf.image_shape, 4, np.random.default_rng(6), 8)
+            if swap_in_place:
+                deployed.load_state_dict(retrained.state_dict())
+            else:
+                matcher, deployed = (OneStepMatcher(iterations=3, alpha=0.5),
+                                     retrained)
+            self._condense(buf, real, deployed, matcher=matcher, seed=8)
+            return buf.images.copy()
+
+        assert run(True).tobytes() == run(False).tobytes()

@@ -112,7 +112,83 @@ class TestDistanceAndGrad:
                                    2.0 * (g_syn[0] - g_real[0]), rtol=1e-4)
 
 
+def _graph_distance_and_grad(g_syn, g_real, metric):
+    """D and grad_{g_syn} D by backpropagating the gradient_distance graph."""
+    wrapped = [Tensor(g, requires_grad=True) for g in g_syn]
+    distance = gradient_distance(wrapped, list(g_real), metric=metric)
+    distance.backward()
+    return distance.item(), [t.grad for t in wrapped]
+
+
+@pytest.fixture
+def convnet_gradient_pair():
+    """g_syn/g_real of a real ConvNet: 4-D conv weights, 1-D biases and
+    norm affines, and a Linear weight gradient that comes out F-ordered."""
+    rng = np.random.default_rng(11)
+    net = ConvNet(3, 10, 16, width=8, depth=2, rng=rng)
+    x_syn = rng.standard_normal((10, 3, 16, 16)).astype(np.float32)
+    x_real = rng.standard_normal((24, 3, 16, 16)).astype(np.float32)
+    g_syn, _ = parameter_gradients(net, x_syn, np.arange(10))
+    g_real, _ = parameter_gradients(
+        net, x_real, rng.integers(0, 10, 24),
+        rng.uniform(0.3, 1.0, 24).astype(np.float32))
+    return g_syn, g_real
+
+
+class TestClosedFormDistance:
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    def test_equals_the_autodiff_graph_byte_for_byte(self, metric,
+                                                     convnet_gradient_pair):
+        g_syn, g_real = convnet_gradient_pair
+        assert any(g.ndim == 1 for g in g_syn)
+        assert any(not g.flags.c_contiguous for g in g_real)
+        want_d, want = _graph_distance_and_grad(g_syn, g_real, metric)
+        got_d, got = distance_and_grad_wrt_gsyn(g_syn, g_real, metric=metric)
+        assert got_d == want_d
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    def test_directions_are_c_contiguous_float32(self, metric,
+                                                 convnet_gradient_pair):
+        g_syn, g_real = convnet_gradient_pair
+        _, direction = distance_and_grad_wrt_gsyn(
+            g_syn, [np.asfortranarray(g) for g in g_real], metric=metric)
+        for d in direction:
+            assert d.dtype == np.float32
+            assert d.flags.c_contiguous
+
+    def test_invalid_inputs_raise(self):
+        g = [np.ones((2, 3), dtype=np.float32)]
+        with pytest.raises(ValueError, match="metric"):
+            distance_and_grad_wrt_gsyn(g, g, metric="manhattan")
+        with pytest.raises(ValueError, match="lengths"):
+            distance_and_grad_wrt_gsyn(g, [])
+        with pytest.raises(ValueError, match="empty"):
+            distance_and_grad_wrt_gsyn([], [])
+
+
 class TestFiniteDifference:
+    def test_step_size_ignores_the_direction_layout(self):
+        # The Eq. 7 step size is a norm over the direction: an F-ordered
+        # direction holding the same values must give the same bytes.
+        # The norm is a float32 sum per parameter; the 10x1024 Linear
+        # direction sums differently in F order often enough that several
+        # of these eight steps change when the layout leaks into it.
+        rng = np.random.default_rng(1)
+        model = ConvNet(3, 10, 16, width=16, depth=1, rng=rng)
+        x = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
+        y = np.arange(4)
+        for _ in range(8):
+            direction = [rng.standard_normal(p.shape).astype(np.float32)
+                         for p in model.parameters()]
+            fortran = [np.asfortranarray(d) for d in direction]
+            want = finite_difference_matching_grad(model, x, y, direction)
+            got = finite_difference_matching_grad(model, x, y, fortran)
+            assert got.tobytes() == want.tobytes()
+
     def test_parameters_restored_exactly(self, model, batch, rng):
         x, y = batch
         before = model.state_dict()

@@ -1,11 +1,14 @@
 """Unit tests for layer modules (repro.nn.layers)."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.nn.convnet import ConvNet
 from repro.nn.layers import (AvgPool2d, Conv2d, Flatten, Identity,
                              InstanceNorm2d, LeakyReLU, Linear, Module, ReLU,
-                             Sequential, Sigmoid, Tanh)
+                             Sequential, Sigmoid, Tanh, frozen_parameters)
 from repro.nn.tensor import Tensor
 
 
@@ -50,6 +53,44 @@ class TestModuleTraversal:
         assert any(p.grad is not None for p in net.parameters())
         net.zero_grad()
         assert all(p.grad is None for p in net.parameters())
+
+
+class TestParameterList:
+    """``parameters()`` walks the module tree once and reads
+    ``requires_grad`` at every call."""
+
+    def test_frozen_block_hides_then_restores_the_same_tensors(self, rng):
+        net = ConvNet(1, 3, 8, width=4, depth=2, rng=rng)
+        before = net.parameters()
+        assert len(before) == 10
+        with frozen_parameters(net) as frozen:
+            assert [id(p) for p in frozen] == [id(p) for p in before]
+            assert net.parameters() == []
+            assert net.encoder.parameters() == []
+        assert [id(p) for p in net.parameters()] == [id(p) for p in before]
+        assert [id(p) for _, p in net.named_parameters()] == [
+            id(p) for p in before]
+
+    def test_deepcopy_and_clone_own_their_tensors(self, rng):
+        net = ConvNet(1, 3, 8, width=4, depth=2, rng=rng)
+        own = {id(p) for p in net.parameters()}
+        for twin in (copy.deepcopy(net), net.clone(rng)):
+            params = twin.parameters()
+            assert len(params) == len(own)
+            assert not own & {id(p) for p in params}
+            assert [id(p) for p in params] == [
+                id(p) for _, p in twin.named_parameters()]
+            params[0].data = params[0].data + 1.0
+            assert not np.array_equal(params[0].data,
+                                      net.parameters()[0].data)
+
+    def test_loaded_state_is_visible(self, rng):
+        a, b = small_net(rng), small_net(rng)
+        params = b.parameters()
+        b.load_state_dict(a.state_dict())
+        for p, q in zip(b.parameters(), a.parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
+        assert [id(p) for p in b.parameters()] == [id(p) for p in params]
 
 
 class TestStateDict:

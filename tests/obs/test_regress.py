@@ -174,6 +174,14 @@ class TestByteMetrics:
             "condense_step/peak_traced_bytes": 1048576.0,
         }
 
+    def test_condense_step_cases_extracted(self):
+        data = {"condense_step": {"fast_s": 2.0, "cases": {
+            "stream_segment": {"fast_s": 0.5, "active_classes": [3, 7]}}}}
+        assert metrics_from_snapshot(data) == {
+            "condense_step": 2.0,
+            "condense_step/stream_segment": 0.5,
+        }
+
     def test_report_renders_bytes_human_readably(self):
         entries = [
             {"tags": {}, "metrics": {
