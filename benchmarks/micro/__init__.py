@@ -14,4 +14,11 @@ Run them directly::
 
 Both accept ``--repeats N`` (best-of-N timing) and merge their sections
 into the shared JSON file.
+
+Every run also appends one line per section to the committed
+``bench_results/bench_history.jsonl``, which ``python -m repro obs
+regress`` (and the tier-1 test of the real history) judges.  A run is
+therefore a recording, not a smoke test: record deliberately with
+``--repeats 5``, and discard a one-repeat run's changes to
+``bench_results/`` rather than committing them.
 """

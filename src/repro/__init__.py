@@ -4,7 +4,7 @@ This package is a from-scratch reproduction of "Enabling Memory-Efficient
 On-Device Learning via Dataset Condensation" (Xu et al., DATE 2025) on a
 pure-numpy substrate.  Top-level subpackages:
 
-* :mod:`repro.nn` — autodiff engine, ConvNet/MLP backbones, optimizers, losses.
+* :mod:`repro.nn` — autodiff engine, the ConvNet backbone, optimizers, losses.
 * :mod:`repro.data` — synthetic dataset generators and non-i.i.d. stream builders.
 * :mod:`repro.buffer` — replay buffers and selection baselines.
 * :mod:`repro.condensation` — DECO one-step matching plus DC/DSA/DM baselines.

@@ -13,9 +13,7 @@ from .layers import (AvgPool2d, Conv2d, Flatten, Identity, InstanceNorm2d,
                      Tanh, frozen_parameters)
 from .losses import (accuracy, cross_entropy, feature_discrimination_loss,
                      gradient_distance, mse_loss)
-from .mlp import MLP
 from .optim import SGD, Adam, CosineLR, Optimizer, StepLR
-from .resnet import ResidualBlock, ResNet
 from .tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, tensor, where
 
 __all__ = [
@@ -23,7 +21,7 @@ __all__ = [
     "functional", "init", "kernels", "frozen_parameters",
     "Module", "Sequential", "Linear", "Conv2d", "InstanceNorm2d", "ReLU",
     "LeakyReLU", "Tanh", "Sigmoid", "AvgPool2d", "Flatten", "Identity",
-    "ConvNet", "MLP", "ResNet", "ResidualBlock",
+    "ConvNet",
     "Optimizer", "SGD", "Adam", "StepLR", "CosineLR",
     "cross_entropy", "accuracy", "feature_discrimination_loss", "gradient_distance",
     "mse_loss",

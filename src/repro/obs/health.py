@@ -33,8 +33,8 @@ Counter parity: every live ``obs.counter`` bump here happens on code
 paths that run inside sweep tasks with per-task-deterministic cadence
 (per-instance sampling counters, per-instance EWMA state — never
 process-global call counts), so ``health.*`` aggregates match between
-``jobs=1`` and ``jobs=N`` runs and the observability selfcheck stays
-honest.  Module-level totals are pulled as ``health.*`` gauges by
+``jobs=1`` and ``jobs=N`` runs (``tests/obs/test_worker_export.py``
+compares a real grid's counters at both).  Module-level totals are pulled as ``health.*`` gauges by
 :func:`repro.obs.telemetry.collect_runtime_counters`.
 """
 
@@ -395,7 +395,7 @@ def configure(policy: str | None = None, *, max_sample: int | None = None,
 
 @contextlib.contextmanager
 def scoped_policy(policy: str):
-    """Temporarily switch the default monitor's policy (tests/selfchecks)."""
+    """Temporarily switch the default monitor's policy (for tests)."""
     saved = _MONITOR.policy
     _MONITOR.set_policy(policy)
     try:

@@ -15,9 +15,8 @@ slower.  This module adds the missing time axis:
   thread counts never pollute each other's baselines) — and flags any
   metric slower than ``baseline * (1 + threshold)``;
 * ``python -m repro obs regress`` renders the verdict table and exits
-  non-zero on regressions (``--dry-run`` reports without failing), which
-  is how ``repro-check``'s bench pass produces a trajectory verdict
-  instead of just a file.
+  non-zero on regressions (``--dry-run`` reports without failing), so a
+  recorded bench run gets a trajectory verdict instead of just a file.
 
 History lines are loaded tolerantly (a run killed mid-append leaves at
 most one truncated line, which is skipped) and unknown metrics simply
@@ -62,8 +61,8 @@ DEFAULT_MATCH_TAGS = ("platform", "threads")
 def default_history_path() -> pathlib.Path:
     """``bench_results/bench_history.jsonl`` of the repo checkout.
 
-    Prefers the current working directory (how ``repro-check`` and the
-    bench scripts run), falling back to the source tree this module was
+    Prefers the current working directory (how the bench scripts and
+    tests run), falling back to the source tree this module was
     imported from.
     """
     for root in (pathlib.Path.cwd(),

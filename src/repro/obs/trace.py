@@ -31,7 +31,8 @@ directly:
 
 :func:`validate_trace` re-checks the invariants the export guarantees
 (matched B/E pairs, monotone timestamps per lane, parseable counter
-tracks); the ledger selfcheck runs it against real micro runs.
+tracks); the tests run it against real micro grids at ``jobs=1`` and
+``jobs=2``.
 """
 
 from __future__ import annotations

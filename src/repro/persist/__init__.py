@@ -15,8 +15,8 @@ content hash) and three layers built on it:
   only the missing ones.
 
 ``python -m repro checkpoints DIR`` renders a directory's contents
-(:mod:`~repro.persist.summary`); ``python -m repro.persist.selfcheck``
-runs the end-to-end interrupt/resume leg used by ``repro-check``.
+(:mod:`~repro.persist.summary`).  ``tests/persist/test_grid_resume.py``
+crashes and resumes a real grid at ``jobs=1`` and ``jobs=2``.
 """
 
 from .checkpoint import (SCHEMA_VERSION, Checkpoint, CheckpointError,

@@ -8,7 +8,7 @@ from repro.condensation.base import CondensationStats
 from repro.condensation.one_step import OneStepMatcher
 from repro.experiments.common import TimedCondenser
 from repro.nn import init
-from repro.nn.mlp import MLP
+from repro.nn.layers import Flatten, Linear, ReLU, Sequential
 
 
 class TestCondensationStats:
@@ -35,7 +35,8 @@ class TestTimedCondenser:
         buf.init_random(rng)
         x = rng.standard_normal((6, 4)).astype(np.float32)
         y = np.array([0, 0, 0, 1, 1, 1])
-        scratch = MLP(4, 2, hidden=(5,), rng=rng)
+        scratch = Sequential(Flatten(), Linear(4, 5, rng=rng), ReLU(),
+                             Linear(5, 2, rng=rng))
 
         def factory(r):
             init.reinitialize(scratch, r)

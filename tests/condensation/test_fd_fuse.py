@@ -5,7 +5,7 @@ Two layers of guarantees:
 * the two perturbed input-gradient passes, run as one ordinary forward/
   backward on ``[+ε, −ε]`` lane-stacked parameters, are **byte-equal** to
   the sequential two-pass evaluation (:func:`_serial_fd_passes`), on the
-  learner-test ConvNet shapes and on an MLP;
+  learner-test ConvNet shapes and on a dense net;
 * a full seeded DECO run on an f=2 factorized buffer is bit-identical
   stacked vs. sequential, buffer bytes after every segment included.
 """
@@ -20,7 +20,8 @@ import pytest
 
 from repro.condensation import matching
 from repro.nn.convnet import ConvNet
-from repro.nn.mlp import MLP
+from repro.nn.layers import (Conv2d, Flatten, InstanceNorm2d, Linear, ReLU,
+                             Sequential)
 from repro.utils.batching import micro_batches
 
 
@@ -74,7 +75,9 @@ def test_fused_fd_grad_byte_equal(shape, classes, width, depth, n):
 
 
 def test_stacked_fd_grad_byte_equal_on_an_mlp():
-    model = MLP(48, 4, hidden=(16, 8), rng=np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    model = Sequential(Flatten(), Linear(48, 16, rng=rng), ReLU(),
+                       Linear(16, 4, rng=rng))
     assert model.runs_lanes()
     _assert_stacked_matches_serial(*_fd_case((3, 4, 4), 4, 0, 0, 9,
                                              model=model))
@@ -102,11 +105,11 @@ def test_zero_direction_short_circuits():
 
 
 def test_non_convnet_model_falls_back():
-    # The ResNet's standalone Conv2d/InstanceNorm2d layers take no lanes,
-    # so it runs its ±ε passes one by one.
-    from repro.nn.resnet import ResNet
-
-    model = ResNet(1, 3, 8, width=4, depth=1, rng=np.random.default_rng(2))
+    # Standalone Conv2d/InstanceNorm2d layers take no lanes, so a model
+    # built from them runs its ±ε passes one by one.
+    rng = np.random.default_rng(2)
+    model = Sequential(Conv2d(1, 4, 3, padding=1, rng=rng), InstanceNorm2d(4),
+                       ReLU(), Flatten(), Linear(4 * 8 * 8, 3, rng=rng))
     assert not model.runs_lanes()
     model, x, y, direction = _fd_case((1, 8, 8), 3, 0, 0, 6, model=model)
     stats: dict = {}

@@ -8,8 +8,8 @@ from repro.condensation.matching import (distance_and_grad_wrt_gsyn,
                                          input_gradient, parameter_gradients)
 from repro.data.transforms import AugmentationParams
 from repro.nn.convnet import ConvNet
+from repro.nn.layers import Flatten, Linear, ReLU, Sequential
 from repro.nn.losses import cross_entropy, gradient_distance
-from repro.nn.mlp import MLP
 from repro.nn.tensor import Tensor
 
 
@@ -213,11 +213,12 @@ class TestFiniteDifference:
     def test_approximates_true_matching_gradient(self, rng):
         """End-to-end check of Eq. (7) against a numerical ground truth.
 
-        On a tiny MLP we can afford to numerically differentiate
+        On a tiny dense net we can afford to numerically differentiate
         D(g_syn(X'), g_real) with respect to every synthetic pixel and
         compare with the five-pass finite-difference estimate.
         """
-        model = MLP(4, 2, hidden=(5,), rng=rng)
+        model = Sequential(Flatten(), Linear(4, 5, rng=rng), ReLU(),
+                           Linear(5, 2, rng=rng))
         x_real = rng.standard_normal((4, 4)).astype(np.float32)
         y_real = np.array([0, 1, 0, 1])
         x_syn = rng.standard_normal((2, 4)).astype(np.float32)

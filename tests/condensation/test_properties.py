@@ -11,7 +11,7 @@ from repro.condensation.matching import (distance_and_grad_wrt_gsyn,
                                          parameter_gradients)
 from repro.condensation.one_step import OneStepMatcher
 from repro.nn import init
-from repro.nn.mlp import MLP
+from repro.nn.layers import Flatten, Linear, ReLU, Sequential
 
 SETTINGS = dict(max_examples=15, deadline=None)
 
@@ -22,7 +22,8 @@ def make_setup(seed, num_classes=3, ipc=2, dim=6):
     buf.init_random(rng, scale=0.5)
     x = rng.standard_normal((num_classes * 4, dim)).astype(np.float32)
     y = np.repeat(np.arange(num_classes), 4)
-    scratch = MLP(dim, num_classes, hidden=(8,), rng=rng)
+    scratch = Sequential(Flatten(), Linear(dim, 8, rng=rng), ReLU(),
+                         Linear(8, num_classes, rng=rng))
 
     def factory(r):
         init.reinitialize(scratch, r)
@@ -67,7 +68,8 @@ def test_condense_deterministic_given_rng(seed):
 @given(st.integers(0, 10_000))
 def test_fd_gradient_shape_matches_input(seed):
     rng = np.random.default_rng(seed)
-    model = MLP(5, 2, hidden=(6,), rng=rng)
+    model = Sequential(Flatten(), Linear(5, 6, rng=rng), ReLU(),
+                       Linear(6, 2, rng=rng))
     x = rng.standard_normal((3, 5)).astype(np.float32)
     y = np.array([0, 1, 0])
     direction = [rng.standard_normal(p.shape).astype(np.float32) * 0.1
@@ -110,7 +112,8 @@ def test_gradient_scale_invariance_of_cosine(seed, scale):
 def test_parameter_gradients_linear_in_weights(seed):
     """Per-sample CE weights act linearly on the summed gradient."""
     rng = np.random.default_rng(seed)
-    model = MLP(4, 2, hidden=(5,), rng=rng)
+    model = Sequential(Flatten(), Linear(4, 5, rng=rng), ReLU(),
+                       Linear(5, 2, rng=rng))
     x = rng.standard_normal((4, 4)).astype(np.float32)
     y = np.array([0, 1, 0, 1])
     g_full, _ = parameter_gradients(model, x, y,

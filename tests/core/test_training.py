@@ -7,9 +7,8 @@ import pytest
 
 from repro.core.training import evaluate_accuracy, predict_logits, train_model
 from repro.nn.convnet import ConvNet
-from repro.nn.layers import Conv2d
+from repro.nn.layers import Conv2d, Flatten, Linear, ReLU, Sequential
 from repro.nn.losses import cross_entropy
-from repro.nn.mlp import MLP
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 from repro.utils.batching import iterate_minibatches
@@ -27,7 +26,8 @@ def separable(rng):
 
 class TestTrainModel:
     def test_empty_dataset_raises(self, rng):
-        model = MLP(4, 2, rng=rng)
+        model = Sequential(Flatten(), Linear(4, 8, rng=rng), ReLU(),
+                           Linear(8, 2, rng=rng))
         with pytest.raises(ValueError, match="empty"):
             train_model(model, np.empty((0, 4)), np.empty(0, dtype=np.int64),
                         epochs=1)
@@ -50,7 +50,8 @@ class TestTrainModel:
         # (weight decay off).
         x = rng.standard_normal((8, 4)).astype(np.float32)
         y = np.zeros(8, dtype=np.int64)
-        model = MLP(4, 2, rng=rng)
+        model = Sequential(Flatten(), Linear(4, 8, rng=rng), ReLU(),
+                           Linear(8, 2, rng=rng))
         before = model.state_dict()
         train_model(model, x, y, epochs=3, lr=0.5, weight_decay=0.0,
                     weights=np.zeros(8, dtype=np.float32), rng=rng)
@@ -91,7 +92,8 @@ class TestEvaluation:
         assert model.training
 
     def test_evaluate_accuracy_empty_raises(self, rng):
-        model = MLP(4, 2, rng=rng)
+        model = Sequential(Flatten(), Linear(4, 8, rng=rng), ReLU(),
+                           Linear(8, 2, rng=rng))
         with pytest.raises(ValueError, match="empty"):
             evaluate_accuracy(model, np.empty((0, 4)), np.empty(0))
 

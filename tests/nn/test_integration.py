@@ -10,9 +10,8 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn.convnet import ConvNet
-from repro.nn.layers import InstanceNorm2d, Linear, Sequential
+from repro.nn.layers import Flatten, InstanceNorm2d, Linear, ReLU, Sequential
 from repro.nn.losses import cross_entropy
-from repro.nn.mlp import MLP
 from repro.nn.optim import SGD, Adam, CosineLR
 from repro.nn.tensor import Tensor, no_grad
 
@@ -29,7 +28,8 @@ def make_blobs(rng, n_per_class=20, classes=3, dim=8, separation=3.0):
 class TestTrainingDynamics:
     def test_mlp_learns_blobs_with_adam(self, rng):
         x, y = make_blobs(rng)
-        model = MLP(8, 3, hidden=(16,), rng=rng)
+        model = Sequential(Flatten(), Linear(8, 16, rng=rng), ReLU(),
+                           Linear(16, 3, rng=rng))
         opt = Adam(model.parameters(), 0.01)
         for _ in range(80):
             opt.zero_grad()
@@ -40,7 +40,8 @@ class TestTrainingDynamics:
 
     def test_cosine_schedule_trains_stably(self, rng):
         x, y = make_blobs(rng)
-        model = MLP(8, 3, hidden=(16,), rng=rng)
+        model = Sequential(Flatten(), Linear(8, 16, rng=rng), ReLU(),
+                           Linear(16, 3, rng=rng))
         opt = SGD(model.parameters(), 0.2, momentum=0.9)
         sched = CosineLR(opt, total_epochs=60)
         losses = []

@@ -1,4 +1,4 @@
-"""Unit tests for the ConvNet and MLP backbones."""
+"""Unit tests for the ConvNet backbone."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.nn import init
 from repro.nn.convnet import ConvNet
 from repro.nn.losses import cross_entropy
-from repro.nn.mlp import MLP
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 
@@ -62,40 +61,6 @@ class TestConvNet:
             opt.step()
         predictions = net(Tensor(x)).data.argmax(axis=1)
         assert (predictions == y).mean() == 1.0
-
-
-class TestMLP:
-    def test_forward_shape(self, rng):
-        net = MLP(10, 4, hidden=(8,), rng=rng)
-        assert net(Tensor(np.zeros((3, 10), dtype=np.float32))).shape == (3, 4)
-
-    def test_auto_flattens_images(self, rng):
-        net = MLP(2 * 4 * 4, 3, rng=rng)
-        out = net(Tensor(np.zeros((5, 2, 4, 4), dtype=np.float32)))
-        assert out.shape == (5, 3)
-
-    def test_feature_dim(self, rng):
-        net = MLP(6, 2, hidden=(16, 12), rng=rng)
-        assert net.feature_dim == 12
-        feats = net.features(Tensor(np.zeros((1, 6), dtype=np.float32)))
-        assert feats.shape == (1, 12)
-
-    def test_no_hidden_layers(self, rng):
-        net = MLP(4, 2, hidden=(), rng=rng)
-        assert net.feature_dim == 4
-
-    def test_can_learn_xor_like_split(self, rng):
-        net = MLP(2, 2, hidden=(16,), rng=rng)
-        x = rng.standard_normal((40, 2)).astype(np.float32)
-        y = (x[:, 0] * x[:, 1] > 0).astype(np.int64)
-        opt = SGD(net.parameters(), 0.1, momentum=0.9)
-        for _ in range(150):
-            opt.zero_grad()
-            loss = cross_entropy(net(Tensor(x)), y)
-            loss.backward()
-            opt.step()
-        acc = (net(Tensor(x)).data.argmax(axis=1) == y).mean()
-        assert acc > 0.9
 
 
 class TestReinitialize:

@@ -208,11 +208,27 @@ class TestMatcherIntegration:
         from repro.condensation.one_step import OneStepMatcher
 
         buffer, x, y, poisoned = self._fixture()
-        with scoped_policy("raise"):
-            with pytest.raises(HealthError):
+        with scoped_policy("raise"), get_monitor().segment_scope(7):
+            with pytest.raises(HealthError) as caught:
                 OneStepMatcher(iterations=1, alpha=0.0).condense(
                     buffer, [0, 1], x, y, None, model_factory=poisoned,
                     rng=np.random.default_rng(3))
+        assert caught.value.op and caught.value.segment == 7
+        assert caught.value.iteration is not None
+
+    def test_record_policy_attributes_incidents(self):
+        from repro.condensation.one_step import OneStepMatcher
+
+        buffer, x, y, poisoned = self._fixture()
+        monitor = get_monitor()
+        with scoped_policy("record"), monitor.segment_scope(7):
+            OneStepMatcher(iterations=2, alpha=0.0).condense(
+                buffer, [0, 1], x, y, None, model_factory=poisoned,
+                rng=np.random.default_rng(3))
+        first = monitor.incidents[0]
+        assert first.op.startswith(("matcher.", "fd.", "optim."))
+        assert (first.kind, first.segment) == ("nonfinite", 7)
+        assert first.iteration is not None
 
     def test_record_policy_does_not_change_results(self):
         from repro.condensation.one_step import OneStepMatcher
@@ -231,3 +247,6 @@ class TestMatcherIntegration:
                     rng=np.random.default_rng(3))
             results[policy] = buffer.images.copy()
         np.testing.assert_array_equal(results["off"], results["record"])
+        # A clean pass is silent, and not because nothing was checked.
+        assert not get_monitor().incidents
+        assert get_monitor().stats()["checks"] > 0

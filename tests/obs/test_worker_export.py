@@ -1,4 +1,8 @@
-"""Worker telemetry shards: export, deterministic merge, counter parity."""
+"""Worker telemetry shards: export, deterministic merge, counter parity.
+
+The last section runs a real learner grid at ``jobs=1`` and ``jobs=2`` and
+checks what reaches disk from both: counters, memory events, the exported
+Chrome trace and the run report."""
 
 from __future__ import annotations
 
@@ -8,9 +12,13 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs import (Telemetry, aggregate_worker_counters, config_digest,
-                       merge_worker_shards, scoped_telemetry, shard_path,
-                       worker_telemetry)
+from repro.experiments.common import prepare_experiment
+from repro.experiments.grid import run_method_grid
+from repro.obs import (JsonlSink, Telemetry, aggregate_worker_counters,
+                       build_report_data, config_digest, export_trace,
+                       load_events, merge_worker_shards, render_report_html,
+                       scoped_telemetry, shard_path, summarize_trace,
+                       trace_stats, validate_trace, worker_telemetry)
 from repro.obs.export import SHARD_DIRNAME, WORKERS_FILENAME
 from repro.obs.sinks import read_jsonl_tolerant
 from repro.parallel import run_sweep
@@ -145,3 +153,83 @@ class TestCounterParity:
         records, _ = read_jsonl_tolerant(tmp_path / WORKERS_FILENAME)
         done = [r for r in records if r["type"] == "task_done"]
         assert sorted(r["i"] for r in done) == [0, 1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# End-to-end: a real learner grid (fifo + deco, core50/micro), traced
+# ----------------------------------------------------------------------
+GRID = [{"method": "fifo", "ipc": 1, "seed": 0},
+        {"method": "deco", "ipc": 1, "seed": 0}]
+
+
+@pytest.fixture(scope="module")
+def grid_runs(tmp_path_factory):
+    """jobs -> (results, parent counters, run dir) for jobs 1 and 2."""
+    prepared = prepare_experiment("core50", "micro", seed=0)
+    runs = {}
+    for jobs in (1, 2):
+        run_dir = tmp_path_factory.mktemp(f"grid-jobs{jobs}")
+        registry = Telemetry()
+        registry.enable(JsonlSink.for_run_dir(run_dir))
+        with scoped_telemetry(registry):
+            results = run_method_grid(prepared, GRID, jobs=jobs)
+        runs[jobs] = (results, registry.snapshot()["counters"], run_dir)
+        registry.shutdown()
+    return runs
+
+
+def _memory_events(run_dir):
+    return [ev for ev in load_events(run_dir) if ev.get("type") == "memory"]
+
+
+class TestRealGrid:
+    def test_worker_counters_equal_serial_run(self, grid_runs):
+        _, serial, _ = grid_runs[1]
+        assert any(name.startswith("health.") for name in serial)
+        assert any(name.startswith("quality.") for name in serial)
+        run_dir = grid_runs[2][2]
+        assert len(list((run_dir / SHARD_DIRNAME).glob("*.jsonl"))) == 2
+        records, skipped = read_jsonl_tolerant(run_dir / WORKERS_FILENAME)
+        assert skipped == 0
+        assert aggregate_worker_counters(records) == serial
+        assert "Worker telemetry (merged shards)" in summarize_trace(run_dir)
+
+    def test_memory_events_and_footprints_match_serial(self, grid_runs):
+        serial = _memory_events(grid_runs[1][2])
+        assert serial
+        for ev in serial:
+            assert {"buffer_bytes", "model_bytes", "total_bytes",
+                    "peak_bytes", "budget_ok"} <= ev.keys()
+            assert ev["peak_bytes"] >= ev["total_bytes"]
+
+        def triples(events):
+            return sorted((ev["buffer_bytes"], ev["model_bytes"],
+                           ev["total_bytes"]) for ev in events)
+
+        assert triples(_memory_events(grid_runs[2][2])) == triples(serial)
+        # peak_bytes is the process high-water mark, so it is left out.
+        keys = ("buffer_bytes", "model_bytes", "total_bytes", "budget_ok")
+        feet = {jobs: [[r.extra["memory"][k] for k in keys]
+                       for r in grid_runs[jobs][0]] for jobs in (1, 2)}
+        assert all(total for _, _, total, _ in feet[1])
+        assert feet[2] == feet[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exported_trace_validates(self, grid_runs, jobs):
+        out = export_trace(grid_runs[jobs][2])
+        trace = json.loads(out.read_text(encoding="utf-8"))
+        assert validate_trace(trace) == []
+        stats = trace_stats(trace)
+        assert stats["span_events"] > 0 and stats["instant_events"] > 0
+        assert stats["memory_counter_tracks"] >= 3
+        assert stats["span_lanes"] >= jobs
+
+    def test_report_of_a_clean_run(self, grid_runs):
+        data = build_report_data(grid_runs[1][2])
+        assert data["health"]["count"] == 0
+        assert "quality" in data["tables"] and data["timelines"]
+        html = render_report_html(data)
+        for needle in ("<script", "href=", "src="):
+            assert needle not in html
+        assert "Condensation quality" in html
+        assert "No health incidents recorded" in html

@@ -216,7 +216,7 @@ def test_sweep_raises_lowest_index_failure(tmp_path):
 
 
 def test_sweep_deferred_failure_enables_clean_resume(tmp_path):
-    # The crash/resume contract that satellite selfchecks rely on: after a
+    # The crash/resume contract the grid-resume tests rely on: after a
     # sweep with one bad point, fixing the config and resuming re-runs
     # only the previously-failed point.
     from repro.persist import ResumeJournal

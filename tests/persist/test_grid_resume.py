@@ -1,5 +1,7 @@
 """Crash-resume of experiment grids + the stale worker-cache regression."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.experiments.common import prepare_experiment, run_method
 from repro.experiments.grid import (grid_journal, pack_prepared,
                                     run_method_grid)
 from repro.parallel import SweepTaskError
+from repro.persist import json_sanitize
 
 DATASET, PROFILE = "core50", "micro"
 CONFIGS = [
@@ -24,6 +27,11 @@ def journal_lines(checkpoint_dir):
     return [line for line in path.read_text().splitlines() if line.strip()]
 
 
+def canonical(value):
+    """Exact-float JSON text in which NaN equals NaN."""
+    return json.dumps(json_sanitize(value), sort_keys=True)
+
+
 def assert_results_identical(reference, resumed):
     assert len(reference) == len(resumed)
     for ref, res in zip(reference, resumed):
@@ -31,6 +39,8 @@ def assert_results_identical(reference, resumed):
         assert ref.final_accuracy == res.final_accuracy
         assert list(ref.history.accuracy) == list(res.history.accuracy)
         assert list(ref.history.samples_seen) == list(res.history.samples_seen)
+        assert canonical(ref.history.diagnostics) == canonical(
+            res.history.diagnostics)
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +49,9 @@ def prepared():
 
 
 class TestGridResume:
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_interrupted_grid_resumes_bit_identically(self, prepared,
-                                                      tmp_path):
+                                                      tmp_path, jobs):
         reference = run_method_grid(prepared, CONFIGS, jobs=1)
 
         # Crash: corrupt the last config so the sweep dies after the first
@@ -48,11 +59,11 @@ class TestGridResume:
         broken = [dict(c) for c in CONFIGS]
         broken[-1]["method"] = "no_such_method"
         with pytest.raises(SweepTaskError):
-            run_method_grid(prepared, broken, jobs=1,
+            run_method_grid(prepared, broken, jobs=jobs,
                             checkpoint_dir=tmp_path)
         assert len(journal_lines(tmp_path)) == 2
 
-        resumed = run_method_grid(prepared, CONFIGS, jobs=1,
+        resumed = run_method_grid(prepared, CONFIGS, jobs=jobs,
                                   checkpoint_dir=tmp_path, resume=True)
         # Exactly one new line: the completed points were skipped.
         assert len(journal_lines(tmp_path)) == 3
