@@ -17,7 +17,11 @@ into the shared JSON file.
 
 Every run also appends one line per section to the committed
 ``bench_results/bench_history.jsonl``, which ``python -m repro obs
-regress`` (and the tier-1 test of the real history) judges.  A run is
+regress`` (and the tier-1 test of the real history) judges.  The kernel
+and condense-step lines carry ``probe_s``: for each timing, the best time
+of a fixed numpy probe (``bench_kernels.host_probe``) taken right before
+its repeats.  The judge compares the timings scaled by it, so a slow
+phase of a shared host does not read as a regression.  A run is
 therefore a recording, not a smoke test: record deliberately with
 ``--repeats 5``, and discard a one-repeat run's changes to
 ``bench_results/`` rather than committing them.

@@ -8,7 +8,9 @@ segment" with 2 of the 10 classes active (``cases.stream_segment``), whose
 discrimination pass also encodes passive rows of the other classes.
 The best-of-N time is kept so scheduler noise cannot inflate it, and one
 more untimed all-classes segment records the traced peak memory.  Results
-are appended to ``bench_results/micro_kernels.json``.
+are appended to ``bench_results/micro_kernels.json``, each case with the
+best host probe (``bench_kernels.host_probe``) taken right before its
+timed segments, which ``repro obs regress`` scales its time by.
 
 Usage::
 
@@ -29,9 +31,9 @@ from repro.nn.convnet import ConvNet
 from repro.obs import collect_runtime_counters
 
 try:  # package import (pytest) vs direct script execution
-    from .bench_kernels import RESULTS_PATH, merge_results
+    from .bench_kernels import RESULTS_PATH, host_probe, merge_results
 except ImportError:  # pragma: no cover - script mode
-    from bench_kernels import RESULTS_PATH, merge_results
+    from bench_kernels import RESULTS_PATH, host_probe, merge_results
 
 CLASSES, IPC, HW, WIDTH, DEPTH, BATCH = 10, 10, 32, 16, 3, 128
 #: The classes a stream segment activates in the "stream segment" case.
@@ -67,11 +69,18 @@ def main(argv=None) -> dict:
                         help="matcher iterations per timed segment")
     args = parser.parse_args(argv)
 
-    run_segment(args.iterations)  # warm up (plan cache, page faults)
-    fast_times = [run_segment(args.iterations) for _ in range(args.repeats)]
-    run_segment(args.iterations, STREAM_CLASSES)
-    stream_times = [run_segment(args.iterations, STREAM_CLASSES)
-                    for _ in range(args.repeats)]
+    def probed_runs(*case) -> tuple[list[float], float]:
+        """``repeats`` timed segments, and the best of the host probes
+        taken right before each."""
+        run_segment(*case)  # warm up (plan cache, page faults)
+        times, probes = [], []
+        for _ in range(args.repeats):
+            probes.append(host_probe())
+            times.append(run_segment(*case))
+        return times, min(probes)
+
+    fast_times, fast_probe = probed_runs(args.iterations)
+    stream_times, stream_probe = probed_runs(args.iterations, STREAM_CLASSES)
 
     # Peak-memory pass: one untimed segment under tracemalloc.  The gauge
     # lands in the bench history, where `repro obs regress` judges it like
@@ -91,9 +100,11 @@ def main(argv=None) -> dict:
         "repeats": args.repeats,
         "fast_s": fast,
         "fast_all_s": fast_times,
+        "probe_s": fast_probe,
         "cases": {"stream_segment": {"active_classes": list(STREAM_CLASSES),
                                      "fast_s": min(stream_times),
-                                     "fast_all_s": stream_times}},
+                                     "fast_all_s": stream_times,
+                                     "probe_s": stream_probe}},
         "peak_traced_bytes": int(peak_traced),
         "counters": collect_runtime_counters(emit=False),
     }

@@ -8,7 +8,9 @@ next to the seed ops composed in sequence), plus one full
 ``parameter_gradients`` pass (fast only) and the closed-form gradient
 distance ``distance_and_grad`` (next to the autodiff graph of
 ``gradient_distance``).  Appends the measured
-seconds-per-call and speedups to ``bench_results/micro_kernels.json``.
+seconds-per-call and speedups to ``bench_results/micro_kernels.json``,
+each fast timing with the :func:`host_probe` time taken next to it, which
+``repro obs regress`` scales the timing by.
 
 Usage::
 
@@ -37,10 +39,44 @@ RESULTS_PATH = (pathlib.Path(__file__).resolve().parents[2]
 N, C, HW, OC = 128, 16, 32, 16
 
 
+_PROBE_RNG = np.random.default_rng(2024)
+_PROBE_X = _PROBE_RNG.standard_normal((N, C, HW, HW)).astype(np.float32)
+_PROBE_W = _PROBE_RNG.standard_normal((OC, C * 9)).astype(np.float32)
+
+
+def host_probe() -> float:
+    """Seconds of a fixed numpy workload shaped like the kernels' that
+    runs no repository code: an elementwise pass and a reduction over a
+    batch-128 activation, a 3x3 window copy of a quarter of it, and one
+    batched matmul on those columns.  Its time moves with the host's
+    speed, not with the program's, so a timing divided by the probe taken
+    next to it compares across host phases."""
+    start = time.perf_counter()
+    y = np.maximum(_PROBE_X * np.float32(0.9) + np.float32(0.1), 0.0)
+    y.sum(axis=(2, 3))
+    padded = np.pad(y[:N // 4], ((0, 0), (0, 0), (1, 1), (1, 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3),
+                                                       axis=(2, 3))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+    np.matmul(_PROBE_W, cols.reshape(N // 4, C * 9, HW * HW))
+    return time.perf_counter() - start
+
+
 def best_of(fn, repeats: int) -> float:
     """Best-of-N wall time of ``fn()`` (min filters scheduler noise)."""
     fn()  # warm up caches and plans
     return min(timeit_once(fn) for _ in range(repeats))
+
+
+def probed_best_of(fn, repeats: int) -> dict:
+    """:func:`best_of` as ``fast_s``, with ``probe_s``: the best of the
+    :func:`host_probe` times taken right before each repeat."""
+    fn()
+    probes, times = [], []
+    for _ in range(repeats):
+        probes.append(host_probe())
+        times.append(timeit_once(fn))
+    return {"fast_s": min(times), "probe_s": min(probes)}
 
 
 def timeit_once(fn) -> float:
@@ -72,7 +108,8 @@ def _append_history(section: str, data: dict) -> None:
     import os
 
     from repro.obs.regress import (HISTORY_FILENAME, append_history,
-                                   metrics_from_snapshot)
+                                   metrics_from_snapshot,
+                                   probes_from_snapshot)
 
     metrics = metrics_from_snapshot(data, sections=(section,))
     if not metrics:
@@ -83,15 +120,18 @@ def _append_history(section: str, data: dict) -> None:
             "threads": 1,
             "cpu_count": os.cpu_count()}
     append_history(RESULTS_PATH.parent / HISTORY_FILENAME, section,
-                   metrics, tags)
+                   metrics, tags,
+                   probes_from_snapshot(data, sections=(section,)))
 
 
 def timed_pair(fast_fn, seed_fn, repeats: int) -> dict:
-    """Time a fast callable next to its seed counterpart."""
-    fast = best_of(fast_fn, repeats)
+    """Time a fast callable (with its host probes) next to its seed
+    counterpart."""
+    row = probed_best_of(fast_fn, repeats)
     seed = best_of(seed_fn, repeats)
-    return {"fast_s": fast, "seed_s": seed,
-            "speedup": seed / fast if fast > 0 else float("inf")}
+    return {**row, "seed_s": seed,
+            "speedup": seed / row["fast_s"] if row["fast_s"] > 0
+            else float("inf")}
 
 
 def fwd_bwd(op, *inputs):
@@ -164,8 +204,7 @@ def bench_parameter_gradients(rng: np.random.Generator, repeats: int) -> dict:
     bx = rng.standard_normal((N, 3, HW, HW)).astype(np.float32)
     by = rng.integers(0, 10, N)
 
-    return {"fast_s": best_of(lambda: parameter_gradients(model, bx, by),
-                              repeats)}
+    return probed_best_of(lambda: parameter_gradients(model, bx, by), repeats)
 
 
 def bench_distance_and_grad(rng: np.random.Generator, repeats: int) -> dict:

@@ -33,8 +33,8 @@ from ..utils.rng import to_rng
 from .buffer import RawBuffer
 
 __all__ = ["SelectionStrategy", "RandomReservoir", "FIFO", "SelectiveBP",
-           "KCenter", "GSSGreedy", "Herding", "make_strategy",
-           "STRATEGY_NAMES", "EXTRA_STRATEGY_NAMES"]
+           "KCenter", "GSSGreedy", "Herding", "encode_features",
+           "make_strategy", "STRATEGY_NAMES", "EXTRA_STRATEGY_NAMES"]
 
 
 class SelectionStrategy(abc.ABC):
@@ -46,8 +46,12 @@ class SelectionStrategy(abc.ABC):
     def process_segment(self, buffer: RawBuffer, images: np.ndarray,
                         labels: np.ndarray, confidences: np.ndarray, *,
                         model=None,
-                        rng: int | np.random.Generator | None = None) -> None:
+                        rng: int | np.random.Generator | None = None,
+                        features: np.ndarray | None = None) -> None:
         """Offer one segment of (pseudo-labeled) samples to the buffer.
+
+        A segment with no rows leaves the buffer and the strategy's state
+        untouched.
 
         Parameters
         ----------
@@ -60,6 +64,12 @@ class SelectionStrategy(abc.ABC):
             The deployed model (used by feature/gradient-based strategies).
         rng:
             Randomness source.
+        features:
+            ``model``'s encoder features of ``images``, one row per sample,
+            as :func:`encode_features` computes them (the replay learner
+            passes the ones it pseudo-labeled the segment from).  ``None``:
+            a strategy that needs them encodes the segment itself.
+            Strategies that use no features ignore them.
         """
 
     # -- persistence -------------------------------------------------------
@@ -82,7 +92,7 @@ class RandomReservoir(SelectionStrategy):
     name = "random"
 
     def process_segment(self, buffer, images, labels, confidences, *,
-                        model=None, rng=None):
+                        model=None, rng=None, features=None):
         rng = to_rng(rng)
         for x, y in zip(images, labels):
             if not buffer.is_full:
@@ -104,7 +114,7 @@ class FIFO(SelectionStrategy):
         self._next = 0
 
     def process_segment(self, buffer, images, labels, confidences, *,
-                        model=None, rng=None):
+                        model=None, rng=None, features=None):
         for x, y in zip(images, labels):
             if not buffer.is_full:
                 buffer.add(x, int(y))
@@ -126,7 +136,7 @@ class SelectiveBP(SelectionStrategy):
     name = "selective_bp"
 
     def process_segment(self, buffer, images, labels, confidences, *,
-                        model=None, rng=None):
+                        model=None, rng=None, features=None):
         for x, y, conf in zip(images, labels, confidences):
             if not buffer.is_full:
                 buffer.add(x, int(y), confidence=float(conf))
@@ -137,12 +147,15 @@ class SelectiveBP(SelectionStrategy):
                 buffer.replace(worst, x, int(y), confidence=float(conf))
 
 
-def _encode(model, images: np.ndarray) -> np.ndarray:
+def encode_features(model, images: np.ndarray) -> np.ndarray:
     """Encoder features for a sample array, without recording the graph,
-    in micro-batches."""
+    in micro-batches.  No rows give a ``(0, feature_dim)`` array."""
+    parts = micro_batches(images)
+    if not parts:
+        return np.empty((0, model.feature_dim), dtype=np.float32)
     with no_grad():
         return np.concatenate([model.features(Tensor(images[part])).data
-                               for part in micro_batches(images)])
+                               for part in parts])
 
 
 class KCenter(SelectionStrategy):
@@ -150,15 +163,18 @@ class KCenter(SelectionStrategy):
 
     On each segment, pools the buffer contents with the new samples, runs
     greedy farthest-point selection down to capacity, and keeps the chosen
-    subset.
+    subset.  Only the buffered rows are encoded; the segment's features
+    come from the caller when it has them.
     """
 
     name = "k_center"
 
     def process_segment(self, buffer, images, labels, confidences, *,
-                        model=None, rng=None):
+                        model=None, rng=None, features=None):
         if model is None:
             raise ValueError("KCenter requires the deployed model for features")
+        if len(images) == 0:
+            return
         rng = to_rng(rng)
         old_x, old_y = buffer.as_training_set()
         pool_x = np.concatenate([old_x, images]) if len(old_x) else np.asarray(images)
@@ -169,7 +185,9 @@ class KCenter(SelectionStrategy):
                 buffer.add(x, int(y))
             return
 
-        feats = _encode(model, pool_x)
+        if features is None:
+            features = encode_features(model, images)
+        feats = np.concatenate([encode_features(model, old_x), features])
         chosen = self._greedy_k_center(feats, buffer.capacity, rng)
         buffer.count = 0
         for i in chosen:
@@ -207,10 +225,11 @@ class GSSGreedy(SelectionStrategy):
         self._errors: np.ndarray | None = None  # (capacity, C) e-vectors
         self._feats: np.ndarray | None = None   # (capacity, D) f-vectors
 
-    def _grad_embedding(self, model, images, labels):
-        """Per-sample (error, feature) pair defining the last-layer gradient."""
+    @staticmethod
+    def _grad_embedding(model, feats, labels):
+        """Per-sample (error, feature) pair defining the last-layer gradient,
+        from the samples' encoder features."""
         with no_grad():
-            feats = model.features(Tensor(np.asarray(images))).data
             logits = model.classifier(Tensor(feats)).data
         probs = F.softmax(Tensor(logits), axis=1).data
         errors = probs.copy()
@@ -224,14 +243,18 @@ class GSSGreedy(SelectionStrategy):
         return (a / na) @ (b / nb).T
 
     def process_segment(self, buffer, images, labels, confidences, *,
-                        model=None, rng=None):
+                        model=None, rng=None, features=None):
         if model is None:
             raise ValueError("GSSGreedy requires the deployed model for gradients")
+        if len(images) == 0:
+            return
         rng = to_rng(rng)
         if self._errors is None:
             self._errors = np.zeros((buffer.capacity, model.num_classes), dtype=np.float32)
             self._feats = np.zeros((buffer.capacity, model.feature_dim), dtype=np.float32)
-        errors, feats = self._grad_embedding(model, images, labels)
+        if features is None:
+            features = encode_features(model, images)
+        errors, feats = self._grad_embedding(model, features, labels)
 
         for x, y, e, f in zip(images, labels, errors, feats):
             if not buffer.is_full:
@@ -284,15 +307,22 @@ class Herding(SelectionStrategy):
     fixed at capacity / num_classes.
 
     The candidate pools (up to 4x quota raw images per class) carry one
-    encoder feature row per sample, computed once per model state: cached
-    rows stay valid while the model is the same object and its
-    ``state_dict()`` is byte-equal to the one they were computed under,
-    and are all dropped otherwise (the every-beta retrain, a restore).  The
-    encoder is per-sample (instance norm), so a cached row is bitwise the
-    row a fresh encode of the whole pool would give.  The rows are derived
-    state: never checkpointed, and empty after :meth:`load_state_dict`.
-    Pools, rows and the weight snapshot are recorded under the
-    ``selection.pool`` ledger account.
+    encoder feature row per sample.  A segment's rows are the features the
+    caller passes (the replay learner's, from pseudo-labeling), or one
+    batched encode of the segment when it passes none.  Cached rows stay
+    valid while the model is the same object and its ``state_dict()`` is
+    byte-equal to the one they were computed under; otherwise (the
+    every-beta retrain, a restore) they are all dropped and the pools are
+    re-encoded in that same batched call.  The encoder is per-sample
+    (instance norm), so a cached row is bitwise the row a fresh encode of
+    the whole pool would give.
+
+    Each class's herd order is kept beside its rows and recomputed only
+    when they change: new samples, the 4x quota prune, a weight change or
+    :meth:`load_state_dict`.  Rows and orders are derived state: never
+    checkpointed, and empty after :meth:`load_state_dict`.  Pools, rows and
+    the weight snapshot are recorded under the ``selection.pool`` ledger
+    account; the orders (at most quota indices per class) are not.
     """
 
     name = "herding"
@@ -300,9 +330,10 @@ class Herding(SelectionStrategy):
 
     def __init__(self) -> None:
         self._pool_x: dict[int, list[np.ndarray]] = {}
-        # Feature rows of the leading entries of each pool, computed under
-        # the model state below; entries past them await encoding.
+        # One feature row per pool entry, computed under the model state
+        # below, and the herd order of those rows as (quota, order).
         self._pool_f: dict[int, np.ndarray] = {}
+        self._order: dict[int, tuple[int, list[int]]] = {}
         self._feat_model = None
         self._feat_weights: tuple | None = None
         self._ledger_key = track_object(self.ledger_account, self, 0)
@@ -329,6 +360,15 @@ class Herding(SelectionStrategy):
             running = (running * k + feats[best]) / (k + 1)
         return chosen
 
+    def _herd_order(self, cls: int, quota: int) -> list[int]:
+        """The herd order of class ``cls``'s rows, computed once for each
+        version of the rows (the caches drop it when they change)."""
+        cached = self._order.get(cls)
+        if cached is None or cached[0] != quota:
+            cached = self._order[cls] = (quota,
+                                         self._herd(self._pool_f[cls], quota))
+        return cached[1]
+
     @staticmethod
     def _weights(model) -> tuple:
         """Names, shapes, dtypes and bytes of ``model.state_dict()``."""
@@ -337,28 +377,51 @@ class Herding(SelectionStrategy):
                       for key, value in state.items()),
                 b"".join(value.tobytes() for value in state.values()))
 
-    def _refresh_features(self, model) -> None:
-        """Give every pool entry a feature row under ``model``'s weights.
+    def _drop_features(self, model=None, weights: tuple | None = None) -> None:
+        """Forget every feature row and herd order; new rows will be
+        computed under ``model`` with ``weights``."""
+        self._pool_f, self._order = {}, {}
+        self._feat_model, self._feat_weights = model, weights
 
-        Drops all cached rows when the model state changed, then encodes
-        every entry still missing a row in one batched call.
+    def _extend_pools(self, model, images, labels, features) -> None:
+        """Append the segment to the pools, each entry with a feature row
+        under ``model``'s weights.
+
+        Drops every cached row and order when the model state changed,
+        then encodes, in one batched call, the pool entries left without a
+        row (all of them after a drop or a restore, none otherwise) and,
+        when ``features`` is ``None``, the segment.  Each touched class's
+        rows are concatenated once, and a class that receives samples
+        loses its order.
         """
         weights = self._weights(model)
         if model is not self._feat_model or weights != self._feat_weights:
-            self._pool_f = {}
-            self._feat_model, self._feat_weights = model, weights
-        pending = [(cls, len(self._pool_f.get(cls, ()))) for cls in self._pool_x]
-        missing = [x for cls, done in pending for x in self._pool_x[cls][done:]]
-        if not missing:
-            return
-        feats = _encode(model, np.stack(missing))
+            self._drop_features(model, weights)
+        labels = np.asarray(labels, dtype=np.int64)
+        stale = {cls: pool[len(self._pool_f.get(cls, ())):]
+                 for cls, pool in sorted(self._pool_x.items())}
+        batch = [x for rows in stale.values() for x in rows]
+        if features is None:
+            batch.extend(images)
+        if batch:
+            encoded = encode_features(model, np.stack(batch))
+            if features is None:
+                features = encoded[len(batch) - len(images):]
         offset = 0
-        for cls, done in pending:
-            n = len(self._pool_x[cls]) - done
+        for cls in sorted(set(stale) | set(labels.tolist())):
+            parts = [self._pool_f[cls]] if cls in self._pool_f else []
+            n = len(stale.get(cls, ()))
             if n:
-                self._pool_f[cls] = np.concatenate(
-                    [self._pool_f.get(cls, feats[:0]), feats[offset:offset + n]])
+                parts.append(encoded[offset:offset + n])
                 offset += n
+            new = np.flatnonzero(labels == cls)
+            if len(new):
+                self._pool_x.setdefault(cls, []).extend(
+                    np.array(images[i]) for i in new)
+                parts.append(features[new])
+                self._order.pop(cls, None)
+            if n or len(new):
+                self._pool_f[cls] = np.concatenate(parts)
 
     def _retrack(self) -> None:
         """Refresh the ledger entry after the pools or their rows changed.
@@ -373,24 +436,25 @@ class Herding(SelectionStrategy):
             + (len(self._feat_weights[1]) if self._feat_weights else 0))
 
     def process_segment(self, buffer, images, labels, confidences, *,
-                        model=None, rng=None):
+                        model=None, rng=None, features=None):
         if model is None:
             raise ValueError("Herding requires the deployed model for features")
+        if len(images) == 0:
+            return
         quota = max(1, buffer.capacity // model.num_classes)
-        for x, y in zip(images, labels):
-            self._pool_x.setdefault(int(y), []).append(np.array(x))
-        self._refresh_features(model)
+        self._extend_pools(model, images, labels, features)
         # Bound the per-class candidate pool so memory stays O(buffer).
         for cls, pool in self._pool_x.items():
             if len(pool) > 4 * quota:
                 keep = self._herd(self._pool_f[cls], 2 * quota)
                 self._pool_x[cls] = [pool[i] for i in keep]
                 self._pool_f[cls] = self._pool_f[cls][keep]
+                self._order.pop(cls, None)
         self._retrack()
         # Re-select the buffer contents from the herded pools.
         buffer.count = 0
         for cls, pool in sorted(self._pool_x.items()):
-            for i in self._herd(self._pool_f[cls], quota):
+            for i in self._herd_order(cls, quota):
                 if buffer.is_full:
                     return
                 buffer.add(pool[i], cls)
@@ -409,8 +473,7 @@ class Herding(SelectionStrategy):
                 pools[cls] = [np.array(sample) for sample in value]
         if pools:
             self._pool_x = pools
-        self._pool_f = {}
-        self._feat_model = self._feat_weights = None
+        self._drop_features()
         self._retrack()
 
 

@@ -54,7 +54,13 @@ class PseudoLabelResult:
 def predict_with_confidence(model: Module, images: np.ndarray,
                             batch_size: int = 256
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Model predictions and their softmax confidences, graph-free."""
+    """Model predictions and their softmax confidences, graph-free.
+
+    ``model`` is any callable module: the whole network on images, or its
+    classifier head on encoder features.  No rows give empty arrays.
+    """
+    if len(images) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
     labels, confidences = [], []
     with no_grad():
         for start in range(0, len(images), batch_size):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..buffer.buffer import RawBuffer
-from ..buffer.selection import SelectionStrategy
+from ..buffer.selection import SelectionStrategy, encode_features
 from ..data.stream import StreamSegment
 from ..nn.layers import Module
 from .learner import LearnerConfig, OnDeviceLearner
@@ -31,10 +31,21 @@ class ReplayLearner(OnDeviceLearner):
         self.strategy = strategy
 
     def observe_segment(self, segment: StreamSegment) -> dict:
-        labels, confidences = predict_with_confidence(self.model, segment.images)
+        """Pseudo-label one segment and offer it to the selection strategy.
+
+        The deployed encoder runs once over the segment (graph-free, in
+        micro-batches).  The classifier head turns those features into the
+        pseudo-labels and confidences, the same bytes the whole model
+        gives, and the strategy receives the features with the samples, so
+        no strategy encodes the segment again.  An empty segment leaves the
+        buffer untouched.
+        """
+        features = encode_features(self.model, segment.images)
+        labels, confidences = predict_with_confidence(self.model.classifier,
+                                                      features)
         self.strategy.process_segment(self.buffer, segment.images, labels,
                                       confidences, model=self.model,
-                                      rng=self.rng)
+                                      rng=self.rng, features=features)
         return {
             "pseudo_label_accuracy": float(
                 (labels == segment.hidden_labels).mean()) if len(segment) else 0.0,

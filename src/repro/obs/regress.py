@@ -14,6 +14,12 @@ slower.  This module adds the missing time axis:
   entries whose tags match on the configured keys (different machines or
   thread counts never pollute each other's baselines) — and flags any
   metric slower than ``baseline * (1 + threshold)``;
+* a timing may carry, under the row's ``probe_s``, the time of a fixed
+  host probe the bench took next to it in the same process (no
+  repository code).  Between rows that both carry one for a metric, its
+  timings are compared scaled by it, so a host that is slower for a while
+  reads as neither a regression nor a gain; a timing with a probe is never
+  compared with one without;
 * ``python -m repro obs regress`` renders the verdict table and exits
   non-zero on regressions (``--dry-run`` reports without failing), so a
   recorded bench run gets a trajectory verdict instead of just a file.
@@ -44,6 +50,7 @@ __all__ = [
     "RegressionReport",
     "default_history_path",
     "metrics_from_snapshot",
+    "probes_from_snapshot",
     "append_history",
     "load_history",
     "compare_history",
@@ -126,17 +133,47 @@ def metrics_from_snapshot(data: Mapping[str, Any],
     return metrics
 
 
+def probes_from_snapshot(data: Mapping[str, Any],
+                         sections: Sequence[str] | None = None
+                         ) -> dict[str, float]:
+    """``name -> probe_s`` for the timings of a snapshot that carry the
+    host probe taken next to them (the kernel and condense-step cases),
+    named as :func:`metrics_from_snapshot` names them."""
+    probes: dict[str, float] = {}
+    rows: list[tuple[str, Any]] = []
+    if sections is None or "kernels" in sections:
+        rows += [(f"kernels/{case}", row) for case, row in
+                 ((data.get("kernels") or {}).get("cases") or {}).items()]
+    if sections is None or "condense_step" in sections:
+        condense = data.get("condense_step") or {}
+        rows += [("condense_step", condense)]
+        rows += [(f"condense_step/{case}", row) for case, row in
+                 (condense.get("cases") or {}).items()]
+    for name, row in rows:
+        if isinstance(row, Mapping) and "probe_s" in row:
+            probes[name] = float(row["probe_s"])
+    return probes
+
+
 # ----------------------------------------------------------------------
 # History file
 # ----------------------------------------------------------------------
 def append_history(path: str | os.PathLike, section: str,
                    metrics: Mapping[str, float],
-                   tags: Mapping[str, Any]) -> dict:
-    """Append one history line; returns the written entry."""
+                   tags: Mapping[str, Any],
+                   probes: Mapping[str, float] | None = None) -> dict:
+    """Append one history line; returns the written entry.
+
+    ``probes`` maps a timing's name to the host probe time taken next to
+    it, for the timings that have one.
+    """
     entry = {"section": section, "ts": time.time(),
              "tags": {key: value for key, value in sorted(tags.items())},
              "metrics": {name: float(value)
                          for name, value in sorted(metrics.items())}}
+    if probes:
+        entry["probe_s"] = {name: float(value)
+                            for name, value in sorted(probes.items())}
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
@@ -174,8 +211,9 @@ def seed_history_from_snapshot(snapshot_path: str | os.PathLike,
     for section in ("kernels", "condense_step"):
         metrics = metrics_from_snapshot(data, sections=(section,))
         if metrics:
-            entries.append(append_history(history_path, section, metrics,
-                                          base_tags))
+            entries.append(append_history(
+                history_path, section, metrics, base_tags,
+                probes_from_snapshot(data, sections=(section,))))
     return entries
 
 
@@ -232,23 +270,31 @@ def compare_history(entries: Iterable[Mapping[str, Any]], *,
     For each metric name: the *newest* value is taken from the last
     history entry (file order) carrying it; the baseline is the median of
     up to ``window`` earlier values whose entry tags equal the newest
-    entry's on every key in ``match_tags``.  A metric regresses when
+    entry's on every key in ``match_tags``.  When the newest entry carries
+    a probe for the metric (``probe_s``), the earlier values are those of
+    entries that carry one too, each scaled by ``newest probe / its probe``
+    (what it would read at the newest entry's host speed); otherwise those
+    of entries without one.  A metric regresses when
     ``newest >= baseline * (1 + threshold)``; symmetric improvements are
     reported but never fail.
     """
     entries = list(entries)
     report = RegressionReport(window=int(window), threshold=float(threshold))
-    series: dict[str, list[tuple[int, float, Mapping[str, Any]]]] = {}
-    for position, entry in enumerate(entries):
+    series: dict[str, list[tuple[float, Mapping[str, Any], float | None]]] = {}
+    for entry in entries:
         tags = entry.get("tags") or {}
+        probes = entry.get("probe_s") or {}
         for name, value in (entry.get("metrics") or {}).items():
-            series.setdefault(name, []).append((position, float(value), tags))
+            series.setdefault(name, []).append(
+                (float(value), tags, probes.get(name)))
 
     for name in sorted(series):
         points = series[name]
-        _, newest, newest_tags = points[-1]
-        prior = [value for _, value, tags in points[:-1]
-                 if _tags_match(tags, newest_tags, match_tags)]
+        newest, newest_tags, newest_probe = points[-1]
+        prior = [value if probe is None else value * newest_probe / probe
+                 for value, tags, probe in points[:-1]
+                 if _tags_match(tags, newest_tags, match_tags)
+                 and (probe is None) == (newest_probe is None)]
         baseline_values = prior[-window:] if window > 0 else prior
         if not baseline_values:
             report.deltas.append(MetricDelta(name, newest, None, 0,

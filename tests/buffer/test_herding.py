@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.buffer.buffer import RawBuffer
-from repro.buffer.selection import Herding, make_strategy
+from repro.buffer.selection import Herding, encode_features, make_strategy
+from repro.core.pseudo_label import predict_with_confidence
 from repro.core.replay import ReplayLearner
+from repro.data.stream import StreamSegment
 from repro.nn.convnet import ConvNet
 from repro.nn.tensor import Tensor, no_grad
 from repro.obs.memory import default_ledger
@@ -169,6 +171,17 @@ def segment(rng, n=6, classes=2):
     return images, rng.integers(0, classes, n), np.ones(n, dtype=np.float32)
 
 
+def assert_matches_reference(buf, strategy, ref_buf, reference, step):
+    """Buffer bytes and pools equal the re-encoding reference's."""
+    got, want = buf.as_training_set(), ref_buf.as_training_set()
+    assert got[0].tobytes() == want[0].tobytes(), f"segment {step}"
+    assert got[1].tobytes() == want[1].tobytes(), f"segment {step}"
+    state = strategy.state_dict()
+    assert set(state) == {f"pool.{c}" for c in reference.pools}
+    for cls, pool in reference.pools.items():
+        assert state[f"pool.{cls}"].tobytes() == np.stack(pool).tobytes()
+
+
 def pool_rows(strategy):
     return sum(len(pool) for pool in strategy._pool_x.values())
 
@@ -227,13 +240,7 @@ class TestFeatureCache:
             strategy.process_segment(buf, images, labels, conf, model=model)
             reference.process_segment(ref_buf, images, labels, model)
             offered += np.bincount(labels, minlength=2)
-            got, want = buf.as_training_set(), ref_buf.as_training_set()
-            assert got[0].tobytes() == want[0].tobytes(), f"segment {step}"
-            assert got[1].tobytes() == want[1].tobytes(), f"segment {step}"
-            state = strategy.state_dict()
-            assert set(state) == {f"pool.{c}" for c in reference.pools}
-            for cls, pool in reference.pools.items():
-                assert state[f"pool.{cls}"].tobytes() == np.stack(pool).tobytes()
+            assert_matches_reference(buf, strategy, ref_buf, reference, step)
         # Both classes were offered more than the 4x quota bound (8) yet
         # their pools are within it, so pruning ran.
         assert offered.min() > 8
@@ -289,6 +296,114 @@ class TestFeatureCache:
         images, labels, conf = segment(rng)
         strategy.process_segment(buf, images, labels, conf, model=model)
         assert spy.take() == [saved_rows + len(images)]
+
+
+def herd_spy(strategy):
+    """Wraps ``strategy._herd``; returns the list every call appends the
+    class of the rows it herds to."""
+    calls, inner = [], strategy._herd
+
+    def herd(feats, quota):
+        calls.append(next(cls for cls, rows in strategy._pool_f.items()
+                          if rows is feats))
+        return inner(feats, quota)
+
+    strategy._herd = herd
+    return calls
+
+
+def swap_parameter_arrays(model):
+    for p in model.parameters():
+        p.data = p.data + np.float32(0.01)
+
+
+class TestSharedFeatures:
+    def test_supplied_features_are_not_reencoded(self, rng, model):
+        twin = model.clone()  # same weights, so the same feature bytes
+        spy = model.features = RowSpy(model)
+        strategy, buf = Herding(), RawBuffer(4, SHAPE)
+        for _ in range(6):
+            images, labels, conf = segment(rng)
+            strategy.process_segment(buf, images, labels, conf, model=model,
+                                     features=encode_features(twin, images))
+            assert spy.take() == []
+
+    def test_learner_encodes_each_image_once(self, rng, model):
+        spy = model.features = RowSpy(model)
+        learner = ReplayLearner(model, RawBuffer(4, SHAPE), Herding(), rng=0)
+        for step in range(6):
+            images = segment(rng)[0]
+            learner.observe_segment(StreamSegment(
+                images, np.zeros(len(images), dtype=np.int64), step, 0))
+            assert sum(spy.take()) == len(images)
+
+    def test_herds_only_classes_that_changed(self, rng):
+        model = ConvNet(1, 3, 8, width=4, depth=2, rng=rng)
+        strategy, buf = Herding(), RawBuffer(6, SHAPE)  # quota 2
+        herded = herd_spy(strategy)
+        pruned_any = False
+        for step in range(12):
+            images, labels, conf = segment(rng, n=5, classes=3)
+            if step % 2:  # every other segment shows a single class
+                labels[:] = step % 3
+            before = {cls: len(pool) for cls, pool in strategy._pool_x.items()}
+            strategy.process_segment(buf, images, labels, conf, model=model)
+            touched = sorted(set(labels.tolist()))
+            pruned = [cls for cls in touched
+                      if before.get(cls, 0) + np.sum(labels == cls) > 8]
+            pruned_any |= bool(pruned)
+            assert sorted(herded) == sorted(touched + pruned), f"segment {step}"
+            herded.clear()
+        assert pruned_any
+
+    @pytest.mark.parametrize("event", ["perturb_in_place", "swap_arrays",
+                                       "load_state_dict"])
+    def test_every_class_reherds_after(self, rng, event):
+        model = ConvNet(1, 3, 8, width=4, depth=2, rng=rng)
+        strategy, buf = Herding(), RawBuffer(6, SHAPE)
+        for _ in range(4):
+            strategy.process_segment(buf, *segment(rng, n=9, classes=3),
+                                     model=model)
+        assert sorted(strategy._pool_x) == [0, 1, 2]
+        herded = herd_spy(strategy)
+        if event == "perturb_in_place":
+            perturb_in_place(model)
+        elif event == "swap_arrays":
+            swap_parameter_arrays(model)
+        else:
+            strategy.load_state_dict(strategy.state_dict())
+        images, _, conf = segment(rng, n=3)
+        strategy.process_segment(buf, images, np.zeros(3, dtype=np.int64),
+                                 conf, model=model)
+        assert sorted(set(herded)) == [0, 1, 2]
+
+    def test_learner_trajectory_matches_full_reencode(self, rng):
+        # TestFeatureCache::test_trajectory_matches_full_reencode with the
+        # learner pseudo-labeling each segment and supplying its features.
+        model = ConvNet(1, 2, 8, width=4, depth=2, rng=rng)
+        buf, ref_buf = RawBuffer(4, SHAPE), RawBuffer(4, SHAPE)  # quota 2
+        learner = ReplayLearner(model, buf, Herding(), rng=0)
+        reference = ReferenceHerding()
+        offered = np.zeros(2, dtype=np.int64)
+        for step in range(14):
+            if step == 5:
+                perturb_in_place(model)
+            if step == 9:
+                fresh = Herding()
+                fresh.load_state_dict(learner.strategy.state_dict())
+                learner.strategy = fresh
+            if step == 11:
+                swap_parameter_arrays(model)
+            images = segment(rng, n=7)[0]
+            labels, _ = predict_with_confidence(model, images)
+            learner.observe_segment(StreamSegment(images, labels, step, 0))
+            reference.process_segment(ref_buf, images, labels, model)
+            offered += np.bincount(labels, minlength=2)
+            assert_matches_reference(buf, learner.strategy, ref_buf, reference,
+                                     step)
+        # Some class was offered more than the 4x quota bound (8), so
+        # pruning ran.
+        assert offered.max() > 8
 
 
 class TestPoolLedger:

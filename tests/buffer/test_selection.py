@@ -1,12 +1,16 @@
 """Unit tests for the selection baselines (repro.buffer.selection)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.buffer.buffer import RawBuffer
 from repro.buffer.selection import (FIFO, STRATEGY_NAMES, GSSGreedy, KCenter,
                                     RandomReservoir, SelectiveBP,
-                                    make_strategy)
+                                    encode_features, make_strategy)
+from repro.core.replay import ReplayLearner
+from repro.experiments.common import prepare_experiment, run_method
 from repro.nn.convnet import ConvNet
 
 SHAPE = (1, 8, 8)
@@ -167,8 +171,55 @@ class TestGSSGreedy:
         strategy = GSSGreedy()
         x = rng.standard_normal((3, *SHAPE)).astype(np.float32)
         y = np.array([0, 1, 2])
-        errors, feats = strategy._grad_embedding(model, x, y)
+        errors, feats = strategy._grad_embedding(
+            model, encode_features(model, x), y)
         assert errors.shape == (3, model.num_classes)
         assert feats.shape == (3, model.feature_dim)
         # error vector sums to ~0 (softmax minus one-hot)
         np.testing.assert_allclose(errors.sum(axis=1), 0.0, atol=1e-5)
+
+
+class TestLearnerFeatures:
+    """GSS and k-center build on the features the replay learner
+    pseudo-labeled the segment from, with the same buffer bytes (images,
+    labels, metadata) and strategy state as when they encode the segment
+    themselves."""
+
+    @staticmethod
+    def buffer_digests(prepared, name, monkeypatch):
+        digests = []
+        observe = ReplayLearner.observe_segment
+
+        def recording(learner, segment):
+            diag = observe(learner, segment)
+            state = {**learner.buffer.state_dict(),
+                     **learner.strategy.state_dict()}
+            digests.append(hashlib.sha256(b"".join(
+                key.encode() + value.tobytes()
+                for key, value in sorted(state.items()))).digest())
+            return diag
+
+        with monkeypatch.context() as m:
+            m.setattr(ReplayLearner, "observe_segment", recording)
+            run_method(prepared, name, 5, seed=1)
+        return digests
+
+    @pytest.mark.parametrize("name", ["gss_greedy", "k_center"])
+    def test_buffer_matches_self_encoded_path(self, name, monkeypatch):
+        prepared = prepare_experiment("core50", "micro", seed=0)
+        strategy_cls = type(make_strategy(name))
+        greedy = KCenter._greedy_k_center
+        k_center_runs = []
+        monkeypatch.setattr(KCenter, "_greedy_k_center", staticmethod(
+            lambda *a: k_center_runs.append(1) or greedy(*a)))
+        supplied = self.buffer_digests(prepared, name, monkeypatch)
+        if name == "k_center":  # the pool outgrew the buffer: features used
+            assert k_center_runs
+        process = strategy_cls.process_segment
+        monkeypatch.setattr(
+            strategy_cls, "process_segment",
+            lambda self, *a, features=None, **kw: process(self, *a, **kw))
+        self_encoded = self.buffer_digests(prepared, name, monkeypatch)
+        assert len(supplied) == len(self_encoded) > 1
+        for step, (got, want) in enumerate(zip(supplied, self_encoded)):
+            assert got == want, f"segment {step}"

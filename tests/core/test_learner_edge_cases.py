@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from repro.buffer.buffer import RawBuffer, SyntheticBuffer
-from repro.buffer.selection import make_strategy
+from repro.buffer.selection import (EXTRA_STRATEGY_NAMES, STRATEGY_NAMES,
+                                    make_strategy)
 from repro.condensation.one_step import OneStepMatcher
 from repro.core.deco import DECOLearner
 from repro.core.learner import LearnerConfig
-from repro.core.pseudo_label import MajorityVotePseudoLabeler
+from repro.core.pseudo_label import (MajorityVotePseudoLabeler,
+                                     predict_with_confidence)
 from repro.core.replay import ReplayLearner
 from repro.data.datasets import DatasetSpec, make_dataset
-from repro.data.stream import Stream, make_stream
+from repro.data.stream import Stream, StreamSegment, make_stream
 from repro.nn.convnet import ConvNet
 
 DS = make_dataset(DatasetSpec(name="edge", num_classes=3, image_size=8,
@@ -54,6 +56,45 @@ class TestStreamShapes:
         history = deco_learner().run(stream)
         assert history.accuracy == []
         assert len(history.diagnostics) == len(stream)
+
+
+class TestEmptySegment:
+    @pytest.mark.parametrize("name",
+                             STRATEGY_NAMES + EXTRA_STRATEGY_NAMES + ("learner",))
+    def test_empty_segment_is_a_no_op(self, name):
+        net = model()
+        buffer = RawBuffer(6, DS.image_shape())
+        strategy = make_strategy("herding" if name == "learner" else name)
+        learner = ReplayLearner(net, buffer, strategy,
+                                rng=np.random.default_rng(0))
+        first = next(iter(make_stream(DS, segment_size=8, stc=8, rng=0)))
+        empty = StreamSegment(first.images[:0], first.hidden_labels[:0],
+                              index=1, start=len(first))
+
+        def snapshot():
+            return {key: value.tobytes() for obj in (buffer, strategy)
+                    for key, value in obj.state_dict().items()}
+
+        # Before any sample, and once the buffer holds some.
+        for warm_up in (None, first):
+            if warm_up is not None:
+                learner.observe_segment(warm_up)
+            before = snapshot()
+            if name == "learner":
+                diag = learner.observe_segment(empty)
+                assert diag["pseudo_label_accuracy"] == 0.0
+            else:
+                strategy.process_segment(buffer, empty.images,
+                                         np.empty(0, dtype=np.int64),
+                                         np.empty(0, dtype=np.float32),
+                                         model=net,
+                                         rng=np.random.default_rng(1))
+            assert snapshot() == before
+        if name == "learner":
+            labels, confidences = predict_with_confidence(net, empty.images)
+            assert labels.shape == confidences.shape == (0,)
+            assert labels.dtype == np.int64
+            assert confidences.dtype == np.float32
 
 
 class TestRejectingLabeler:

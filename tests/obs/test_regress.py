@@ -9,7 +9,8 @@ import pytest
 from repro.obs import (append_history, check_regressions, compare_history,
                        format_regress_report, load_history,
                        metrics_from_snapshot, seed_history_from_snapshot)
-from repro.obs.regress import DEFAULT_THRESHOLD, HISTORY_FILENAME
+from repro.obs.regress import (DEFAULT_THRESHOLD, HISTORY_FILENAME,
+                               probes_from_snapshot)
 
 TAGS = {"platform": "test-box", "threads": 1}
 
@@ -198,3 +199,73 @@ class TestByteMetrics:
         # Byte gauges are judged by the same threshold rule as timings.
         assert any(d.name.endswith("peak_traced_bytes")
                    and d.verdict == "regression" for d in report.deltas)
+
+
+
+def probed(values, probes, name="kernels/conv2d_fwd"):
+    rows = history(values, name=name)
+    for row, probe in zip(rows, probes):
+        if probe is not None:
+            row["probe_s"] = {name: probe}
+    return rows
+
+
+class TestHostProbe:
+    def test_slower_host_is_not_a_regression(self):
+        report = compare_history(probed([1.0, 1.0, 1.0, 1.3],
+                                        [1.0, 1.0, 1.0, 1.3]))
+        assert report.ok
+        (delta,) = report.deltas
+        assert delta.baseline == pytest.approx(1.3)
+        assert delta.verdict == "ok"
+
+    def test_slowdown_on_a_steady_host_is_flagged(self):
+        report = compare_history(probed([1.0, 1.0, 1.0, 1.3],
+                                        [1.0, 1.0, 1.0, 1.0]))
+        assert [d.name for d in report.regressions] == ["kernels/conv2d_fwd"]
+
+    def test_faster_host_does_not_hide_a_slowdown(self):
+        # Raw values are flat, but the host became 30 % faster.
+        report = compare_history(probed([1.0, 1.0, 1.0, 1.0],
+                                        [1.0, 1.0, 1.0, 0.7]))
+        assert not report.ok
+
+    def test_timings_with_and_without_probe_are_not_compared(self):
+        first_probe = compare_history(probed([1.0, 1.0, 5.0],
+                                             [None, None, 1.0]))
+        assert [d.verdict for d in first_probe.deltas] == ["no-baseline"]
+        unprobed = compare_history(probed([1.0, 1.0, 5.0, 1.0],
+                                          [1.0, 1.0, 1.0, None]))
+        assert [d.verdict for d in unprobed.deltas] == ["no-baseline"]
+
+    def test_each_timing_is_scaled_by_its_own_probe(self):
+        rows = [entry({"kernels/a": 1.0, "kernels/b": 1.0,
+                       "condense_step/peak_traced_bytes": 100.0})
+                for _ in range(2)]
+        rows[0]["probe_s"] = {"kernels/a": 1.0, "kernels/b": 1.0}
+        rows[1]["probe_s"] = {"kernels/a": 1.0, "kernels/b": 0.5}
+        rows[1]["metrics"]["condense_step/peak_traced_bytes"] = 130.0
+        verdicts = {d.name: d.verdict for d in compare_history(rows).deltas}
+        assert verdicts == {"kernels/a": "ok", "kernels/b": "regression",
+                            "condense_step/peak_traced_bytes": "regression"}
+
+    def test_bench_rows_carry_their_probes(self, tmp_path):
+        snapshot = {
+            "kernels": {"cases": {"conv2d_fwd": {"fast_s": 0.01,
+                                                 "probe_s": 0.002},
+                                  "old_case": {"fast_s": 0.03}}},
+            "condense_step": {"fast_s": 0.2, "probe_s": 0.003,
+                              "peak_traced_bytes": 1024,
+                              "cases": {"stream_segment": {
+                                  "fast_s": 0.1, "probe_s": 0.004}}},
+        }
+        assert probes_from_snapshot(snapshot) == {
+            "kernels/conv2d_fwd": 0.002, "condense_step": 0.003,
+            "condense_step/stream_segment": 0.004}
+        path = tmp_path / HISTORY_FILENAME
+        append_history(path, "kernels", {"kernels/conv2d_fwd": 0.01}, TAGS,
+                       probes_from_snapshot(snapshot, sections=("kernels",)))
+        append_history(path, "kernels", {"kernels/conv2d_fwd": 0.01}, TAGS)
+        entries, _ = load_history(path)
+        assert entries[0]["probe_s"] == {"kernels/conv2d_fwd": 0.002}
+        assert "probe_s" not in entries[1]
