@@ -72,7 +72,7 @@ def main(argv=None) -> dict:
     def probed_runs(*case) -> tuple[list[float], float]:
         """``repeats`` timed segments, and the best of the host probes
         taken right before each."""
-        run_segment(*case)  # warm up (plan cache, page faults)
+        run_segment(*case)  # warm up (page faults)
         times, probes = [], []
         for _ in range(args.repeats):
             probes.append(host_probe())

@@ -2,9 +2,11 @@
 
 Times conv2d forward / forward+backward, instance norm, average pooling,
 log-softmax, one ConvNet block (``conv_block``: Conv -> Norm -> ReLU ->
-Pool) forward+backward and the raw im2col/col2im primitives, each next to
-its preserved seed implementation in :mod:`repro.nn.reference` (the block
-next to the seed ops composed in sequence), plus one full
+Pool) forward+backward and a conv's data movement (im2col, then the input
+gradient's matmul and col2im) at the retrain shapes of the two stream
+benchmarks, each next to its preserved seed implementation in
+:mod:`repro.nn.reference` (the block next to the seed ops composed in
+sequence), plus one full
 ``parameter_gradients`` pass (fast only) and the closed-form gradient
 distance ``distance_and_grad`` (next to the autodiff graph of
 ``gradient_distance``).  Appends the measured
@@ -37,6 +39,10 @@ RESULTS_PATH = (pathlib.Path(__file__).resolve().parents[2]
 
 # CIFAR-scale shapes: the paper's 32x32 inputs, ConvNet width 16, batch 128.
 N, C, HW, OC = 128, 16, 32, 16
+# (batch, channels, size) of a conv input in the stream benchmarks'
+# retraining: the herding workload's second block (16 px input) and the
+# deco workload's first block (32 px input, one micro-batch).
+DATA_MOVEMENT_SHAPES = ((18, 16, 8), (5, 3, 32))
 
 
 _PROBE_RNG = np.random.default_rng(2024)
@@ -64,7 +70,7 @@ def host_probe() -> float:
 
 def best_of(fn, repeats: int) -> float:
     """Best-of-N wall time of ``fn()`` (min filters scheduler noise)."""
-    fn()  # warm up caches and plans
+    fn()  # warm up caches
     return min(timeit_once(fn) for _ in range(repeats))
 
 
@@ -163,7 +169,6 @@ def make_cases(rng: np.random.Generator) -> dict:
     gamma = Tensor(np.ones(OC, dtype=np.float32), requires_grad=True)
     beta = Tensor(np.zeros(OC, dtype=np.float32), requires_grad=True)
     flat = Tensor(x.data.reshape(N, -1)[:, :64], requires_grad=True)
-    xr = rng.standard_normal((N, C, HW, HW)).astype(np.float32)
 
     def conv_fwd(conv2d):
         return lambda: conv2d(Tensor(x.data), Tensor(w.data), Tensor(b.data),
@@ -172,16 +177,7 @@ def make_cases(rng: np.random.Generator) -> dict:
     def conv_fwd_bwd(conv2d):
         return fwd_bwd(lambda *t: conv2d(*t, stride=1, padding=1), x, w, b)
 
-    def im2col_col2im():
-        plan = kernels.get_conv_plan(N, C, HW, HW, 3, 3, 1, 1)
-        cols = kernels.im2col(xr, plan)
-        return kernels.col2im(cols.reshape(plan.cols_shape), plan)
-
-    def im2col_col2im_seed():
-        cols = kernels.im2col_reference(xr, 3, 3, 1, 1)
-        return kernels.col2im_reference(cols, (N, C, HW, HW), 3, 3, 1, 1)
-
-    return {
+    cases = {
         "conv2d_fwd": (conv_fwd(F.conv2d), conv_fwd(reference.conv2d)),
         "conv2d_fwd_bwd": (conv_fwd_bwd(F.conv2d),
                            conv_fwd_bwd(reference.conv2d)),
@@ -193,8 +189,30 @@ def make_cases(rng: np.random.Generator) -> dict:
                                   fwd_bwd(seed_block, x, w, b, gamma, beta)),
         "log_softmax_fwd_bwd": (fwd_bwd(F.log_softmax, flat),
                                 fwd_bwd(reference.log_softmax, flat)),
-        "im2col_col2im": (im2col_col2im, im2col_col2im_seed),
     }
+    for n, c, hw in DATA_MOVEMENT_SHAPES:
+        cases[f"im2col_col2im_{n}x{c}x{hw}"] = data_movement(rng, n, c, hw)
+    return cases
+
+
+def data_movement(rng: np.random.Generator, n: int, c: int, hw: int):
+    """``(fast, seed)`` callables for a 3x3, pad-1 conv's data movement on
+    an ``(n, c, hw, hw)`` input: im2col, then the input gradient of an
+    ``OC``-channel output gradient (its matmul and col2im)."""
+    x = rng.standard_normal((n, c, hw, hw)).astype(np.float32)
+    w = rng.standard_normal((OC, c, 3, 3)).astype(np.float32)
+    g = rng.standard_normal((n, OC, hw, hw)).astype(np.float32)
+
+    def fast():
+        kernels.im2col(x, 3, 3, 1, 1)
+        return kernels.col2im(g, w, x.shape, 1, 1)
+
+    def seed():
+        reference.im2col(x, 3, 3, 1, 1)
+        dcols = np.matmul(w.reshape(OC, -1).T, g.reshape(n, OC, -1))
+        return reference.col2im(dcols, x.shape, 3, 3, 1, 1)
+
+    return fast, seed
 
 
 def bench_parameter_gradients(rng: np.random.Generator, repeats: int) -> dict:

@@ -6,10 +6,10 @@ average pooling, instance normalization, the softmax family, linear) that
 the :mod:`repro.nn.layers` modules wrap.
 
 The hot paths run on the kernel layer in :mod:`repro.nn.kernels`:
-convolution fetches a cached :class:`~repro.nn.kernels.ConvPlan` (im2col
-geometry, col2im scatter table) and contracts its fresh column buffer with
-plain ``np.matmul``, so every activation and gradient is C-contiguous NCHW
-and the norm, ReLU and pooling ops after a conv never run on strided views.
+convolution contracts a fresh im2col column buffer with plain
+``np.matmul`` and scatters its input gradient back with col2im, so every
+activation and gradient is C-contiguous NCHW and the norm, ReLU and
+pooling ops after a conv never run on strided views.
 Every op skips redundant ``astype(float32)`` copies and skips gradient work
 for parents with ``requires_grad=False``.  The frozen seed implementations
 in :mod:`repro.nn.reference` are the tests' oracle for these ops; nothing
@@ -63,12 +63,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if ic != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ic}")
 
-    plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
-    xd = _f32(x.data)
+    oh, ow = kernels.conv_out_size(h, w, kh, kw, stride, padding)
     w2 = weight.data.reshape(oc, -1)                 # (OC, CKK)
-    cols = kernels.im2col(xd, plan).reshape(plan.cols_shape)  # (N, CKK, L)
+    cols = kernels.im2col(_f32(x.data), kh, kw, stride, padding)  # (N, CKK, L)
     out = np.matmul(w2, cols)                        # C-contiguous (N, OC, L)
-    out = out.reshape(n, oc, plan.oh, plan.ow)
+    out = out.reshape(n, oc, oh, ow)
     if bias is not None:
         out += bias.data.reshape(1, oc, 1, 1)
 
@@ -76,15 +75,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     def backward(g: np.ndarray) -> None:
         nonlocal cols
-        gflat = g.reshape(n, oc, plan.oh * plan.ow)
+        gflat = g.reshape(n, oc, oh * ow)
         if bias is not None and bias.requires_grad:
             bias._accumulate(gflat.sum(axis=(0, 2)), own=True)
         if weight.requires_grad:
             dw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(_f32(dw).reshape(weight.shape), own=True)
         if x.requires_grad:
-            dcols = np.matmul(w2.T, gflat)           # (N, CKK, L)
-            x._accumulate(kernels.col2im(dcols, plan), own=True)
+            x._accumulate(kernels.col2im(g, weight.data, x.shape, stride,
+                                         padding), own=True)
         # The columns are dead once consumed: free them now rather than
         # when the whole graph goes, so the layers below can reuse the
         # memory during the rest of the backward pass.
@@ -284,9 +283,9 @@ def conv_block(x: Tensor, weight: Tensor, bias: Tensor | None,
     if n % lanes:
         raise ValueError(f"conv_block: batch {n} does not split into {lanes} lanes")
     k = int(pool)
-    plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
-    if plan.oh % k or plan.ow % k:
-        raise ValueError(f"conv_block: conv output ({plan.oh},{plan.ow}) "
+    oh, ow = kernels.conv_out_size(h, w, kh, kw, stride, padding)
+    if oh % k or ow % k:
+        raise ValueError(f"conv_block: conv output ({oh},{ow}) "
                          f"not divisible by pool {k}")
 
     def lane_view(a: np.ndarray) -> np.ndarray:
@@ -299,8 +298,8 @@ def conv_block(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     # conv2d
     w2 = weight.data.reshape(lanes, oc, -1)          # (T, OC, CKK)
-    cols = kernels.im2col(_f32(x.data), plan).reshape(plan.cols_shape)
-    z = _lane_matmul(w2, cols, lanes).reshape(n, oc, plan.oh, plan.ow)
+    cols = kernels.im2col(_f32(x.data), kh, kw, stride, padding)
+    z = _lane_matmul(w2, cols, lanes).reshape(n, oc, oh, ow)
     if bias is not None:
         np.add(lane_view(z), lane_param(bias), out=lane_view(z))
     # instance_norm2d; z is dead once centred, so it holds the squared
@@ -338,7 +337,7 @@ def conv_block(x: Tensor, weight: Tensor, bias: Tensor | None,
         if gamma is not None:
             np.multiply(lane_view(gy), lane_param(gamma), out=lane_view(gy))
         gz = _norm_backward(gy, xhat, inv_std, axes, donate=y)
-        gflat = gz.reshape(n, oc, plan.oh * plan.ow)
+        gflat = gz.reshape(n, oc, oh * ow)
         if bias is not None and bias.requires_grad:
             bias._accumulate(_per_lane(lambda g: g.sum(axis=(0, 2)), lanes,
                                        gflat), own=True)
@@ -347,8 +346,8 @@ def conv_block(x: Tensor, weight: Tensor, bias: Tensor | None,
                 g, cl.transpose(0, 2, 1)).sum(axis=0), lanes, gflat, cols)
             weight._accumulate(dw.reshape(weight.shape), own=True)
         if x.requires_grad:
-            dcols = _lane_matmul(w2.transpose(0, 2, 1), gflat, lanes)
-            x._accumulate(kernels.col2im(dcols, plan), own=True)
+            x._accumulate(kernels.col2im(gz, weight.data, x.shape, stride,
+                                         padding), own=True)
         cols = None
 
     return Tensor._make(out, parents, "conv_block", backward)

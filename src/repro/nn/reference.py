@@ -2,11 +2,13 @@
 test oracle.
 
 These are the verbatim op bodies the repository shipped with before the
-kernel-level overhaul (plan cache, copy elimination).  No production code
-calls them.  ``tests/nn/test_kernels.py`` and ``tests/nn/test_conv_block.py``
-assert that the ops of :mod:`repro.nn.functional` match them (forward and
-backward) to 1e-5 across a grid of shapes, strides and paddings, and
-``benchmarks/micro`` times the fast ops against them.
+kernel-level overhaul (contiguous-run im2col/col2im, copy elimination).
+No production code calls them.  ``tests/nn/test_kernels.py`` and
+``tests/nn/test_conv_block.py`` assert that the ops of
+:mod:`repro.nn.functional` match them (forward and backward) to 1e-5
+across a grid of shapes, strides and paddings, and that the kernels of
+:mod:`repro.nn.kernels` match the seed :func:`im2col`/:func:`col2im` byte
+for byte; ``benchmarks/micro`` times the fast ops against them.
 
 Do not optimize this module; it is the frozen baseline.
 """
@@ -15,16 +17,49 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import col2im_reference, im2col_reference
 from .tensor import Tensor
 
 __all__ = [
+    "im2col",
+    "col2im",
     "conv2d",
     "avg_pool2d",
     "instance_norm2d",
     "softmax",
     "log_softmax",
 ]
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
+           pad: int) -> np.ndarray:
+    """Seed im2col: expand NCHW ``x`` into (N, C*kh*kw, L) patch columns."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    n, c, h, w = x.shape
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    shape = (n, c, kh, kw, oh, ow)
+    strides = (s0, s1, s2, s3, s2 * stride, s3 * stride)
+    cols = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+    return np.ascontiguousarray(cols).reshape(n, c * kh * kw, oh * ow)
+
+
+def col2im(dcols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
+           stride: int, pad: int) -> np.ndarray:
+    """Seed col2im: Python kh x kw loop over strided slice adds."""
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    dcols = dcols.reshape(n, c, kh, kw, oh, ow)
+    dx = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, i, j]
+    if pad:
+        dx = dx[:, :, pad:-pad, pad:-pad]
+    return dx
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
@@ -37,7 +72,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
 
-    cols = im2col_reference(x.data, kh, kw, stride, padding)  # (N, CKK, L)
+    cols = im2col(x.data, kh, kw, stride, padding)  # (N, CKK, L)
     w2 = weight.data.reshape(oc, -1)  # (OC, CKK)
     out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
     out = out.reshape(n, oc, oh, ow)
@@ -55,7 +90,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             weight._accumulate(dw.reshape(weight.shape))
         if x.requires_grad:
             dcols = np.einsum("ok,nol->nkl", w2, gflat, optimize=True)
-            x._accumulate(col2im_reference(dcols, x.shape, kh, kw, stride, padding))
+            x._accumulate(col2im(dcols, x.shape, kh, kw, stride, padding))
 
     return Tensor._make(out.astype(np.float32), parents, "conv2d", backward)
 

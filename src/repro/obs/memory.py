@@ -17,7 +17,6 @@ account                what it holds
 ``selection.pool``     herding's per-class candidate pools (raw images),
                        their cached encoder feature rows and weight snapshot
 ``shm.pack``           shared-memory sweep packs (owner side)
-``cache.conv_plans``   ConvPlan LRU resident bytes (pull provider)
 ``disk.checkpoints``   checkpoint files written this process (bytes on disk)
 =====================  ====================================================
 
@@ -29,16 +28,16 @@ Two registration styles:
   ``weakref.finalize`` so a garbage-collected buffer can never leak its
   ledger bytes.
 * **Pull providers** (:meth:`MemoryLedger.register_provider`) for caches
-  that already keep their own byte counts (the plan cache): the
-  ledger polls them only when a snapshot is requested, so the hot path
-  pays nothing.
+  that already keep their own byte counts: the ledger polls them only
+  when a snapshot is requested, so the hot path pays nothing.
 
-Kernel scratch (im2col columns, padded inputs, col2im canvases) is not an
-account: each op allocates it fresh and it is freed with the graph that
-uses it (conv columns as soon as backward has used them).  The micro-batch
-split rule (:func:`repro.utils.batching.micro_batches`) bounds how large it
-gets, so it shows up only in the RSS and ``tracemalloc`` numbers, never as
-a resident pool.
+Kernel scratch (im2col columns and their shifted input copies, row-padded
+gradients, col2im canvases) is not an account: each op allocates it fresh
+and it is freed with the graph that uses it (conv columns as soon as
+backward has used them).  The micro-batch split rule
+(:func:`repro.utils.batching.micro_batches`) bounds how large it gets, so
+it shows up only in the RSS and ``tracemalloc`` numbers, never as a
+resident pool.
 
 On top of the accounts: a process-wide **high-water gauge** (updated on
 every record and snapshot), **RSS sampling** (``/proc/self/statm`` with a
@@ -47,8 +46,8 @@ every record and snapshot), **RSS sampling** (``/proc/self/statm`` with a
 against real interpreter allocations (numpy registers its payloads with
 tracemalloc, so tracked-account deltas must agree within tolerance).
 
-Everything here is stdlib-only and import-light: hot modules (kernels,
-buffers) import this module directly without dragging in the rest of the
+Everything here is stdlib-only and import-light: hot modules (buffers,
+selection) import this module directly without dragging in the rest of the
 telemetry layer.
 """
 

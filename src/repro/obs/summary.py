@@ -18,8 +18,8 @@ the same monospace tables the experiment reports use
   mean / p50 / p95 / p99 / max milliseconds, quantiles estimated from the
   same bounded log-bucket scheme ``Telemetry.observe`` uses), covering the
   matcher's five forward/backward passes and the learner stages;
-* **Runtime counters** — the last ``counters`` snapshot: plan-cache and
-  step-cache hits/misses/evictions, ledger accounts and health totals.
+* **Runtime counters** — the last ``counters`` snapshot: ledger accounts
+  and health totals.
 """
 
 from __future__ import annotations

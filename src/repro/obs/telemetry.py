@@ -342,20 +342,15 @@ def reset() -> None:
 
 def collect_runtime_counters(registry: Telemetry | None = None, *,
                              emit: bool = True) -> dict[str, float]:
-    """Pull the kernel-layer counters into the registry as gauges.
+    """Pull the health-sentinel totals and the memory-ledger accounts into
+    the registry as gauges.
 
-    The plan cache is deliberately *not* instrumented push-style — a
-    counter increment per conv call would tax the hot path even when idle.
-    Instead this snapshots :func:`plan_cache_info` on demand (end of
-    segment, end of run, benchmark epilogue) and optionally emits one
-    ``counters`` event to the sink.
+    Neither is instrumented push-style on the hot path: this snapshots
+    them on demand (end of segment, end of run, benchmark epilogue) and
+    optionally emits one ``counters`` event to the sink.
     """
-    from ..nn import kernels  # local import: obs must not import nn eagerly
-
     registry = registry or _DEFAULT
     values: dict[str, float] = {}
-    for key, val in kernels.plan_cache_info().items():
-        values[f"plan_cache.{key}"] = float(val)
     from .health import health_stats  # local: health imports this module
     for key, val in health_stats().items():
         values[f"health.{key}"] = float(val)

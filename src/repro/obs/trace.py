@@ -144,9 +144,9 @@ def _counter_events(record: dict[str, Any], pid: int, t0: float
     elif rtype == "rss":
         fields = [(f"memory.{k}", record.get(k)) for k in _RSS_EVENT_FIELDS]
     elif rtype == "counters":
-        # Byte-valued runtime gauges (plan cache, step cache,
-        # ledger accounts) become counter tracks; timing/count gauges stay
-        # in the summarize tables where they are readable.
+        # Byte-valued runtime gauges (ledger accounts) become counter
+        # tracks; count gauges stay in the summarize tables where they
+        # are readable.
         fields = [(k, v) for k, v in record.items()
                   if isinstance(v, (int, float))
                   and (k.startswith("memory.") or k.endswith("_bytes"))]

@@ -68,7 +68,7 @@ class TestCondenseMemory:
     def test_condense_peak_is_bounded_by_the_training_peak(self):
         buf, real_x, real_y, real_w = _segment()
         deployed = _net(buf.image_shape, 10, np.random.default_rng(5))
-        # Warm the plan caches and the fused-FD verdict first.
+        # Warm up first, so one-time allocations stay out of the trace.
         _condense(buf, real_x, real_y, real_w, metric="cosine")
         train_model(deployed, real_x, real_y, epochs=1, lr=1e-2, rng=3)
         tracemalloc.start()

@@ -117,7 +117,8 @@ class TestSegmentEventSchema:
                 or {"pass.fd_plus", "pass.fd_minus"} <= span_names), \
             f"no FD evaluation spans in {sorted(span_names)}"
         counters = [r for r in records if r["type"] == "counters"]
-        assert counters and "plan_cache.hits" in counters[-1]
+        assert counters and "health.checks" in counters[-1]
+        assert counters[-1]["memory.model.params_bytes"] > 0
 
     def test_eval_events_recorded(self):
         records, _ = run_traced()

@@ -69,7 +69,7 @@ class TestHighWater:
 
     def test_high_water_sees_pulled_providers(self):
         ledger = MemoryLedger()
-        ledger.register_provider("cache.conv_plans", lambda: 9000)
+        ledger.register_provider("cache.example", lambda: 9000)
         ledger.totals()
         assert ledger.high_water_bytes == 9000
 
@@ -77,8 +77,8 @@ class TestHighWater:
 class TestProviders:
     def test_provider_pulled_in_totals(self):
         ledger = MemoryLedger()
-        ledger.register_provider("cache.conv_plans", lambda: 123)
-        assert ledger.totals() == {"cache.conv_plans": 123}
+        ledger.register_provider("cache.example", lambda: 123)
+        assert ledger.totals() == {"cache.example": 123}
         assert ledger.totals(pull=False) == {}
 
     def test_broken_provider_reports_zero(self):
@@ -154,11 +154,18 @@ class TestDeepAudit:
 
 class TestDefaultLedgerWiring:
     def test_instrumented_sites_register_accounts(self):
-        # Importing the kernel layer installs the plan-cache provider on
-        # the process-wide ledger.
-        import repro.nn.kernels  # noqa: F401
+        # Every account on the process-wide ledger is recorded by the
+        # object that owns the bytes: the conv kernels keep no cache, so
+        # running one installs no pull provider.
+        from repro.buffer.buffer import RawBuffer
+        from repro.nn import functional as F
+        from repro.nn.tensor import Tensor
 
-        assert "cache.conv_plans" in default_ledger.totals()
+        F.conv2d(Tensor(np.ones((1, 2, 6, 6), dtype=np.float32)),
+                 Tensor(np.ones((3, 2, 3, 3), dtype=np.float32)), padding=1)
+        assert default_ledger.totals() == default_ledger.totals(pull=False)
+        buf = RawBuffer(2, (3, 8, 8))
+        assert default_ledger.totals()["buffer.raw"] >= buf.memory_bytes
 
     def test_synthetic_buffer_is_tracked(self):
         from repro.buffer.buffer import SyntheticBuffer

@@ -127,4 +127,6 @@ class TestMain:
         out = capsys.readouterr().out
         assert "Segments" in out
         assert "Span timings" in out
-        assert "plan_cache.hits" in out
+        assert "Runtime counters" in out
+        assert "health.checks" in out
+        assert "memory.high_water_bytes" in out

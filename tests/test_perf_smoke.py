@@ -35,7 +35,7 @@ def _timed(fn):
 
 
 def _best_of(fn, repeats=3):
-    fn()  # warm up plans
+    fn()  # warm up
     return min(_timed(fn) for _ in range(repeats))
 
 
@@ -76,6 +76,33 @@ def test_fast_conv_not_slower_than_seed():
     assert fast <= seed * 1.5, (
         f"fast conv2d regressed: {fast * 1e3:.2f}ms vs seed {seed * 1e3:.2f}ms")
 
+    # One ConvNet block forward+backward at the herding workload's retrain
+    # shape (18 rows, 16 -> 16 channels, 8x8), next to the four seed ops.
+    x = Tensor(rng.standard_normal((18, 16, 8, 8)).astype(np.float32),
+               requires_grad=True)
+    params = [Tensor(a.astype(np.float32), requires_grad=True) for a in (
+        rng.standard_normal((16, 16, 3, 3)), rng.standard_normal(16),
+        1 + 0.1 * rng.standard_normal(16), rng.standard_normal(16))]
+
+    def seed_block(x, w, b, gamma, beta):
+        h = reference.instance_norm2d(
+            reference.conv2d(x, w, b, stride=1, padding=1), gamma, beta)
+        return reference.avg_pool2d(h.relu(), 2)
+
+    def fwd_bwd(block):
+        def run():
+            out = block(x, *params)
+            out.backward(np.ones_like(out.data))
+            for t in (x, *params):
+                t.zero_grad()
+        return run
+
+    fast = _best_of(fwd_bwd(F.conv_block), repeats=10)
+    seed = _best_of(fwd_bwd(seed_block), repeats=10)
+    assert fast <= seed * 1.5, (
+        f"fast conv_block regressed: {fast * 1e3:.2f}ms vs seed "
+        f"{seed * 1e3:.2f}ms")
+
 
 @pytest.mark.perf_smoke
 def test_telemetry_overhead_on_condense_segment_is_small():
@@ -100,7 +127,7 @@ def test_telemetry_overhead_on_condense_segment_is_small():
                          deployed_model=deployed)
 
     obs.shutdown()
-    segment()  # warm up plans before either timed mode
+    segment()  # warm up before either timed mode
     disabled_times, enabled_times = [], []
     try:
         for _ in range(5):  # interleave so drift hits both modes equally
@@ -142,7 +169,7 @@ def test_health_sentinel_overhead_on_condense_segment_is_small():
 
     obs.shutdown()
     obs.disable()
-    segment()  # warm up plans before either timed mode
+    segment()  # warm up before either timed mode
     off_times, on_times = [], []
     for _ in range(5):  # interleave so drift hits both modes equally
         with scoped_policy("off"):
@@ -182,7 +209,7 @@ def test_ledger_tracking_overhead_is_small():
                          deployed_model=deployed)
 
     obs.shutdown()
-    segment()  # warm up plans before either timed mode
+    segment()  # warm up before either timed mode
     tracked_times, untracked_times = [], []
     try:
         for _ in range(5):  # interleave so drift hits both modes equally
