@@ -65,6 +65,21 @@ class PreparedExperiment:
     pretrain_y: np.ndarray
     pretrain_accuracy: float
 
+    def __post_init__(self) -> None:
+        # Every grid point, in every sweep worker, reads these arrays; a
+        # write by one point would leak into the next, so none may write.
+        ds = self.dataset
+        for arr in (ds.x_train, ds.y_train, ds.train_sessions, ds.x_test,
+                    ds.y_test, ds.group_of, ds.prototypes, self.pretrain_x,
+                    self.pretrain_y):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays (``spawn`` workers) come back writeable.
+        self.__dict__.update(state)
+        self.__post_init__()
+
     def fresh_model(self) -> ConvNet:
         """An independent copy of the pre-trained deployed model."""
         return copy.deepcopy(self.model)

@@ -2,28 +2,31 @@
 
 Every table/figure runner reduces to "run :func:`~repro.experiments.common.
 run_method` once per grid point on a shared :class:`~repro.experiments.
-common.PreparedExperiment`".  :func:`run_method_grid` is that loop with an
-optional ``jobs=N`` escape hatch: with ``jobs=1`` (the default) it *is* the
-serial loop, byte for byte; with ``jobs>1`` it ships the prepared
-experiment's arrays (dataset splits, pretrain subset, pre-trained model
-weights) to worker processes once via :class:`repro.parallel.SharedArrayPack`
-and runs the grid points concurrently, returning results in grid order.
+common.PreparedExperiment`".  :func:`run_method_grid` is that loop run
+through :func:`repro.parallel.run_sweep`, with the prepared experiment as
+the sweep's context: with ``jobs=1`` (the default) the points run in
+order in-process; with ``jobs>1`` every worker process gets the prepared
+experiment once (inherited under ``fork``, pickled once under ``spawn``)
+and the grid points run concurrently, results returned in grid order.
 
-Workers rebuild an identical ``PreparedExperiment`` from the shared block —
-identical array bytes, identical model parameters — so a grid point
-produces bit-identical results whichever process runs it; only wall-clock
-changes with ``jobs``.
+Workers hold the same array bytes and model parameters as the parent, and
+``run_method`` copies the model before training, so a grid point produces
+bit-identical results whichever process runs it; only wall-clock changes
+with ``jobs``.
+
+:func:`pack_prepared`/:func:`rebuild_prepared` are the on-disk format of
+:mod:`repro.persist.prepared_cache`; the packed arrays' content hash also
+scopes the resume journal.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
-import time
 
 import numpy as np
 
-from ..parallel import SweepOutcome, run_sweep
+from ..parallel import run_sweep
 from ..persist import ResumeJournal, content_hash, method_result_store
 from .common import (MethodResult, PreparedExperiment, prepare_experiment,
                      run_method)
@@ -54,12 +57,11 @@ def prepared_cache_dir(checkpoint_dir: str | os.PathLike | None
 
 
 def pack_prepared(prepared: PreparedExperiment):
-    """Split a prepared experiment into (big arrays, small picklable context).
+    """Split a prepared experiment into (arrays, small metadata dict).
 
-    The arrays dict feeds :class:`~repro.parallel.SharedArrayPack`; the
-    context dict travels through the pool initializer.  Model parameters go
-    through the arrays dict too (prefixed ``param.``) so nothing heavier
-    than metadata is ever pickled per task.
+    The arrays dict holds the dataset splits, the pretrain subset and the
+    model parameters (prefixed ``param.``); :func:`rebuild_prepared` turns
+    both halves back into an identical experiment.
     """
     ds = prepared.dataset
     arrays = {
@@ -85,20 +87,19 @@ def pack_prepared(prepared: PreparedExperiment):
         "pretrain_accuracy": prepared.pretrain_accuracy,
         "param_names": list(state),
         "has_prototypes": has_prototypes,
-        # Byte-level identity of this prepared state: keys the per-worker
-        # rebuild cache and scopes resume-journal entries, so two
-        # experiments that merely share (dataset, profile) never alias.
+        # Byte-level identity of this prepared state: scopes resume-journal
+        # entries, so two experiments that merely share (dataset, profile)
+        # never alias.
         "content_hash": content_hash(arrays),
     }
     return arrays, context
 
 
 def rebuild_prepared(context: dict, arrays) -> PreparedExperiment:
-    """Reconstruct the prepared experiment inside a worker process.
+    """Reconstruct a prepared experiment from :func:`pack_prepared` output.
 
-    The dataset wraps the shared read-only views directly (every consumer
-    copies out of them); model parameters are copied because training
-    mutates them.
+    The dataset wraps the given arrays directly (the experiment makes them
+    read-only); model parameters are copied because training mutates them.
     """
     from ..data.datasets import SyntheticImageDataset
     from ..nn.convnet import ConvNet
@@ -126,44 +127,8 @@ def rebuild_prepared(context: dict, arrays) -> PreparedExperiment:
         pretrain_accuracy=context["pretrain_accuracy"])
 
 
-# One rebuild per worker process per prepared experiment, reused across the
-# grid points that land on that worker.  Keyed by the *content hash* of the
-# packed arrays, not by (dataset, profile): a second grid in the same
-# process — or a fork-inherited cache — with the same names but different
-# pretrained weights/splits must rebuild, or every grid point would
-# silently run against the stale experiment.  Bounded so back-to-back
-# grids over different experiments don't accumulate tens of MB each.
-_WORKER_CACHE: dict[str, PreparedExperiment] = {}
-_WORKER_CACHE_MAX = 2
-
-
-def _grid_worker(config: dict, context: dict, arrays) -> MethodResult:
-    key = context["content_hash"]
-    prepared = _WORKER_CACHE.get(key)
-    if prepared is None:
-        prepared = rebuild_prepared(context, arrays)
-        while len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
-            _WORKER_CACHE.pop(next(iter(_WORKER_CACHE)))
-        _WORKER_CACHE[key] = prepared
+def _grid_worker(config: dict, prepared: PreparedExperiment) -> MethodResult:
     return run_method(prepared, **config)
-
-
-def _local_grid_worker(prepared: PreparedExperiment):
-    """Inline (jobs=1) sweep worker bound to the in-process experiment."""
-    def worker(config: dict, context, arrays) -> MethodResult:
-        return run_method(prepared, **config)
-    return worker
-
-
-def _journal_for_context(checkpoint_dir: str | os.PathLike,
-                         context: dict) -> ResumeJournal:
-    checkpoint_dir = pathlib.Path(checkpoint_dir)
-    scope = {"dataset": context["dataset_name"],
-             "profile": context["profile_name"],
-             "prepared": context["content_hash"]}
-    save_result, load_result = method_result_store(checkpoint_dir / "results")
-    return ResumeJournal(checkpoint_dir / "journal.jsonl", scope=scope,
-                         save_result=save_result, load_result=load_result)
 
 
 def grid_journal(checkpoint_dir: str | os.PathLike,
@@ -178,7 +143,13 @@ def grid_journal(checkpoint_dir: str | os.PathLike,
     a resume.
     """
     _, context = pack_prepared(prepared)
-    return _journal_for_context(checkpoint_dir, context)
+    checkpoint_dir = pathlib.Path(checkpoint_dir)
+    scope = {"dataset": context["dataset_name"],
+             "profile": context["profile_name"],
+             "prepared": context["content_hash"]}
+    save_result, load_result = method_result_store(checkpoint_dir / "results")
+    return ResumeJournal(checkpoint_dir / "journal.jsonl", scope=scope,
+                         save_result=save_result, load_result=load_result)
 
 
 def run_method_grid(prepared: PreparedExperiment, configs, *,
@@ -188,10 +159,10 @@ def run_method_grid(prepared: PreparedExperiment, configs, *,
                     progress=None) -> list[MethodResult]:
     """Run ``run_method(prepared, **config)`` per config, in config order.
 
-    ``jobs=1`` executes the exact serial loop in-process.  ``jobs>1`` fans
-    the grid out to worker processes; a failing grid point raises
+    ``jobs=1`` runs the points in order in-process.  ``jobs>1`` fans the
+    grid out to worker processes.  Either way a failing grid point raises
     :class:`~repro.parallel.SweepTaskError` carrying its config and the
-    worker traceback.
+    traceback.
 
     With ``checkpoint_dir`` set, every completed grid point is persisted
     and journaled there (see :func:`grid_journal`); ``resume=True``
@@ -201,38 +172,12 @@ def run_method_grid(prepared: PreparedExperiment, configs, *,
 
     ``progress`` is an optional ``progress(index, outcome)`` callable (a
     :class:`repro.obs.SweepProgress`, typically) invoked per completed
-    grid point in completion order — every execution path, including the
-    bare serial loop, reports through it.
+    grid point in completion order.
     """
-    configs = [dict(c) for c in configs]
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
-    if checkpoint_dir is None:
-        if jobs <= 1 or len(configs) <= 1:
-            if progress is None:
-                return [run_method(prepared, **c) for c in configs]
-            results = []
-            for i, config in enumerate(configs):
-                t0 = time.perf_counter()
-                result = run_method(prepared, **config)
-                results.append(result)
-                progress(i, SweepOutcome(config=dict(config), result=result,
-                                         worker_pid=os.getpid(),
-                                         seconds=time.perf_counter() - t0))
-            return results
-        arrays, context = pack_prepared(prepared)
-        outcomes = run_sweep(_grid_worker, configs, jobs=jobs, arrays=arrays,
-                             context=context, on_result=progress)
-        return [o.result for o in outcomes]
-
-    arrays, context = pack_prepared(prepared)
-    journal = _journal_for_context(checkpoint_dir, context)
-    if jobs <= 1 or len(configs) <= 1:
-        outcomes = run_sweep(_local_grid_worker(prepared), configs, jobs=1,
-                             journal=journal, resume=resume,
-                             on_result=progress)
-    else:
-        outcomes = run_sweep(_grid_worker, configs, jobs=jobs, arrays=arrays,
-                             context=context, journal=journal, resume=resume,
-                             on_result=progress)
+    journal = (grid_journal(checkpoint_dir, prepared)
+               if checkpoint_dir is not None else None)
+    outcomes = run_sweep(_grid_worker, configs, jobs=jobs, context=prepared,
+                         journal=journal, resume=resume, on_result=progress)
     return [o.result for o in outcomes]

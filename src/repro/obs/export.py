@@ -93,12 +93,10 @@ class _ShardSink(JsonlSink):
 
 @contextlib.contextmanager
 def worker_telemetry(path: str | os.PathLike, *,
-                     task_index: int, config: Any,
-                     labels: Mapping[str, Any] | None = None):
+                     task_index: int, config: Any):
     """Run the enclosed task under a fresh registry writing shard ``path``.
 
-    The shard opens with a ``shard_start`` record (worker pid, config, and
-    any extra ``labels`` such as the prepared experiment's content hash)
+    The shard opens with a ``shard_start`` record (worker pid and config)
     and closes with a ``worker_counters`` record holding the registry
     snapshot; the sink is flushed and closed in a ``finally`` so a clean
     worker exit never leaves buffered events behind.  The parent's
@@ -112,8 +110,7 @@ def worker_telemetry(path: str | os.PathLike, *,
     sink = _ShardSink(path, tags)
     registry.enable(sink)
     with scoped_telemetry(registry):
-        registry.event("shard_start", config=config,
-                       **(dict(labels) if labels else {}))
+        registry.event("shard_start", config=config)
         try:
             yield registry
         finally:

@@ -16,20 +16,14 @@ account                what it holds
 ``model.params``       deployed/scratch model parameter arrays
 ``selection.pool``     herding's per-class candidate pools (raw images),
                        their cached encoder feature rows and weight snapshot
-``shm.pack``           shared-memory sweep packs (owner side)
 ``disk.checkpoints``   checkpoint files written this process (bytes on disk)
 =====================  ====================================================
 
-Two registration styles:
-
-* **Recorded entries** (:meth:`MemoryLedger.record` / :meth:`drop`) for
-  objects with an owner and a lifetime — buffers, models, shm packs.
-  :func:`track_object` couples an entry to an object's lifetime via
-  ``weakref.finalize`` so a garbage-collected buffer can never leak its
-  ledger bytes.
-* **Pull providers** (:meth:`MemoryLedger.register_provider`) for caches
-  that already keep their own byte counts: the ledger polls them only
-  when a snapshot is requested, so the hot path pays nothing.
+Every account is made of **recorded entries** (:meth:`MemoryLedger.record`
+/ :meth:`drop`) for objects with an owner and a lifetime — buffers,
+models, pools.  :func:`track_object` couples an entry to an object's
+lifetime via ``weakref.finalize`` so a garbage-collected buffer can never
+leak its ledger bytes.
 
 Kernel scratch (im2col columns and their shifted input copies, row-padded
 gradients, col2im canvases) is not an account: each op allocates it fresh
@@ -40,7 +34,7 @@ it shows up only in the RSS and ``tracemalloc`` numbers, never as a
 resident pool.
 
 On top of the accounts: a process-wide **high-water gauge** (updated on
-every record and snapshot), **RSS sampling** (``/proc/self/statm`` with a
+every record), **RSS sampling** (``/proc/self/statm`` with a
 ``getrusage`` fallback, throttled for periodic emission), and an optional
 ``tracemalloc``-backed **deep audit** that cross-checks ledger deltas
 against real interpreter allocations (numpy registers its payloads with
@@ -60,7 +54,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
     "MemoryLedger",
@@ -103,8 +97,6 @@ class MemoryLedger:
         self._accounts: dict[str, dict[str, int]] = {}
         # account -> recorded total (kept incrementally for O(1) reads).
         self._recorded: dict[str, int] = {}
-        # account -> zero-arg callable returning current bytes (pulled).
-        self._providers: dict[str, Callable[[], int]] = {}
         # Recorded RAM bytes (disk.* excluded); single int so span deltas
         # are one attribute read on the hot path.
         self._ram_total = 0
@@ -139,47 +131,21 @@ class MemoryLedger:
             if not account.startswith(DISK_ACCOUNT_PREFIX):
                 self._ram_total -= nbytes
 
-    # -- pull providers ----------------------------------------------------
-    def register_provider(self, account: str,
-                          fn: Callable[[], int]) -> None:
-        """Install (or replace) a pull-style byte source for ``account``."""
-        with self._lock:
-            self._providers[account] = fn
-
-    def _pull_providers(self) -> dict[str, int]:
-        with self._lock:
-            providers = dict(self._providers)
-        pulled: dict[str, int] = {}
-        for account, fn in providers.items():
-            try:
-                pulled[account] = int(fn())
-            except Exception:  # a torn-down cache must not break snapshots
-                pulled[account] = 0
-        return pulled
-
     # -- totals ------------------------------------------------------------
     @property
     def ram_recorded_bytes(self) -> int:
-        """Recorded RAM bytes (no provider pulls) — hot-path safe."""
+        """Recorded RAM bytes — hot-path safe."""
         return self._ram_total
 
-    def totals(self, *, pull: bool = True) -> dict[str, int]:
-        """Bytes per account: recorded entries plus (optionally) providers."""
+    def totals(self) -> dict[str, int]:
+        """Bytes per account (accounts at zero omitted)."""
         with self._lock:
-            out = {account: total
-                   for account, total in self._recorded.items() if total}
-        if pull:
-            out.update(self._pull_providers())
-            ram = sum(v for a, v in out.items()
-                      if not a.startswith(DISK_ACCOUNT_PREFIX))
-            with self._lock:
-                if ram > self.high_water_bytes:
-                    self.high_water_bytes = ram
-        return out
+            return {account: total
+                    for account, total in self._recorded.items() if total}
 
-    def tracked_ram_bytes(self, *, pull: bool = True) -> int:
+    def tracked_ram_bytes(self) -> int:
         """Total tracked resident bytes (disk accounts excluded)."""
-        return sum(v for a, v in self.totals(pull=pull).items()
+        return sum(v for a, v in self.totals().items()
                    if not a.startswith(DISK_ACCOUNT_PREFIX))
 
     def reset_high_water(self) -> int:
@@ -195,7 +161,7 @@ class MemoryLedger:
             return self.high_water_bytes
 
     def entry_counts(self) -> dict[str, int]:
-        """Recorded entries per account (providers have no entries)."""
+        """Recorded entries per account."""
         with self._lock:
             return {account: len(entries)
                     for account, entries in self._accounts.items() if entries}
@@ -254,7 +220,7 @@ class MemoryLedger:
         if not registry.enabled:
             return False
         registry.event("rss", rss_bytes=self.rss_bytes(),
-                       tracked_bytes=self.tracked_ram_bytes(pull=False),
+                       tracked_bytes=self.tracked_ram_bytes(),
                        high_water_bytes=self.high_water_bytes)
         return True
 

@@ -137,7 +137,7 @@ class _Span:
         reg = self._registry
         self.depth = reg._depth
         reg._depth += 1
-        # Plain int read (no provider pulls): cheap enough for every span.
+        # Plain int read: cheap enough for every span.
         self._mem0 = default_ledger.ram_recorded_bytes
         self._t0 = time.perf_counter()
         return self

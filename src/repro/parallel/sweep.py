@@ -9,12 +9,11 @@ every grid point gets its own GIL and its own BLAS/kernel state.
 
 Design points
 -------------
-* **Shared-memory arrays, pickled once.**  The big inputs (dataset splits,
-  stream pools, model weights) are packed into a single
-  :mod:`multiprocessing.shared_memory` block by :class:`SharedArrayPack`
-  and attached once per worker in the pool initializer — tasks themselves
-  carry only small config dicts.  Without this every task submission would
-  re-pickle tens of MB of arrays through the task pipe.
+* **The context travels once per worker.**  The shared input of a grid
+  (for the experiment runners, the prepared experiment itself) goes to
+  every worker through the pool initializer, and tasks carry only small
+  config dicts.  Under ``fork`` the workers inherit it copy-on-write;
+  under ``spawn`` it is pickled once per worker, never once per task.
 * **Streaming, then ordered.**  :func:`iter_sweep` yields each grid point
   the moment it completes (with a heartbeat event when nothing lands for a
   while), so callers can render live progress; :func:`run_sweep` consumes
@@ -33,35 +32,28 @@ Design points
   only after the stream drains, so concurrently-running good points still
   finish and get journaled — a fast-failing config can no longer erase a
   slow good point's record just by completing first.
-* **``jobs=1`` is exactly today's behaviour**: the grid runs inline in the
-  parent process, in order, with no multiprocessing machinery at all.
+* **``jobs=1`` runs inline**: the grid runs in the parent process, in
+  order, with no multiprocessing machinery at all.
 
-The default start method is ``fork`` where available (cheap, inherits the
-imported numpy stack); override with ``REPRO_MP_START=spawn|forkserver``.
+The start method is ``fork`` where the platform has it (cheap, inherits
+the imported numpy stack and the context), else ``spawn``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import inspect
 import os
-import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import get_context, shared_memory
-from typing import (TYPE_CHECKING, Any, Callable, Iterator, Mapping,
-                    Sequence)
-
-import numpy as np
+from multiprocessing import get_context
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (persist -> parallel)
     from ..persist import ResumeJournal
 
 __all__ = [
-    "SharedArrayPack",
     "SweepTaskError",
     "SweepOutcome",
     "iter_sweep",
@@ -69,162 +61,16 @@ __all__ = [
     "default_start_method",
 ]
 
-#: Worker signature: ``worker(config, context, arrays) -> picklable result``.
-SweepWorker = Callable[[dict, Any, Mapping[str, np.ndarray]], Any]
+#: Worker signature: ``worker(config, context) -> picklable result``.
+SweepWorker = Callable[[dict, Any], Any]
 
 
 def default_start_method() -> str:
-    """Multiprocessing start method for sweeps (``REPRO_MP_START`` override)."""
+    """``fork`` where the platform has it, else ``spawn``."""
     import multiprocessing
 
-    requested = os.environ.get("REPRO_MP_START", "").strip().lower()
-    available = multiprocessing.get_all_start_methods()
-    if requested:
-        if requested not in available:
-            raise ValueError(f"REPRO_MP_START={requested!r} not available; "
-                             f"choose from {available}")
-        return requested
-    return "fork" if "fork" in available else "spawn"
-
-
-# ----------------------------------------------------------------------
-# Shared-memory array pack
-# ----------------------------------------------------------------------
-def _align(offset: int, alignment: int = 64) -> int:
-    return (offset + alignment - 1) // alignment * alignment
-
-
-#: Python >= 3.13 lets an attacher opt out of resource-tracker
-#: registration directly; older versions need the patch below.
-_SHM_SUPPORTS_TRACK = "track" in inspect.signature(
-    shared_memory.SharedMemory.__init__).parameters
-
-# Guards the resource-tracker registration patch used by attach() on
-# Python < 3.13.  The patch is global (module attribute), so concurrent
-# attaches — threaded callers, nested packs — must install it exactly once
-# and restore it only when the last attacher leaves; an unguarded
-# save/patch/restore pair can interleave so that the saved "original" is
-# another attacher's no-op, leaving registration permanently disabled.
-_TRACKER_PATCH_LOCK = threading.Lock()
-_TRACKER_PATCH_DEPTH = 0
-_TRACKER_ORIGINAL_REGISTER: Callable | None = None
-
-
-@contextlib.contextmanager
-def _untracked_shm_attach():
-    """Suppress resource-tracker registration, re-entrantly + thread-safely.
-
-    Python <3.13 registers even attached (non-owning) segments with the
-    resource tracker, which then tries to clean them up on worker exit:
-    under spawn the worker's own tracker unlinks the live segment, under
-    fork the shared tracker's bookkeeping is corrupted.  The parent owns
-    the segment and its tracker entry, so attachers must not register.
-    """
-    global _TRACKER_PATCH_DEPTH, _TRACKER_ORIGINAL_REGISTER
-    from multiprocessing import resource_tracker
-
-    with _TRACKER_PATCH_LOCK:
-        _TRACKER_PATCH_DEPTH += 1
-        if _TRACKER_PATCH_DEPTH == 1:
-            _TRACKER_ORIGINAL_REGISTER = resource_tracker.register
-            resource_tracker.register = lambda name, rtype: None
-    try:
-        yield
-    finally:
-        with _TRACKER_PATCH_LOCK:
-            _TRACKER_PATCH_DEPTH -= 1
-            if _TRACKER_PATCH_DEPTH == 0:
-                resource_tracker.register = _TRACKER_ORIGINAL_REGISTER
-                _TRACKER_ORIGINAL_REGISTER = None
-
-
-class SharedArrayPack:
-    """A name->ndarray mapping packed into one shared-memory block.
-
-    The parent :meth:`creates <create>` the pack (one copy per array into the
-    block), workers :meth:`attach` read-only views by name.  The block is
-    reference-counted by the OS: the parent unlinks it after the sweep and
-    the memory disappears when the last worker detaches.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory,
-                 manifest: dict[str, tuple[str, tuple[int, ...], int]],
-                 *, owner: bool) -> None:
-        self._shm = shm
-        self._manifest = manifest
-        self._owner = owner
-
-    # -- parent side -------------------------------------------------------
-    @classmethod
-    def create(cls, arrays: Mapping[str, np.ndarray]) -> "SharedArrayPack":
-        manifest: dict[str, tuple[str, tuple[int, ...], int]] = {}
-        offset = 0
-        contiguous = {name: np.ascontiguousarray(arr)
-                      for name, arr in arrays.items()}
-        for name, arr in contiguous.items():
-            offset = _align(offset)
-            manifest[name] = (arr.dtype.str, arr.shape, offset)
-            offset += arr.nbytes
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        for name, arr in contiguous.items():
-            _, shape, off = manifest[name]
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf,
-                              offset=off)
-            view[...] = arr
-        from ..obs.memory import default_ledger
-        default_ledger.record("shm.pack", shm.name, shm.size)
-        return cls(shm, manifest, owner=True)
-
-    def spec(self) -> dict:
-        """Picklable attach info handed to worker initializers."""
-        return {"shm_name": self._shm.name, "manifest": self._manifest}
-
-    # -- worker side -------------------------------------------------------
-    @classmethod
-    def attach(cls, spec: dict) -> "SharedArrayPack":
-        # Attach without resource-tracker registration (the parent owns the
-        # segment and its tracker entry): natively where SharedMemory
-        # supports ``track=False``, via the guarded registration patch
-        # elsewhere — see :func:`_untracked_shm_attach`.
-        if _SHM_SUPPORTS_TRACK:
-            shm = shared_memory.SharedMemory(name=spec["shm_name"],
-                                             track=False)
-        else:
-            with _untracked_shm_attach():
-                shm = shared_memory.SharedMemory(name=spec["shm_name"])
-        return cls(shm, spec["manifest"], owner=False)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Read-only ndarray views over the shared block."""
-        out: dict[str, np.ndarray] = {}
-        for name, (dtype, shape, off) in self._manifest.items():
-            view = np.ndarray(shape, dtype=np.dtype(dtype),
-                              buffer=self._shm.buf, offset=off)
-            view.flags.writeable = False
-            out[name] = view
-        return out
-
-    @property
-    def nbytes(self) -> int:
-        return self._shm.size
-
-    # -- lifecycle ---------------------------------------------------------
-    def close(self, *, unlink: bool | None = None) -> None:
-        """Detach; the owning side also unlinks the block."""
-        if unlink is None:
-            unlink = self._owner
-        if self._owner:
-            from ..obs.memory import default_ledger
-            default_ledger.drop("shm.pack", self._shm.name)
-        try:
-            self._shm.close()
-        except BufferError:  # live views outstanding; OS cleanup still works
-            pass
-        if unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
+    return ("fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
 
 
 # ----------------------------------------------------------------------
@@ -260,13 +106,11 @@ class SweepOutcome:
 # ----------------------------------------------------------------------
 # Worker-process globals (set by the pool initializer)
 # ----------------------------------------------------------------------
-_WORKER_PACK: SharedArrayPack | None = None
-_WORKER_ARRAYS: dict[str, np.ndarray] = {}
 _WORKER_CONTEXT: Any = None
 
 
-def _worker_init(pack_spec: dict | None, context: Any) -> None:
-    global _WORKER_PACK, _WORKER_ARRAYS, _WORKER_CONTEXT
+def _worker_init(context: Any) -> None:
+    global _WORKER_CONTEXT
     # Fork-started workers inherit an enabled telemetry sink writing to the
     # parent's trace file; concurrent appends from several processes would
     # interleave mid-line.  Workers stay silent — the parent emits the
@@ -274,31 +118,23 @@ def _worker_init(pack_spec: dict | None, context: Any) -> None:
     from .. import obs
     obs.disable()
     _WORKER_CONTEXT = context
-    if pack_spec is not None:
-        _WORKER_PACK = SharedArrayPack.attach(pack_spec)
-        _WORKER_ARRAYS = _WORKER_PACK.arrays()
-    else:
-        _WORKER_PACK = None
-        _WORKER_ARRAYS = {}
 
 
 def _worker_run(worker: SweepWorker, index: int, config: dict,
-                shard_spec: dict | None = None) -> dict:
+                run_dir: str | os.PathLike | None = None) -> dict:
     t0 = time.perf_counter()
     try:
-        if shard_spec is not None:
+        if run_dir is not None:
             # Run the task under a fresh registry writing a per-task JSONL
             # shard; the parent merges shards after the sweep.  The pool's
             # disabled default registry is restored on exit either way.
             from ..obs.export import (config_digest, shard_path,
                                       worker_telemetry)
-            path = shard_path(shard_spec["run_dir"], index,
-                              config_digest(config))
-            with worker_telemetry(path, task_index=index, config=config,
-                                  labels=shard_spec.get("labels")):
-                result = worker(config, _WORKER_CONTEXT, _WORKER_ARRAYS)
+            path = shard_path(run_dir, index, config_digest(config))
+            with worker_telemetry(path, task_index=index, config=config):
+                result = worker(config, _WORKER_CONTEXT)
         else:
-            result = worker(config, _WORKER_CONTEXT, _WORKER_ARRAYS)
+            result = worker(config, _WORKER_CONTEXT)
         return {"index": index, "ok": True, "result": result,
                 "pid": os.getpid(), "seconds": time.perf_counter() - t0}
     except BaseException:  # noqa: BLE001 - surfaced to the parent
@@ -338,23 +174,14 @@ def _discover_run_dir():
     return path.parent if path is not None else None
 
 
-def _shard_labels(context: Any) -> dict | None:
-    """Identity tags every shard carries (prepared-experiment hash)."""
-    if isinstance(context, Mapping) and "content_hash" in context:
-        return {"content_hash": context["content_hash"]}
-    return None
-
-
 def _iter_inline(worker: SweepWorker, configs: Sequence[dict],
-                 indices: Sequence[int], context: Any,
-                 arrays: Mapping[str, np.ndarray] | None
+                 indices: Sequence[int], context: Any
                  ) -> Iterator[tuple[int, SweepOutcome]]:
-    arrays = dict(arrays or {})
     for index in indices:
         config = configs[index]
         t0 = time.perf_counter()
         try:
-            result = worker(dict(config), context, arrays)
+            result = worker(dict(config), context)
             outcome = SweepOutcome(config=dict(config), result=result,
                                    worker_pid=os.getpid(),
                                    seconds=time.perf_counter() - t0)
@@ -367,9 +194,7 @@ def _iter_inline(worker: SweepWorker, configs: Sequence[dict],
 
 
 def _iter_pool(worker: SweepWorker, configs: Sequence[dict],
-               indices: Sequence[int], context: Any,
-               arrays: Mapping[str, np.ndarray] | None,
-               jobs: int, start_method: str | None,
+               indices: Sequence[int], context: Any, jobs: int,
                telemetry_dir: str | os.PathLike | None,
                heartbeat_s: float) -> Iterator[tuple[int, SweepOutcome]]:
     from .. import obs
@@ -378,26 +203,12 @@ def _iter_pool(worker: SweepWorker, configs: Sequence[dict],
     done_outcomes: list[SweepOutcome] = []
     run_dir = telemetry_dir if telemetry_dir is not None \
         else _discover_run_dir()
-    shard_spec: dict | None = None
-    if run_dir is not None:
-        shard_spec = {"run_dir": str(run_dir)}
-        labels = _shard_labels(context)
-        if labels:
-            shard_spec["labels"] = labels
-    # Everything that can fail between pack creation and pool startup
-    # (start-method resolution, telemetry, executor spin-up) runs under the
-    # same try/finally as the sweep itself, so an exception anywhere on
-    # this path still closes + unlinks the shared-memory segment — no
-    # leaked /dev/shm blocks, whatever raises.  The finally also fires on
+    # The finally merges the worker shards written so far, also on
     # ``GeneratorExit`` when a consumer abandons the stream mid-sweep.
-    pack: SharedArrayPack | None = None
     try:
-        pack = SharedArrayPack.create(arrays) if arrays else None
         if obs.enabled():
             obs.gauge("sweep.jobs", jobs)
-            if pack is not None:
-                obs.gauge("sweep.shared_bytes", pack.nbytes)
-        ctx = get_context(start_method or default_start_method())
+        ctx = get_context(default_start_method())
         # Drain the parent sink's userspace buffer before forking: workers
         # inherit the buffered file object and close it on init (disable),
         # which would flush the parent's pending lines a second time per
@@ -408,10 +219,9 @@ def _iter_pool(worker: SweepWorker, configs: Sequence[dict],
         with ProcessPoolExecutor(
                 max_workers=jobs, mp_context=ctx,
                 initializer=_worker_init,
-                initargs=(pack.spec() if pack else None, context)) as pool:
+                initargs=(context,)) as pool:
             index_of = {
-                pool.submit(_worker_run, worker, i, configs[i],
-                            shard_spec): i
+                pool.submit(_worker_run, worker, i, configs[i], run_dir): i
                 for i in indices}
             waiting = set(index_of)
             while waiting:
@@ -459,21 +269,17 @@ def _iter_pool(worker: SweepWorker, configs: Sequence[dict],
                 obs.event("sweep_worker", worker_pid=pid, busy_s=seconds,
                           wall_s=wall)
     finally:
-        if pack is not None:
-            pack.close()
-        if shard_spec is not None:
+        if run_dir is not None:
             from ..obs.export import merge_worker_shards
             try:
-                merge_worker_shards(shard_spec["run_dir"])
+                merge_worker_shards(run_dir)
             except OSError:  # merge is best-effort; shards stay on disk
                 pass
 
 
 def iter_sweep(worker: SweepWorker, configs: Sequence[dict], *,
                jobs: int = 1,
-               arrays: Mapping[str, np.ndarray] | None = None,
                context: Any = None,
-               start_method: str | None = None,
                indices: Sequence[int] | None = None,
                telemetry_dir: str | os.PathLike | None = None,
                heartbeat_s: float = 30.0
@@ -485,8 +291,7 @@ def iter_sweep(worker: SweepWorker, configs: Sequence[dict], *,
     stream is deterministic for a fixed completion schedule); the inline
     path yields in config order.  ``indices`` restricts execution to a
     subset of ``configs`` (resume support) without renumbering.  Closing
-    the generator early releases the shared-memory pack and merges any
-    worker telemetry shards written so far.
+    the generator early merges the worker telemetry shards written so far.
     """
     configs = [dict(c) for c in configs]
     if jobs < 1:
@@ -495,18 +300,16 @@ def iter_sweep(worker: SweepWorker, configs: Sequence[dict], *,
     if not todo:
         return
     if jobs == 1 or len(todo) == 1:
-        yield from _iter_inline(worker, configs, todo, context, arrays)
+        yield from _iter_inline(worker, configs, todo, context)
     else:
-        yield from _iter_pool(worker, configs, todo, context, arrays,
-                              min(jobs, len(todo)), start_method,
-                              telemetry_dir, heartbeat_s)
+        yield from _iter_pool(worker, configs, todo, context,
+                              min(jobs, len(todo)), telemetry_dir,
+                              heartbeat_s)
 
 
 def run_sweep(worker: SweepWorker, configs: Sequence[dict], *,
               jobs: int = 1,
-              arrays: Mapping[str, np.ndarray] | None = None,
               context: Any = None,
-              start_method: str | None = None,
               raise_on_error: bool = True,
               journal: "ResumeJournal | None" = None,
               resume: bool = False,
@@ -519,22 +322,19 @@ def run_sweep(worker: SweepWorker, configs: Sequence[dict], *,
     ----------
     worker:
         Picklable module-level callable
-        ``worker(config, context, arrays) -> result``.
+        ``worker(config, context) -> result``.
     configs:
         Grid points; each must be a picklable dict.  Results are returned in
         this order.
     jobs:
         Worker processes.  ``1`` (default) runs the grid inline in the
         parent — exactly the serial behaviour, no subprocesses.
-    arrays:
-        Large ndarrays shipped to workers once via shared memory (read-only
-        views inside the workers).
     context:
-        Small picklable object passed to every worker once (pool
-        initializer), e.g. dataset/model metadata.
-    start_method:
-        Multiprocessing start method override (default:
-        :func:`default_start_method`).
+        Object every grid point shares, e.g. the prepared experiment.
+        Inline it is passed as is; with ``jobs > 1`` each worker gets it
+        once through the pool initializer (inherited under ``fork``,
+        pickled once per worker under ``spawn``), so it must be picklable
+        there.
     raise_on_error:
         When True (default) a failing grid point raises
         :class:`SweepTaskError` carrying the lowest-index failure — but
@@ -619,8 +419,7 @@ def run_sweep(worker: SweepWorker, configs: Sequence[dict], *,
             failed.append(index)
 
     if pending:
-        stream = iter_sweep(worker, configs, jobs=jobs, arrays=arrays,
-                            context=context, start_method=start_method,
+        stream = iter_sweep(worker, configs, jobs=jobs, context=context,
                             indices=pending, telemetry_dir=telemetry_dir,
                             heartbeat_s=heartbeat_s)
         try:
@@ -628,7 +427,7 @@ def run_sweep(worker: SweepWorker, configs: Sequence[dict], *,
                 complete(index, outcome)
         finally:
             # Explicit close so abandoning the stream (BrokenProcessPool,
-            # or an ``on_result`` hook raising) releases the shm pack and
+            # or an ``on_result`` hook raising) shuts the pool down and
             # merges telemetry shards deterministically, not at GC time.
             stream.close()
     if failed and raise_on_error:

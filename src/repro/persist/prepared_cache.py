@@ -15,9 +15,11 @@ Invalidation rules (in order):
 * content hash mismatch (truncated or hand-edited arrays) -> miss.
 
 A miss is never fatal: the caller re-prepares and overwrites the entry.
-The array packing/rebuilding is shared verbatim with the sweep executor's
-shared-memory path (``pack_prepared`` / ``rebuild_prepared``), so a
-cache-loaded experiment is bit-identical to a worker-rebuilt one.
+The entry's arrays and metadata are
+:func:`~repro.experiments.grid.pack_prepared`'s output, and
+:func:`~repro.experiments.grid.rebuild_prepared` turns them back into a
+bit-identical experiment; the packed arrays' content hash also scopes a
+grid's resume journal.
 """
 
 from __future__ import annotations

@@ -228,9 +228,9 @@ class TestAccountingFixes:
 
     def test_raw_buffer_ledger_tracks_aux_growth(self):
         buf = RawBuffer(4, SHAPE)
-        base = default_ledger.totals(pull=False).get("buffer.raw", 0)
+        base = default_ledger.totals().get("buffer.raw", 0)
         buf.add(np.zeros(SHAPE, dtype=np.float32), 0, confidence=0.5)
-        after = default_ledger.totals(pull=False)["buffer.raw"]
+        after = default_ledger.totals()["buffer.raw"]
         assert after == base + 4 * 4  # the new float32 aux column
         assert after >= buf.memory_bytes
 
@@ -239,24 +239,23 @@ class TestAccountingFixes:
         donor.add(np.zeros(SHAPE, dtype=np.float32), 0,
                   confidence=0.5, score=1.0)
         buf = RawBuffer(4, SHAPE)
-        base = default_ledger.totals(pull=False).get("buffer.raw", 0)
+        base = default_ledger.totals().get("buffer.raw", 0)
         buf.load_state_dict(donor.state_dict())
-        after = default_ledger.totals(pull=False)["buffer.raw"]
+        after = default_ledger.totals()["buffer.raw"]
         assert after == base + 2 * 4 * 4  # both restored aux columns
         del donor
 
     def test_raw_buffer_memory_bytes_is_ledger_definition(self):
-        before = default_ledger.totals(pull=False).get("buffer.raw", 0)
+        before = default_ledger.totals().get("buffer.raw", 0)
         buf = RawBuffer(4, SHAPE)
-        after = default_ledger.totals(pull=False)["buffer.raw"]
+        after = default_ledger.totals()["buffer.raw"]
         assert after - before == buf.memory_bytes
 
     def test_factorized_buffer_has_own_ledger_account(self):
-        before = default_ledger.totals(pull=False).get(
+        before = default_ledger.totals().get(
             "buffer.synthetic.factorized", 0)
         buf = FactorizedSyntheticBuffer(3, 2, SHAPE, factor=2)
-        after = default_ledger.totals(
-            pull=False)["buffer.synthetic.factorized"]
+        after = default_ledger.totals()["buffer.synthetic.factorized"]
         assert after == before + buf.memory_bytes
         assert buf.memory_bytes == buf.images.nbytes
 

@@ -410,22 +410,22 @@ class TestPoolLedger:
     def test_pools_and_rows_are_tracked(self, rng, model):
         account = Herding.ledger_account
         gc.collect()
-        before = default_ledger.totals(pull=False).get(account, 0)
+        before = default_ledger.totals().get(account, 0)
         weights = sum(p.data.nbytes for p in model.parameters())
         strategy, buf = Herding(), RawBuffer(4, SHAPE)
         for _ in range(12):
             strategy.process_segment(buf, *segment(rng), model=model)
             pools = sum(x.nbytes for p in strategy._pool_x.values() for x in p)
             rows = pool_rows(strategy) * model.feature_dim * 4
-            assert (default_ledger.totals(pull=False)[account]
+            assert (default_ledger.totals()[account]
                     == before + pools + rows + weights)
         restored = Herding()
         restored.load_state_dict(strategy.state_dict())
-        assert (default_ledger.totals(pull=False)[account]
+        assert (default_ledger.totals()[account]
                 == before + 2 * pools + rows + weights)
         del strategy, restored
         gc.collect()
-        assert default_ledger.totals(pull=False).get(account, 0) == before
+        assert default_ledger.totals().get(account, 0) == before
 
     def test_footprint_excludes_pools(self, rng, model):
         buf = RawBuffer(4, SHAPE)

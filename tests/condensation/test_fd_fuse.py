@@ -168,7 +168,7 @@ def test_deco_learner_run_bit_identical_fused_vs_unfused(monkeypatch):
 # ----------------------------------------------------------------------
 # Telemetry of the stacked pass (observability contract)
 # ----------------------------------------------------------------------
-def _fd_sweep_worker(config, context, arrays):
+def _fd_sweep_worker(config, context):
     """Sweep task: one stacked FD evaluation, counted via obs."""
     from repro import obs as _obs  # picklable module-level worker
 

@@ -16,13 +16,13 @@ class TestRecordedEntries:
         ledger = MemoryLedger()
         ledger.record("buffer.synthetic", "a", 1000)
         ledger.record("buffer.synthetic", "b", 500)
-        assert ledger.totals(pull=False) == {"buffer.synthetic": 1500}
+        assert ledger.totals() == {"buffer.synthetic": 1500}
         assert ledger.ram_recorded_bytes == 1500
         ledger.drop("buffer.synthetic", "a")
-        assert ledger.totals(pull=False) == {"buffer.synthetic": 500}
+        assert ledger.totals() == {"buffer.synthetic": 500}
         ledger.drop("buffer.synthetic", "b")
         assert ledger.ram_recorded_bytes == 0
-        assert ledger.totals(pull=False) == {}
+        assert ledger.totals() == {}
 
     def test_record_same_key_updates_not_accumulates(self):
         # Checkpoint rewrites record under the same key: the account must
@@ -30,26 +30,26 @@ class TestRecordedEntries:
         ledger = MemoryLedger()
         ledger.record("disk.checkpoints", "/ckpt", 100)
         ledger.record("disk.checkpoints", "/ckpt", 300)
-        assert ledger.totals(pull=False) == {"disk.checkpoints": 300}
+        assert ledger.totals() == {"disk.checkpoints": 300}
 
     def test_drop_unknown_key_is_noop(self):
         ledger = MemoryLedger()
         ledger.drop("buffer.synthetic", "never-recorded")
-        assert ledger.totals(pull=False) == {}
+        assert ledger.totals() == {}
 
     def test_disk_accounts_excluded_from_ram(self):
         ledger = MemoryLedger()
         ledger.record("buffer.raw", "a", 1000)
         ledger.record(DISK_ACCOUNT_PREFIX + "checkpoints", "c", 10_000)
         assert ledger.ram_recorded_bytes == 1000
-        assert ledger.tracked_ram_bytes(pull=False) == 1000
-        assert ledger.totals(pull=False)["disk.checkpoints"] == 10_000
+        assert ledger.tracked_ram_bytes() == 1000
+        assert ledger.totals()["disk.checkpoints"] == 10_000
 
     def test_tracking_off_records_nothing(self):
         ledger = MemoryLedger()
         ledger.tracking = False
         ledger.record("buffer.raw", "a", 1000)
-        assert ledger.totals(pull=False) == {}
+        assert ledger.totals() == {}
 
     def test_entry_counts(self):
         ledger = MemoryLedger()
@@ -66,26 +66,6 @@ class TestHighWater:
         ledger.record("buffer.raw", "b", 100)
         assert ledger.high_water_bytes == 4000
         assert ledger.ram_recorded_bytes == 100
-
-    def test_high_water_sees_pulled_providers(self):
-        ledger = MemoryLedger()
-        ledger.register_provider("cache.example", lambda: 9000)
-        ledger.totals()
-        assert ledger.high_water_bytes == 9000
-
-
-class TestProviders:
-    def test_provider_pulled_in_totals(self):
-        ledger = MemoryLedger()
-        ledger.register_provider("cache.example", lambda: 123)
-        assert ledger.totals() == {"cache.example": 123}
-        assert ledger.totals(pull=False) == {}
-
-    def test_broken_provider_reports_zero(self):
-        ledger = MemoryLedger()
-        ledger.register_provider("cache.broken",
-                                 lambda: (_ for _ in ()).throw(RuntimeError))
-        assert ledger.totals()["cache.broken"] == 0
 
 
 class TestProcessGauges:
@@ -109,10 +89,10 @@ class TestTrackObject:
 
         owner = Owner()
         track_object("buffer.synthetic", owner, 2048, ledger=ledger)
-        assert ledger.totals(pull=False) == {"buffer.synthetic": 2048}
+        assert ledger.totals() == {"buffer.synthetic": 2048}
         del owner
         gc.collect()
-        assert ledger.totals(pull=False) == {}
+        assert ledger.totals() == {}
 
     def test_keys_are_unique_across_objects(self):
         ledger = MemoryLedger()
@@ -124,7 +104,7 @@ class TestTrackObject:
         key_a = track_object("x", a, 1, ledger=ledger)
         key_b = track_object("x", b, 2, ledger=ledger)
         assert key_a != key_b
-        assert ledger.totals(pull=False) == {"x": 3}
+        assert ledger.totals() == {"x": 3}
 
 
 class TestDeepAudit:
@@ -156,32 +136,33 @@ class TestDefaultLedgerWiring:
     def test_instrumented_sites_register_accounts(self):
         # Every account on the process-wide ledger is recorded by the
         # object that owns the bytes: the conv kernels keep no cache, so
-        # running one installs no pull provider.
+        # running one leaves the ledger as it was.
         from repro.buffer.buffer import RawBuffer
         from repro.nn import functional as F
         from repro.nn.tensor import Tensor
 
+        before = default_ledger.totals()
         F.conv2d(Tensor(np.ones((1, 2, 6, 6), dtype=np.float32)),
                  Tensor(np.ones((3, 2, 3, 3), dtype=np.float32)), padding=1)
-        assert default_ledger.totals() == default_ledger.totals(pull=False)
+        assert default_ledger.totals() == before
         buf = RawBuffer(2, (3, 8, 8))
         assert default_ledger.totals()["buffer.raw"] >= buf.memory_bytes
 
     def test_synthetic_buffer_is_tracked(self):
         from repro.buffer.buffer import SyntheticBuffer
 
-        before = default_ledger.totals(pull=False).get("buffer.synthetic", 0)
+        before = default_ledger.totals().get("buffer.synthetic", 0)
         buf = SyntheticBuffer(2, 3, (3, 8, 8))
         # The tracked payload is memory_bytes — the stored pixels; the
         # structural labels (row c*ipc+k is class c by construction) are
         # excluded from the accounting.
         payload = buf.memory_bytes
         assert payload == buf.images.nbytes
-        after = default_ledger.totals(pull=False)["buffer.synthetic"]
+        after = default_ledger.totals()["buffer.synthetic"]
         assert after == before + payload
         del buf
         gc.collect()
-        assert (default_ledger.totals(pull=False).get("buffer.synthetic", 0)
+        assert (default_ledger.totals().get("buffer.synthetic", 0)
                 == before)
 
     def test_model_params_tracked_and_footprint(self):
@@ -193,10 +174,10 @@ class TestDefaultLedgerWiring:
         rng = np.random.default_rng(0)
         model = ConvNet(3, 4, 16, width=8, depth=2, rng=rng)
         nbytes = sum(p.data.nbytes for p in model.parameters())
-        before = default_ledger.totals(pull=False).get("model.params", 0)
+        before = default_ledger.totals().get("model.params", 0)
         buffer = RawBuffer(4, (3, 16, 16))
         learner = ReplayLearner(model, buffer, make_strategy("fifo"), rng=rng)
-        after = default_ledger.totals(pull=False)["model.params"]
+        after = default_ledger.totals()["model.params"]
         assert after >= before + nbytes
         foot = learner.memory_footprint()
         assert foot["model_bytes"] == nbytes

@@ -1,70 +1,27 @@
-"""Layer-2 sweep executor: shared-memory packs, ordering, crash surfacing."""
+"""Layer-2 sweep executor: ordering, start methods, crash surfacing."""
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 
-from repro.parallel import (SharedArrayPack, SweepTaskError, iter_sweep,
-                            run_sweep, sweep)
+from repro.parallel import SweepTaskError, iter_sweep, run_sweep, sweep
 
 
-def _square_worker(config, context, arrays):
-    base = int(arrays["base"][0]) if arrays else 0
+def _square_worker(config, context):
     offset = context["offset"] if context else 0
-    return config["i"] ** 2 + base + offset
+    return config["i"] ** 2 + offset
 
 
-def _crashy_worker(config, context, arrays):
+def _crashy_worker(config, context):
     if config.get("boom"):
         raise ValueError(f"kaboom-{config['i']}")
     return config["i"] * 2
 
 
-def _pid_worker(config, context, arrays):
+def _pid_worker(config, context):
     return os.getpid()
-
-
-def _mutate_worker(config, context, arrays):
-    try:
-        arrays["base"][0] = 999
-    except ValueError:
-        return "read-only"
-    return "writable"
-
-
-# ----------------------------------------------------------------------
-# SharedArrayPack
-# ----------------------------------------------------------------------
-def test_shared_array_pack_round_trip():
-    arrays = {
-        "a": np.arange(24, dtype=np.float32).reshape(2, 3, 4),
-        "b": np.array([1, 2, 3], dtype=np.int64),
-        "c": np.zeros((5,), dtype=np.uint8),
-    }
-    pack = SharedArrayPack.create(arrays)
-    try:
-        attached = SharedArrayPack.attach(pack.spec())
-        views = attached.arrays()
-        for name, arr in arrays.items():
-            np.testing.assert_array_equal(views[name], arr)
-            assert views[name].dtype == arr.dtype
-            assert not views[name].flags.writeable
-        attached.close(unlink=False)
-    finally:
-        pack.close()
-
-
-def test_shared_array_pack_rejects_mutation():
-    pack = SharedArrayPack.create({"x": np.ones(4)})
-    try:
-        view = pack.arrays()["x"]
-        with pytest.raises(ValueError):
-            view[0] = 2.0
-    finally:
-        pack.close()
 
 
 # ----------------------------------------------------------------------
@@ -110,27 +67,32 @@ def test_empty_and_invalid_inputs():
 # ----------------------------------------------------------------------
 def test_process_sweep_matches_inline_results():
     configs = [{"i": i} for i in range(6)]
-    arrays = {"base": np.array([10.0])}
-    inline = run_sweep(_square_worker, configs, jobs=1, arrays=arrays,
+    inline = run_sweep(_square_worker, configs, jobs=1,
                        context={"offset": 3})
-    fanned = run_sweep(_square_worker, configs, jobs=2, arrays=arrays,
+    fanned = run_sweep(_square_worker, configs, jobs=2,
                        context={"offset": 3})
     assert [o.result for o in inline] == [o.result for o in fanned]
     assert [o.config for o in fanned] == configs
+
+
+def test_spawn_sweep_matches_inline_results(monkeypatch):
+    # ``spawn`` is the only start method on platforms without ``fork``:
+    # the context is pickled once per worker instead of inherited.
+    monkeypatch.setattr(sweep, "default_start_method", lambda: "spawn")
+    configs = [{"i": i} for i in range(4)]
+    inline = run_sweep(_square_worker, configs, jobs=1,
+                       context={"offset": 5})
+    spawned = run_sweep(_square_worker, configs, jobs=2,
+                        context={"offset": 5})
+    assert [o.result for o in spawned] == [o.result for o in inline]
+    assert [o.config for o in spawned] == configs
+    assert all(o.worker_pid != os.getpid() for o in spawned)
 
 
 def test_process_sweep_uses_worker_processes():
     pids = {o.result for o in
             run_sweep(_pid_worker, [{"i": i} for i in range(4)], jobs=2)}
     assert os.getpid() not in pids
-
-
-def test_process_sweep_arrays_are_read_only_in_workers():
-    # Two configs so the pool path runs (a single config short-circuits to
-    # the inline loop, which hands workers the original writable arrays).
-    outcomes = run_sweep(_mutate_worker, [{"i": 0}, {"i": 1}], jobs=2,
-                         arrays={"base": np.array([1.0])})
-    assert all(o.result == "read-only" for o in outcomes)
 
 
 def test_process_sweep_surfaces_worker_crash_with_config_and_traceback():
@@ -141,16 +103,6 @@ def test_process_sweep_surfaces_worker_crash_with_config_and_traceback():
     assert err.config == {"i": 1, "boom": True}
     assert "ValueError" in err.traceback_text
     assert "kaboom-1" in err.traceback_text
-
-
-def test_default_start_method_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_MP_START", "spawn")
-    assert sweep.default_start_method() == "spawn"
-    monkeypatch.setenv("REPRO_MP_START", "not-a-method")
-    with pytest.raises(ValueError):
-        sweep.default_start_method()
-    monkeypatch.delenv("REPRO_MP_START")
-    assert sweep.default_start_method() in ("fork", "spawn")
 
 
 # ----------------------------------------------------------------------
@@ -234,109 +186,9 @@ def test_sweep_deferred_failure_enables_clean_resume(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Resource-tracker patch (shm attach on Python < 3.13)
-# ----------------------------------------------------------------------
-def test_tracker_patch_is_reentrant_and_restores():
-    from multiprocessing import resource_tracker
-    original = resource_tracker.register
-    with sweep._untracked_shm_attach():
-        with sweep._untracked_shm_attach():  # nested attach must not break
-            assert resource_tracker.register is not original
-        assert resource_tracker.register is not original
-    assert resource_tracker.register is original
-    assert sweep._TRACKER_PATCH_DEPTH == 0
-
-
-def test_tracker_patch_restores_after_exception():
-    from multiprocessing import resource_tracker
-    original = resource_tracker.register
-    with pytest.raises(RuntimeError):
-        with sweep._untracked_shm_attach():
-            raise RuntimeError("attach failed")
-    assert resource_tracker.register is original
-
-
-def test_tracker_patch_thread_safe():
-    """Concurrent attachers must never capture another attacher's no-op as
-    the 'original' register (the bug an unlocked patch allows)."""
-    import threading
-    from multiprocessing import resource_tracker
-    original = resource_tracker.register
-    errors = []
-
-    def attach_loop():
-        try:
-            for _ in range(200):
-                with sweep._untracked_shm_attach():
-                    pass
-        except Exception as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-
-    threads = [threading.Thread(target=attach_loop) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert resource_tracker.register is original
-    assert sweep._TRACKER_PATCH_DEPTH == 0
-
-
-# ----------------------------------------------------------------------
-# Shared-memory lifecycle: no leaked segments, whatever fails
-# ----------------------------------------------------------------------
-@pytest.fixture
-def track_created_packs(monkeypatch):
-    """Capture every SharedArrayPack the sweep creates internally."""
-    created = []
-    original = SharedArrayPack.create.__func__
-
-    def capture(cls, arrays):
-        pack = original(cls, arrays)
-        created.append(pack)
-        return pack
-
-    monkeypatch.setattr(SharedArrayPack, "create", classmethod(capture))
-    return created
-
-
-def _assert_unlinked(pack):
-    from multiprocessing import shared_memory
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=pack._shm.name)
-
-
-def test_no_leaked_segment_after_sweep_task_error(track_created_packs):
-    configs = [{"i": 0}, {"i": 1, "boom": True}, {"i": 2}]
-    with pytest.raises(SweepTaskError):
-        run_sweep(_crashy_worker, configs, jobs=2,
-                  arrays={"base": np.array([1.0])})
-    assert len(track_created_packs) == 1
-    _assert_unlinked(track_created_packs[0])
-
-
-def test_no_leaked_segment_when_pool_startup_fails(track_created_packs):
-    # A bad start method raises between pack creation and pool spin-up —
-    # exactly the window the try/finally must cover.
-    with pytest.raises(ValueError):
-        run_sweep(_square_worker, [{"i": 0}, {"i": 1}], jobs=2,
-                  arrays={"base": np.array([1.0])},
-                  start_method="not-a-method")
-    assert len(track_created_packs) == 1
-    _assert_unlinked(track_created_packs[0])
-
-
-def test_no_leaked_segment_after_clean_sweep(track_created_packs):
-    run_sweep(_square_worker, [{"i": i} for i in range(3)], jobs=2,
-              arrays={"base": np.array([1.0])})
-    assert len(track_created_packs) == 1
-    _assert_unlinked(track_created_packs[0])
-
-
-# ----------------------------------------------------------------------
 # iter_sweep: as-completed streaming
 # ----------------------------------------------------------------------
-def _slow_worker(config, context, arrays):
+def _slow_worker(config, context):
     import time
     time.sleep(config.get("sleep", 0.0))
     return config["i"]
@@ -365,14 +217,18 @@ def test_iter_sweep_respects_indices_subset():
     assert [index for index, _ in pairs] == [4, 1]
 
 
-def test_iter_sweep_early_close_releases_shared_memory(track_created_packs):
+def test_iter_sweep_early_close_merges_worker_shards(tmp_path):
+    from repro.obs.sinks import read_jsonl_tolerant
+
     configs = [{"i": i} for i in range(4)]
     stream = iter_sweep(_square_worker, configs, jobs=2,
-                        arrays={"base": np.array([1.0])})
-    next(stream)  # consume one point, then abandon the sweep
+                        telemetry_dir=tmp_path)
+    index, _ = next(stream)  # consume one point, then abandon the sweep
     stream.close()
-    assert len(track_created_packs) == 1
-    _assert_unlinked(track_created_packs[0])
+    records, _ = read_jsonl_tolerant(tmp_path / "workers.jsonl")
+    merged = {r["task_index"] for r in records
+              if r.get("type") == "shard_start"}
+    assert index in merged
 
 
 def test_run_sweep_on_result_sees_every_point():

@@ -1,14 +1,12 @@
-"""Crash-resume of experiment grids + the stale worker-cache regression."""
+"""Crash-resume of experiment grids and back-to-back parallel grids."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.experiments import grid as grid_mod
-from repro.experiments.common import prepare_experiment, run_method
-from repro.experiments.grid import (grid_journal, pack_prepared,
-                                    run_method_grid)
+from repro.experiments.common import prepare_experiment
+from repro.experiments.grid import grid_journal, run_method_grid
 from repro.parallel import SweepTaskError
 from repro.persist import json_sanitize
 
@@ -101,35 +99,21 @@ class TestGridResume:
             run_method_grid(prepared, CONFIGS[:1], resume=True)
 
 
-class TestWorkerCacheKeying:
-    def test_back_to_back_grids_with_different_weights(self, prepared,
-                                                       monkeypatch):
-        """Regression: the per-worker prepared cache was keyed by
-        (dataset, profile), so a second grid over the *same* dataset but
-        different pretrained weights silently reused the first grid's
-        experiment.  Keying by content hash must rebuild."""
-        monkeypatch.setattr(grid_mod, "_WORKER_CACHE", {})
+class TestBackToBackGrids:
+    def test_two_experiments_match_their_serial_runs(self, prepared):
+        """Two jobs=2 grids in a row over experiments that share (dataset,
+        profile) but not their pretrained weights: each must reproduce its
+        own serial results, never the other experiment's."""
         other = prepare_experiment(DATASET, PROFILE, seed=1, use_cache=False)
-        config = {"method": "fifo", "ipc": 1, "seed": 0}
+        configs = CONFIGS[:2]
+        first = run_method_grid(prepared, configs, jobs=2)
+        second = run_method_grid(other, configs, jobs=2)
 
-        first = grid_mod._grid_worker(
-            dict(config), *reversed(pack_prepared(prepared)))
-        second = grid_mod._grid_worker(
-            dict(config), *reversed(pack_prepared(other)))
-
-        expected = run_method(other, **config)
-        assert second.final_accuracy == expected.final_accuracy
-        assert list(second.history.accuracy) == list(
-            expected.history.accuracy)
+        assert_results_identical(run_method_grid(prepared, configs, jobs=1),
+                                 first)
+        assert_results_identical(run_method_grid(other, configs, jobs=1),
+                                 second)
         # Sanity: the two experiments genuinely differ.
-        assert (first.final_accuracy != second.final_accuracy
-                or first.history.accuracy != second.history.accuracy)
-
-    def test_cache_is_bounded(self, prepared, monkeypatch):
-        monkeypatch.setattr(grid_mod, "_WORKER_CACHE", {})
-        config = {"method": "fifo", "ipc": 1, "seed": 0}
-        for seed in range(3):
-            exp = prepare_experiment(DATASET, PROFILE, seed=seed,
-                                     use_cache=False)
-            grid_mod._grid_worker(dict(config), *reversed(pack_prepared(exp)))
-        assert len(grid_mod._WORKER_CACHE) <= grid_mod._WORKER_CACHE_MAX
+        assert any(a.final_accuracy != b.final_accuracy
+                   or a.history.accuracy != b.history.accuracy
+                   for a, b in zip(first, second))

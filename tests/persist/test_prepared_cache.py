@@ -1,6 +1,9 @@
 """Unit tests for the on-disk prepared-experiment cache."""
 
+import pickle
+
 import numpy as np
+import pytest
 
 from repro.experiments.common import prepare_experiment
 from repro.experiments.grid import pack_prepared
@@ -38,6 +41,34 @@ class TestRoundTrip:
         arrays_a, _ = pack_prepared(prepared)
         arrays_b, _ = pack_prepared(loaded)
         assert content_hash(arrays_a) == content_hash(arrays_b)
+
+
+def experiment_arrays(prepared):
+    ds = prepared.dataset
+    arrays = {"x_train": ds.x_train, "y_train": ds.y_train,
+              "train_sessions": ds.train_sessions, "x_test": ds.x_test,
+              "y_test": ds.y_test, "group_of": ds.group_of,
+              "prototypes": ds.prototypes, "pretrain_x": prepared.pretrain_x,
+              "pretrain_y": prepared.pretrain_y}
+    return {name: arr for name, arr in arrays.items() if arr is not None}
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("source", ["fresh", "disk", "pickled"])
+    def test_every_array_rejects_writes(self, tmp_path, source):
+        # Grid points share one experiment, in the parent and in every
+        # sweep worker (pickled under ``spawn``): none may write into it.
+        prepared = fresh_prepared()
+        if source == "disk":
+            save_prepared(tmp_path, prepared, seed=0)
+            prepared = load_prepared(tmp_path, DATASET, PROFILE, 0)
+        elif source == "pickled":
+            prepared = pickle.loads(pickle.dumps(prepared))
+        arrays = experiment_arrays(prepared)
+        assert len(arrays) >= 8
+        for name, arr in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = arr.flat[0]
 
 
 class TestInvalidation:
