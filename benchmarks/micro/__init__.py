@@ -2,10 +2,10 @@
 
 Unlike the paper-level benchmarks in :mod:`benchmarks`, these scripts time
 individual kernels against the preserved seed implementations (which they
-call directly from :mod:`repro.nn.reference`) and one full condensation
-segment on its own, and append
-machine-readable results to ``bench_results/micro_kernels.json`` so future
-PRs have a performance trajectory to regress against.
+call directly from the tests' oracle, :mod:`tests.nn.reference`) and one
+full condensation segment on its own, and append machine-readable results
+to ``bench_results/micro_kernels.json`` so future PRs have a performance
+trajectory to regress against.
 
 Run them directly::
 

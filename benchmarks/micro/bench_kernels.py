@@ -5,7 +5,7 @@ log-softmax, one ConvNet block (``conv_block``: Conv -> Norm -> ReLU ->
 Pool) forward+backward and a conv's data movement (im2col, then the input
 gradient's matmul and col2im) at the retrain shapes of the two stream
 benchmarks, each next to its preserved seed implementation in
-:mod:`repro.nn.reference` (the block next to the seed ops composed in
+:mod:`tests.nn.reference` (the block next to the seed ops composed in
 sequence), plus one full
 ``parameter_gradients`` pass (fast only) and the closed-form gradient
 distance ``distance_and_grad`` (next to the autodiff graph of
@@ -25,17 +25,22 @@ import argparse
 import json
 import pathlib
 import platform
+import sys
 import time
 
 import numpy as np
 
-from repro.nn import ConvNet, kernels, reference
+from repro.nn import ConvNet, kernels
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.obs import collect_runtime_counters
 
-RESULTS_PATH = (pathlib.Path(__file__).resolve().parents[2]
-                / "bench_results" / "micro_kernels.json")
+REPO = pathlib.Path(__file__).resolve().parents[2]
+RESULTS_PATH = REPO / "bench_results" / "micro_kernels.json"
+
+# The seed oracle lives with the tests, outside the runtime package.
+sys.path.insert(0, str(REPO))
+from tests.nn import reference  # noqa: E402
 
 # CIFAR-scale shapes: the paper's 32x32 inputs, ConvNet width 16, batch 128.
 N, C, HW, OC = 128, 16, 32, 16

@@ -20,6 +20,36 @@ from repro.core import (DECOLearner, LearnerConfig, MajorityVotePseudoLabeler,
 from repro.data import load_dataset, make_stream
 from repro.nn import ConvNet
 
+_RAMP = " .:-=+*#%@"
+
+
+def render_image(image: np.ndarray) -> list[str]:
+    """Render a (C, H, W) array as ASCII intensity rows.
+
+    Channels are averaged; intensities are min-max normalized per image.
+    """
+    arr = np.asarray(image, dtype=np.float64).mean(axis=0)
+    low, high = float(arr.min()), float(arr.max())
+    normalized = ((arr - low) / (high - low) if high - low > 1e-12
+                  else np.zeros_like(arr))
+    indices = (normalized * (len(_RAMP) - 1)).round().astype(int)
+    return ["".join(_RAMP[i] for i in row) for row in indices]
+
+
+def render_grid(images: np.ndarray, labels: np.ndarray, *,
+                columns: int, separator: str = "  ") -> str:
+    """Render an (N, C, H, W) batch ``columns`` images per text row, each
+    group under a header of the images' labels."""
+    blocks = []
+    for start in range(0, len(images), columns):
+        rendered = [render_image(img) for img in images[start:start + columns]]
+        blocks.append(separator.join(
+            f"[{label}]".ljust(len(rows[0]))
+            for label, rows in zip(labels[start:start + columns], rendered)))
+        blocks.extend(separator.join(line) for line in zip(*rendered))
+        blocks.append("")
+    return "\n".join(blocks).rstrip("\n")
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -84,10 +114,9 @@ def main() -> None:
     print(f"final accuracy: {history.final_accuracy:.2%}")
 
     if args.show_buffer:
-        from repro.utils import render_grid
         print("\ncondensed buffer (one synthetic image per cell):")
-        print(render_grid(buffer.images, columns=min(8, len(buffer)),
-                          labels=buffer.labels))
+        print(render_grid(buffer.images, buffer.labels,
+                          columns=min(8, len(buffer))))
 
 
 if __name__ == "__main__":

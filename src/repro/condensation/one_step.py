@@ -21,7 +21,6 @@ from ..nn.layers import Module, frozen_parameters
 from ..nn.losses import feature_discrimination_loss
 from ..nn.optim import SGD
 from ..nn.tensor import Tensor, no_grad
-from ..obs.health import EwmaTripwire
 from ..utils.batching import micro_batches
 from .base import CondensationMethod, CondensationStats, ModelFactory
 from .matching import (distance_and_grad_wrt_gsyn,
@@ -81,10 +80,6 @@ class OneStepMatcher(CondensationMethod):
         self.epsilon_numerator = float(epsilon_numerator)
         self.rerandomize = bool(rerandomize)
         self.use_confidence = bool(use_confidence)
-        # Matching-loss divergence tripwire: per-instance state so sweep
-        # tasks (one fresh matcher each) stay counter-parity-clean between
-        # serial and forked-worker runs.
-        self._loss_tripwire = EwmaTripwire()
 
     # -- helpers -----------------------------------------------------------
     def _real_batch(self, real_x: np.ndarray, real_y: np.ndarray,
@@ -252,8 +247,8 @@ class OneStepMatcher(CondensationMethod):
             with obs.span("pass.grad_distance"):
                 distance, direction = distance_and_grad_wrt_gsyn(
                     g_syn, g_real, metric=self.metric)
-            if not monitor.check_loss("matcher.matching_loss", distance,
-                                      self._loss_tripwire, iteration=it):
+            if not monitor.check("matcher.matching_loss", float(distance),
+                                 iteration=it):
                 skipped_steps += 1
                 continue
             fd_stats: dict = {}

@@ -2,8 +2,6 @@
 
 from .deco import DECOLearner, condense_offline
 from .learner import LearnerConfig, LearnerHistory, OnDeviceLearner
-from .metrics import (ForgettingTracker, accuracy_smoothness,
-                      forgetting_score, per_class_accuracy)
 from .pseudo_label import (MajorityVotePseudoLabeler, PseudoLabelResult,
                            predict_with_confidence)
 from .replay import ReplayLearner, UpperBoundLearner
@@ -15,6 +13,4 @@ __all__ = [
     "DECOLearner", "condense_offline",
     "ReplayLearner", "UpperBoundLearner",
     "train_model", "evaluate_accuracy", "predict_logits",
-    "per_class_accuracy", "forgetting_score", "accuracy_smoothness",
-    "ForgettingTracker",
 ]

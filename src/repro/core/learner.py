@@ -197,8 +197,8 @@ class OnDeviceLearner(abc.ABC):
     def checkpoint(self) -> dict[str, np.ndarray]:
         """Snapshot the deployed model (and subclass state) as flat arrays.
 
-        Suitable for :func:`repro.utils.save_array_dict`; restores with
-        :meth:`restore`.
+        :func:`repro.persist.save_learner_checkpoint` writes it; restores
+        with :meth:`restore`.
         """
         state = {f"model.{name}": value
                  for name, value in self.model.state_dict().items()}

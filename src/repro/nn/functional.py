@@ -12,8 +12,7 @@ activation and gradient is C-contiguous NCHW and the norm, ReLU and
 pooling ops after a conv never run on strided views.
 Every op skips redundant ``astype(float32)`` copies and skips gradient work
 for parents with ``requires_grad=False``.  The frozen seed implementations
-in :mod:`repro.nn.reference` are the tests' oracle for these ops; nothing
-here dispatches to them.
+in ``tests/nn/reference.py`` are the tests' oracle for these ops.
 """
 
 from __future__ import annotations

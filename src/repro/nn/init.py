@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "kaiming_uniform",
-    "kaiming_normal",
-    "xavier_uniform",
     "uniform_fan",
     "reinitialize",
 ]
@@ -25,20 +23,6 @@ def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], *,
                     fan_in: int, gain: float = math.sqrt(2.0)) -> np.ndarray:
     """Kaiming (He) uniform initialization for ReLU networks."""
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def kaiming_normal(rng: np.random.Generator, shape: tuple[int, ...], *,
-                   fan_in: int, gain: float = math.sqrt(2.0)) -> np.ndarray:
-    """Kaiming (He) normal initialization."""
-    std = gain / math.sqrt(fan_in)
-    return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...], *,
-                   fan_in: int, fan_out: int) -> np.ndarray:
-    """Xavier/Glorot uniform initialization."""
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 

@@ -23,8 +23,8 @@ are the row lengths of the ConvNet's 8-32 px feature maps.
   added while the patch gradients are still in cache.  The taps are
   added in the seed's order, and the canvas is cropped once.
 
-Both outputs are byte-identical to the seed kernels in
-:mod:`repro.nn.reference` for every stride and padding (col2im: for every
+Both outputs are byte-identical to the seed kernels (the tests' oracle,
+``tests/nn/reference.py``) for every stride and padding (col2im: for every
 kernel but a single-channel 1x1 one, whose one-row products numpy runs as
 gemv, which sums in an order that depends on the row length).  im2col
 only copies.  In col2im each patch gradient is the same dot product over the

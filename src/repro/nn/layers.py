@@ -1,7 +1,7 @@
 """Layer/module abstractions over the functional ops.
 
 Mirrors the small subset of ``torch.nn`` that the paper's experiments need:
-``Linear``, ``Conv2d``, ``InstanceNorm2d``, activations, average pooling, and
+``Linear``, ``Conv2d``, ``InstanceNorm2d``, ``ReLU``, average pooling, and
 ``Sequential`` containers, all hanging off a minimal :class:`Module` base
 with parameter traversal and state-dict (de)serialization.
 """
@@ -25,12 +25,8 @@ __all__ = [
     "Conv2d",
     "InstanceNorm2d",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
     "AvgPool2d",
     "Flatten",
-    "Identity",
 ]
 
 
@@ -256,25 +252,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
 class AvgPool2d(Module):
     def __init__(self, kernel_size: int = 2) -> None:
         super().__init__()
@@ -291,8 +268,3 @@ class Flatten(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.flatten(self.start_dim)
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x

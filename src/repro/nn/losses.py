@@ -23,7 +23,6 @@ __all__ = [
     "accuracy",
     "feature_discrimination_loss",
     "gradient_distance",
-    "mse_loss",
 ]
 
 
@@ -62,12 +61,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     if reduction == "none":
         return losses
     raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def mse_loss(a: Tensor, b: Tensor) -> Tensor:
-    """Mean squared error between two tensors."""
-    diff = a - b
-    return (diff * diff).mean()
 
 
 def accuracy(logits: np.ndarray | Tensor, labels: np.ndarray) -> float:

@@ -9,7 +9,6 @@ Algorithm 1.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from ..obs.health import get_monitor
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR", "CosineLR"]
+__all__ = ["Optimizer", "SGD"]
 
 
 class Optimizer:
@@ -81,66 +80,3 @@ class SGD(Optimizer):
             monitor.note_update("optim.sgd", [p.data for p in self.params],
                                 [p.grad for p in self.params], updates,
                                 self.lr, iteration=self._steps)
-
-
-class Adam(Optimizer):
-    """Adam optimizer (used as the synthetic-data optimizer ``opt_S``)."""
-
-    def __init__(self, params: Sequence[Tensor], lr: float, *,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0) -> None:
-        super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class StepLR:
-    """Multiply the optimizer's learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        self.optimizer = optimizer
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        self.optimizer.lr = self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class CosineLR:
-    """Cosine-anneal the learning rate to zero over ``total_epochs``."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int) -> None:
-        self.optimizer = optimizer
-        self.total_epochs = max(1, int(total_epochs))
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch = min(self.epoch + 1, self.total_epochs)
-        frac = self.epoch / self.total_epochs
-        self.optimizer.lr = 0.5 * self.base_lr * (1.0 + math.cos(math.pi * frac))

@@ -17,7 +17,7 @@ the paper used.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,9 +26,6 @@ __all__ = [
     "tensor",
     "no_grad",
     "is_grad_enabled",
-    "concatenate",
-    "stack",
-    "where",
 ]
 
 _GRAD_ENABLED = True
@@ -307,22 +304,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), "sqrt", backward)
 
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * (1.0 - data ** 2), own=True)
-
-        return Tensor._make(data, (self,), "tanh", backward)
-
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * data * (1.0 - data), own=True)
-
-        return Tensor._make(data, (self,), "sigmoid", backward)
-
     def relu(self) -> "Tensor":
         # np.maximum keeps float32 without a where+astype copy; the
         # backward mask is derived lazily from the retained input.
@@ -333,37 +314,6 @@ class Tensor:
             self._accumulate(g * (source > 0), own=True)
 
         return Tensor._make(data, (self,), "relu", backward)
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        data = np.where(mask, self.data, negative_slope * self.data)
-        if data.dtype != np.float32:
-            data = data.astype(np.float32)
-
-        def backward(g: np.ndarray) -> None:
-            slopes = np.where(mask, np.float32(1.0), np.float32(negative_slope))
-            self._accumulate(g * slopes, own=True)
-
-        return Tensor._make(data, (self,), "leaky_relu", backward)
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        data = np.abs(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * sign, own=True)
-
-        return Tensor._make(data, (self,), "abs", backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values; gradient is passed through inside the range only."""
-        mask = (self.data >= low) & (self.data <= high)
-        data = np.clip(self.data, low, high)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * mask, own=True)
-
-        return Tensor._make(data, (self,), "clip", backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -389,12 +339,6 @@ class Tensor:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             count = int(np.prod([self.shape[a % self.ndim] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        out = (centered * centered).mean(axis=axis, keepdims=keepdims)
-        return out
 
     def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         data = self.data.max(axis=axis, keepdims=keepdims)
@@ -499,50 +443,3 @@ class Tensor:
 def tensor(data, requires_grad: bool = False) -> Tensor:
     """Convenience constructor mirroring ``torch.tensor``."""
     return Tensor(data, requires_grad=requires_grad)
-
-
-def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(start, stop)
-            t._accumulate(g[tuple(index)])
-
-    return Tensor._make(data, tensors, "concatenate", backward)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        parts = np.split(g, len(tensors), axis=axis)
-        for t, part in zip(tensors, parts):
-            t._accumulate(np.squeeze(part, axis=axis))
-
-    return Tensor._make(data, tensors, "stack", backward)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select with gradient flowing to both branches."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    data = np.where(cond, a.data, b.data).astype(np.float32)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(np.where(cond, g, np.float32(0.0)), a.shape),
-                          own=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.where(cond, np.float32(0.0), g), b.shape),
-                          own=True)
-
-    return Tensor._make(data, (a, b), "where", backward)

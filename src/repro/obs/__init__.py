@@ -1,6 +1,6 @@
 """Structured telemetry for the DECO pipeline.
 
-Three pieces:
+Its modules:
 
 * :mod:`repro.obs.telemetry` — the process-wide registry of counters /
   gauges / histograms and nestable ``span`` timers; compiled down to
@@ -17,7 +17,7 @@ Three pieces:
   Perfetto-loadable.
 * :mod:`repro.obs.health` — numerical-health sentinels: sampled finite
   checks at the matcher/optimizer hand-off points with ``record`` /
-  ``skip-step`` / ``raise`` policies and an EWMA loss tripwire.
+  ``skip-step`` / ``raise`` policies.
 * :mod:`repro.obs.report` — self-contained single-file HTML run report
   (``repro obs report``) with a ``--json`` twin.
 
@@ -28,18 +28,16 @@ disabled path is a single flag check.
 
 from .export import (aggregate_worker_counters, config_digest,
                      merge_worker_shards, shard_path, worker_telemetry)
-from .health import (EwmaTripwire, HealthError, HealthIncident,
-                     HealthMonitor, get_monitor, health_stats, reset_health,
-                     scoped_policy)
+from .health import (HealthError, HealthIncident, HealthMonitor, get_monitor,
+                     health_stats, scoped_policy)
 from .memory import (DeepAuditReport, MemoryLedger, default_ledger,
                      track_object)
 from .report import build_report_data, render_report_html, write_report
 from .progress import SweepProgress
 from .regress import (append_history, check_regressions, compare_history,
                       format_regress_report, load_history,
-                      metrics_from_snapshot, seed_history_from_snapshot)
-from .sinks import (EventSink, JsonlSink, ListSink, NullSink,
-                    read_jsonl_tolerant)
+                      metrics_from_snapshot)
+from .sinks import EventSink, JsonlSink, ListSink, read_jsonl_tolerant
 from .telemetry import (Telemetry, collect_runtime_counters, counter, disable,
                         enable, enabled, event, gauge, get_telemetry, observe,
                         reset, scoped_telemetry, shutdown, snapshot, span)
@@ -66,7 +64,6 @@ __all__ = [
     "EventSink",
     "JsonlSink",
     "ListSink",
-    "NullSink",
     "load_events",
     "summarize_events",
     "summarize_events_data",
@@ -83,10 +80,8 @@ __all__ = [
     "HealthError",
     "HealthIncident",
     "HealthMonitor",
-    "EwmaTripwire",
     "get_monitor",
     "health_stats",
-    "reset_health",
     "scoped_policy",
     "build_report_data",
     "render_report_html",

@@ -1,12 +1,9 @@
 """Numerical-health sentinels for the condensation/learning hot paths.
 
-The telemetry layer (PR 2/7) can say how long every FD pass took and how
-many bytes every buffer holds, but nothing watched whether the learning
-itself stays *healthy*: one NaN minted in a ±ε pass silently poisons the
-condensed buffer and every model retrained from it afterwards.  This
-module is the missing layer — cheap ``np.isfinite``-style sentinels wired
-into the matcher's loss/gradient hand-off points and the optimizer's
-update path, with a configurable response policy:
+One NaN minted in a ±ε pass silently poisons the condensed buffer and
+every model retrained from it afterwards.  This module watches for it with
+cheap finite sentinels at the matcher's loss/gradient hand-off points and
+on the optimizer's update path, with a configurable response policy:
 
 ``off``
     Sentinels compiled out: every check is one attribute read.
@@ -31,10 +28,10 @@ finite data is therefore *not* an incident.
 
 Counter parity: every live ``obs.counter`` bump here happens on code
 paths that run inside sweep tasks with per-task-deterministic cadence
-(per-instance sampling counters, per-instance EWMA state — never
-process-global call counts), so ``health.*`` aggregates match between
-``jobs=1`` and ``jobs=N`` runs (``tests/obs/test_worker_export.py``
-compares a real grid's counters at both).  Module-level totals are pulled as ``health.*`` gauges by
+(per-instance sampling counters, never process-global call counts), so
+``health.*`` aggregates match between ``jobs=1`` and ``jobs=N`` runs
+(``tests/obs/test_worker_export.py`` compares a real grid's counters at
+both).  Module-level totals are pulled as ``health.*`` gauges by
 :func:`repro.obs.telemetry.collect_runtime_counters`.
 """
 
@@ -55,12 +52,9 @@ __all__ = [
     "HealthError",
     "HealthIncident",
     "HealthMonitor",
-    "EwmaTripwire",
     "get_monitor",
-    "configure",
     "scoped_policy",
     "health_stats",
-    "reset_health",
 ]
 
 #: Accepted values of the monitor policy (and of ``REPRO_HEALTH``).
@@ -95,7 +89,7 @@ class HealthIncident:
     """One recorded health violation."""
 
     op: str
-    kind: str  # "nonfinite" | "divergence"
+    kind: str  # "nonfinite"
     segment: int | None
     iteration: int | None
     action: str  # the policy in force when the incident fired
@@ -110,43 +104,6 @@ class HealthIncident:
             fields["iteration"] = self.iteration
         fields.update(self.stats)
         return fields
-
-
-class EwmaTripwire:
-    """EWMA divergence detector for a loss series.
-
-    Tracks an exponentially-weighted mean and mean absolute deviation of
-    the observed values; after ``warmup`` observations, a value exceeding
-    ``mean + factor * dev`` trips.  State is intentionally per-instance
-    (one tripwire per matcher), never process-global: a shared tracker
-    would carry state across sweep tasks in a serial run but not in
-    forked workers, silently breaking counter parity.
-    """
-
-    def __init__(self, *, alpha: float = 0.25, factor: float = 8.0,
-                 warmup: int = 3, min_dev: float = 1e-6) -> None:
-        self.alpha = float(alpha)
-        self.factor = float(factor)
-        self.warmup = int(warmup)
-        self.min_dev = float(min_dev)
-        self.mean = 0.0
-        self.dev = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> bool:
-        """Fold one loss value in; ``True`` when it trips the wire."""
-        tripped = False
-        if self.count >= self.warmup:
-            floor = max(self.min_dev, self.min_dev * abs(self.mean))
-            tripped = value > self.mean + self.factor * max(self.dev, floor)
-        a = self.alpha
-        if self.count == 0:
-            self.mean = value
-        else:
-            self.dev = (1.0 - a) * self.dev + a * abs(value - self.mean)
-            self.mean = (1.0 - a) * self.mean + a * value
-        self.count += 1
-        return tripped
 
 
 def _finite_probe(array: np.ndarray, max_sample: int) -> np.ndarray:
@@ -192,8 +149,7 @@ class HealthMonitor:
         self.incidents: list[HealthIncident] = []
         self.segment: int | None = None
         self._totals = {"checks": 0, "incidents": 0, "nonfinite": 0,
-                        "divergence": 0, "skip_signals": 0,
-                        "dropped_incidents": 0}
+                        "skip_signals": 0, "dropped_incidents": 0}
         self._update_peaks = {"grad_norm": 0.0, "update_ratio": 0.0}
 
     # -- configuration -----------------------------------------------------
@@ -258,26 +214,6 @@ class HealthMonitor:
                 return self._incident(op, "nonfinite", stats, iteration)
             # The probe sum overflowed on genuinely finite data — huge but
             # legal values are not an incident.
-        return True
-
-    def check_loss(self, op: str, value: float,
-                   tripwire: EwmaTripwire | None = None, *,
-                   iteration: int | None = None) -> bool:
-        """Finite sentinel plus EWMA divergence tripwire on a loss value.
-
-        Non-finite losses never feed the tripwire; a finite loss is folded
-        in and trips an incident of kind ``divergence`` when it exceeds
-        the tripwire's envelope.
-        """
-        if self.policy == "off":
-            return True
-        if not self.check(op, float(value), iteration=iteration):
-            return False
-        if tripwire is not None and tripwire.observe(float(value)):
-            return self._incident(
-                op, "divergence",
-                {"value": float(value), "ewma_mean": tripwire.mean,
-                 "ewma_dev": tripwire.dev}, iteration)
         return True
 
     def update_due(self, step: int) -> bool:
@@ -381,18 +317,6 @@ def get_monitor() -> HealthMonitor:
     return _MONITOR
 
 
-def configure(policy: str | None = None, *, max_sample: int | None = None,
-              update_every: int | None = None) -> HealthMonitor:
-    """Adjust the default monitor in place; returns it."""
-    if policy is not None:
-        _MONITOR.set_policy(policy)
-    if max_sample is not None:
-        _MONITOR.max_sample = int(max_sample)
-    if update_every is not None:
-        _MONITOR.update_every = max(1, int(update_every))
-    return _MONITOR
-
-
 @contextlib.contextmanager
 def scoped_policy(policy: str):
     """Temporarily switch the default monitor's policy (for tests)."""
@@ -407,8 +331,3 @@ def scoped_policy(policy: str):
 def health_stats() -> dict[str, float]:
     """Default-monitor totals (pulled as ``health.*`` runtime gauges)."""
     return _MONITOR.stats()
-
-
-def reset_health() -> None:
-    """Clear the default monitor's incidents and totals (tests/run starts)."""
-    _MONITOR.reset()

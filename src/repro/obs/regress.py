@@ -56,7 +56,6 @@ __all__ = [
     "compare_history",
     "check_regressions",
     "format_regress_report",
-    "seed_history_from_snapshot",
 ]
 
 HISTORY_FILENAME = "bench_history.jsonl"
@@ -188,33 +187,6 @@ def load_history(path: str | os.PathLike) -> tuple[list[dict], int]:
     if not path.is_file():
         return [], 0
     return read_jsonl_tolerant(path)
-
-
-def seed_history_from_snapshot(snapshot_path: str | os.PathLike,
-                               history_path: str | os.PathLike,
-                               tags: Mapping[str, Any] | None = None
-                               ) -> list[dict]:
-    """Bootstrap a history from an existing ``micro_kernels.json``.
-
-    Writes one entry per section found in the snapshot, tagged with the
-    snapshot's recorded platform/numpy (plus any overrides), so the very
-    next bench run already has a baseline to compare against.
-    """
-    data = json.loads(pathlib.Path(snapshot_path).read_text())
-    meta = data.get("meta") or {}
-    base_tags = {"platform": meta.get("platform", "unknown"),
-                 "numpy": meta.get("numpy", "unknown"),
-                 "threads": 1,
-                 "cpu_count": os.cpu_count()}
-    base_tags.update(tags or {})
-    entries = []
-    for section in ("kernels", "condense_step"):
-        metrics = metrics_from_snapshot(data, sections=(section,))
-        if metrics:
-            entries.append(append_history(
-                history_path, section, metrics, base_tags,
-                probes_from_snapshot(data, sections=(section,))))
-    return entries
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 import pathlib
 from typing import Any
 
-__all__ = ["EventSink", "JsonlSink", "ListSink", "NullSink", "TRACE_FILENAME",
+__all__ = ["EventSink", "JsonlSink", "ListSink", "TRACE_FILENAME",
            "read_jsonl_tolerant"]
 
 TRACE_FILENAME = "trace.jsonl"
@@ -56,13 +56,6 @@ class EventSink:
         raise NotImplementedError
 
     def close(self) -> None:
-        pass
-
-
-class NullSink(EventSink):
-    """Swallows every event (metrics-only telemetry)."""
-
-    def write(self, record: dict[str, Any]) -> None:
         pass
 
 

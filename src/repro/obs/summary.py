@@ -172,15 +172,10 @@ def _health_rows(events: Iterable[dict]) -> list[list[str]]:
     for ev in events:
         if ev.get("type") != "health":
             continue
-        if ev.get("kind") == "divergence":
-            detail = (f"value={_fmt(ev.get('value'))} "
-                      f"ewma={_fmt(ev.get('ewma_mean'))}")
-        else:
-            parts = [f"{key}={_fmt(ev[key])}"
-                     for key in ("nan", "inf", "layer", "value", "grad_norm",
-                                 "finite_min", "finite_max")
-                     if key in ev]
-            detail = " ".join(parts) or "-"
+        detail = " ".join(f"{key}={_fmt(ev[key])}"
+                          for key in ("nan", "inf", "layer", "value",
+                                      "grad_norm", "finite_min", "finite_max")
+                          if key in ev) or "-"
         rows.append([str(ev.get("op", "?")), str(ev.get("kind", "?")),
                      _fmt(ev.get("segment")), _fmt(ev.get("iteration")),
                      str(ev.get("action", "?")), detail])

@@ -13,7 +13,8 @@ Design points
   (for the experiment runners, the prepared experiment itself) goes to
   every worker through the pool initializer, and tasks carry only small
   config dicts.  Under ``fork`` the workers inherit it copy-on-write;
-  under ``spawn`` it is pickled once per worker, never once per task.
+  under ``spawn`` it is pickled once to a temporary file that each worker
+  loads, never once per task.
 * **Streaming, then ordered.**  :func:`iter_sweep` yields each grid point
   the moment it completes (with a heartbeat event when nothing lands for a
   while), so callers can render live progress; :func:`run_sweep` consumes
@@ -42,6 +43,9 @@ the imported numpy stack and the context), else ``spawn``.
 from __future__ import annotations
 
 import os
+import pickle
+import shutil
+import tempfile
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -118,6 +122,11 @@ def _worker_init(context: Any) -> None:
     from .. import obs
     obs.disable()
     _WORKER_CONTEXT = context
+
+
+def _worker_init_from_file(path: str) -> None:
+    with open(path, "rb") as fh:
+        _worker_init(pickle.load(fh))
 
 
 def _worker_run(worker: SweepWorker, index: int, config: dict,
@@ -203,12 +212,26 @@ def _iter_pool(worker: SweepWorker, configs: Sequence[dict],
     done_outcomes: list[SweepOutcome] = []
     run_dir = telemetry_dir if telemetry_dir is not None \
         else _discover_run_dir()
+    context_dir = None
     # The finally merges the worker shards written so far, also on
     # ``GeneratorExit`` when a consumer abandons the stream mid-sweep.
     try:
         if obs.enabled():
             obs.gauge("sweep.jobs", jobs)
-        ctx = get_context(default_start_method())
+        start_method = default_start_method()
+        ctx = get_context(start_method)
+        initializer, initargs = _worker_init, (context,)
+        if start_method == "spawn":
+            # The parent writes a spawn worker's initializer arguments down
+            # a pipe before it closes its own read end: a context larger
+            # than the pipe buffer would block it for good if the worker
+            # died while bootstrapping.  Workers load the context from a
+            # file instead, so the pool reports the death.
+            context_dir = tempfile.mkdtemp(prefix="repro-sweep-")
+            path = os.path.join(context_dir, "context.pkl")
+            with open(path, "wb") as fh:
+                pickle.dump(context, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            initializer, initargs = _worker_init_from_file, (path,)
         # Drain the parent sink's userspace buffer before forking: workers
         # inherit the buffered file object and close it on init (disable),
         # which would flush the parent's pending lines a second time per
@@ -218,8 +241,7 @@ def _iter_pool(worker: SweepWorker, configs: Sequence[dict],
             parent_sink.flush()
         with ProcessPoolExecutor(
                 max_workers=jobs, mp_context=ctx,
-                initializer=_worker_init,
-                initargs=(context,)) as pool:
+                initializer=initializer, initargs=initargs) as pool:
             index_of = {
                 pool.submit(_worker_run, worker, i, configs[i], run_dir): i
                 for i in indices}
@@ -269,6 +291,8 @@ def _iter_pool(worker: SweepWorker, configs: Sequence[dict],
                 obs.event("sweep_worker", worker_pid=pid, busy_s=seconds,
                           wall_s=wall)
     finally:
+        if context_dir is not None:
+            shutil.rmtree(context_dir, ignore_errors=True)
         if run_dir is not None:
             from ..obs.export import merge_worker_shards
             try:
@@ -333,8 +357,8 @@ def run_sweep(worker: SweepWorker, configs: Sequence[dict], *,
         Object every grid point shares, e.g. the prepared experiment.
         Inline it is passed as is; with ``jobs > 1`` each worker gets it
         once through the pool initializer (inherited under ``fork``,
-        pickled once per worker under ``spawn``), so it must be picklable
-        there.
+        loaded from a file pickled once under ``spawn``), so it must be
+        picklable there.
     raise_on_error:
         When True (default) a failing grid point raises
         :class:`SweepTaskError` carrying the lowest-index failure — but

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["confusion_matrix", "mean_and_std", "RunningMean", "relative_improvement"]
+__all__ = ["confusion_matrix", "mean_and_std", "relative_improvement"]
 
 
 def confusion_matrix(true_labels: np.ndarray, predicted_labels: np.ndarray,
@@ -43,24 +43,3 @@ def relative_improvement(ours: float, best_baseline: float) -> float:
     if best_baseline == 0:
         return math.inf if ours > 0 else 0.0
     return 100.0 * (ours - best_baseline) / best_baseline
-
-
-class RunningMean:
-    """Incremental mean tracker for streaming statistics."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-
-    def update(self, value: float, weight: float = 1.0) -> None:
-        self.total += float(value) * weight
-        self.count += weight
-
-    @property
-    def mean(self) -> float:
-        """Mean so far; NaN (with a clear warning) before any observation."""
-        if self.count == 0:
-            warnings.warn("RunningMean.mean with no observations: "
-                          "returning NaN", RuntimeWarning, stacklevel=2)
-            return float("nan")
-        return self.total / self.count

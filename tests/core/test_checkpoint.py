@@ -9,7 +9,6 @@ from repro.core.deco import DECOLearner
 from repro.core.learner import LearnerConfig
 from repro.core.replay import UpperBoundLearner
 from repro.nn.convnet import ConvNet
-from repro.utils.serialization import load_array_dict, save_array_dict
 
 
 def make_learner(seed=0, ipc=2):
@@ -46,9 +45,10 @@ class TestCheckpoint:
     def test_persists_through_npz(self, tmp_path):
         a = make_learner(seed=0)
         path = tmp_path / "ckpt.npz"
-        save_array_dict(path, a.checkpoint())
+        np.savez(path, **a.checkpoint())
         b = make_learner(seed=9)
-        b.restore(load_array_dict(path))
+        with np.load(path) as archive:
+            b.restore(dict(archive))
         np.testing.assert_array_equal(a.buffer.images, b.buffer.images)
 
     def test_upper_bound_checkpoints_model_and_seen_set(self):

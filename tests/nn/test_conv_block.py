@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn import reference
 from repro.nn.convnet import ConvNet
 from repro.nn.losses import cross_entropy
 from repro.nn.tensor import Tensor
+from tests.nn import reference
 
 
 def _block_args(rng, shape, oc, lanes=()):

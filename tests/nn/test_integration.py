@@ -12,7 +12,7 @@ from repro.nn import functional as F
 from repro.nn.convnet import ConvNet
 from repro.nn.layers import Flatten, InstanceNorm2d, Linear, ReLU, Sequential
 from repro.nn.losses import cross_entropy
-from repro.nn.optim import SGD, Adam, CosineLR
+from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -26,34 +26,17 @@ def make_blobs(rng, n_per_class=20, classes=3, dim=8, separation=3.0):
 
 
 class TestTrainingDynamics:
-    def test_mlp_learns_blobs_with_adam(self, rng):
+    def test_mlp_learns_blobs_with_momentum_sgd(self, rng):
         x, y = make_blobs(rng)
         model = Sequential(Flatten(), Linear(8, 16, rng=rng), ReLU(),
                            Linear(16, 3, rng=rng))
-        opt = Adam(model.parameters(), 0.01)
+        opt = SGD(model.parameters(), 0.05, momentum=0.9)
         for _ in range(80):
             opt.zero_grad()
             cross_entropy(model(Tensor(x)), y).backward()
             opt.step()
         acc = (model(Tensor(x)).data.argmax(axis=1) == y).mean()
         assert acc > 0.95
-
-    def test_cosine_schedule_trains_stably(self, rng):
-        x, y = make_blobs(rng)
-        model = Sequential(Flatten(), Linear(8, 16, rng=rng), ReLU(),
-                           Linear(16, 3, rng=rng))
-        opt = SGD(model.parameters(), 0.2, momentum=0.9)
-        sched = CosineLR(opt, total_epochs=60)
-        losses = []
-        for _ in range(60):
-            opt.zero_grad()
-            loss = cross_entropy(model(Tensor(x)), y)
-            loss.backward()
-            opt.step()
-            sched.step()
-            losses.append(loss.item())
-        assert losses[-1] < losses[0] * 0.5
-        assert opt.lr < 1e-6  # annealed to ~zero
 
     def test_gradients_flow_through_deep_convnet(self, rng):
         net = ConvNet(3, 4, 16, width=8, depth=4, rng=rng)

@@ -1,7 +1,7 @@
 """Equivalence tests for the kernel layer.
 
 The ops (im2col, col2im, matmul contractions) must match the preserved
-seed implementations in :mod:`repro.nn.reference` — forward values and
+seed implementations in :mod:`tests.nn.reference` — forward values and
 every gradient — to 1e-5 across a grid of odd sizes, strides, and
 paddings, and for a full ConvNet training step at the shapes the stream
 benchmark trains on.  im2col and col2im themselves must match the seed
@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn import kernels, reference
+from repro.nn import kernels
 from repro.nn.convnet import ConvNet
 from repro.nn.losses import cross_entropy
 from repro.nn.tensor import Tensor
+from tests.nn import reference
 
 TOL = dict(rtol=1e-5, atol=1e-5)
 

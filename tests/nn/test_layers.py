@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.nn.convnet import ConvNet
-from repro.nn.layers import (AvgPool2d, Conv2d, Flatten, Identity,
-                             InstanceNorm2d, LeakyReLU, Linear, Module, ReLU,
-                             Sequential, Sigmoid, Tanh, frozen_parameters)
+from repro.nn.layers import (AvgPool2d, Conv2d, Flatten, InstanceNorm2d,
+                             Linear, Module, ReLU, Sequential,
+                             frozen_parameters)
 from repro.nn.tensor import Tensor
 
 
@@ -143,10 +143,10 @@ class TestSequential:
         assert (out.data >= 0).all()
 
     def test_len_iter_getitem(self, rng):
-        net = Sequential(ReLU(), Tanh())
+        net = Sequential(ReLU(), Flatten())
         assert len(net) == 2
-        assert isinstance(net[1], Tanh)
-        assert [type(m) for m in net] == [ReLU, Tanh]
+        assert isinstance(net[1], Flatten)
+        assert [type(m) for m in net] == [ReLU, Flatten]
 
 
 class TestIndividualLayers:
@@ -174,18 +174,12 @@ class TestIndividualLayers:
 
     @pytest.mark.parametrize("activation,low,high", [
         (ReLU(), 0.0, np.inf),
-        (Sigmoid(), 0.0, 1.0),
-        (Tanh(), -1.0, 1.0),
     ])
     def test_activation_ranges(self, activation, low, high, rng):
         x = Tensor(rng.standard_normal(100).astype(np.float32) * 4)
         out = activation(x).data
         assert out.min() >= low
         assert out.max() <= high
-
-    def test_leaky_relu_slope(self):
-        out = LeakyReLU(0.2)(Tensor([-5.0]))
-        np.testing.assert_allclose(out.data, [-1.0])
 
     def test_pools(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 4, 4)).astype(np.float32))
@@ -194,10 +188,6 @@ class TestIndividualLayers:
     def test_flatten_layer(self):
         x = Tensor(np.zeros((2, 3, 4), dtype=np.float32))
         assert Flatten()(x).shape == (2, 12)
-
-    def test_identity(self):
-        x = Tensor(np.zeros(3, dtype=np.float32))
-        assert Identity()(x) is x
 
     def test_abstract_forward_raises(self):
         with pytest.raises(NotImplementedError):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.losses import (accuracy, cross_entropy,
-                             feature_discrimination_loss, gradient_distance,
-                             mse_loss)
+                             feature_discrimination_loss, gradient_distance)
 from repro.nn.tensor import Tensor
 from tests.conftest import assert_grad_matches
 
@@ -76,7 +75,7 @@ class TestCrossEntropy:
             lambda t: cross_entropy(t, labels, weights=weights), logits)
 
 
-class TestAccuracyAndMSE:
+class TestAccuracy:
     def test_accuracy_with_array(self):
         logits = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         assert accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
@@ -84,11 +83,6 @@ class TestAccuracyAndMSE:
     def test_accuracy_with_tensor(self):
         logits = Tensor([[2.0, 1.0]])
         assert accuracy(logits, np.array([0])) == 1.0
-
-    def test_mse_loss(self):
-        a = Tensor([1.0, 2.0])
-        b = Tensor([1.0, 4.0])
-        assert mse_loss(a, b).item() == pytest.approx(2.0)
 
 
 class TestFeatureDiscrimination:

@@ -1,9 +1,9 @@
-"""Unit tests for optimizers and LR schedulers."""
+"""Unit tests for the optimizers."""
 
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam, CosineLR, Optimizer, StepLR
+from repro.nn.optim import SGD, Optimizer
 from repro.nn.tensor import Tensor
 
 
@@ -64,75 +64,7 @@ class TestSGD:
         assert abs(p.data[0]) < 1e-2
 
 
-class TestAdam:
-    def test_first_step_size_equals_lr(self):
-        p = make_param(0.0)
-        opt = Adam([p], lr=0.1)
-        p.grad = np.array([3.0], dtype=np.float32)
-        opt.step()
-        # Bias correction makes the first step ~lr regardless of grad scale.
-        np.testing.assert_allclose(p.data, [-0.1], atol=1e-5)
-
-    def test_weight_decay(self):
-        p = make_param(1.0)
-        opt = Adam([p], lr=0.1, weight_decay=1.0)
-        p.grad = np.array([0.0], dtype=np.float32)
-        opt.step()
-        assert p.data[0] < 1.0
-
-    def test_converges_on_quadratic(self):
-        p = make_param(5.0)
-        opt = Adam([p], lr=0.3)
-        for _ in range(200):
-            opt.zero_grad()
-            ((p - 2.0) ** 2).sum().backward()
-            opt.step()
-        assert p.data[0] == pytest.approx(2.0, abs=1e-2)
-
-    def test_none_grad_is_skipped(self):
-        p = make_param(1.0)
-        opt = Adam([p], lr=0.5)
-        opt.step()
-        np.testing.assert_allclose(p.data, [1.0])
-
-
-class TestSchedulers:
-    def test_step_lr_decays_at_interval(self):
-        p = make_param()
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == pytest.approx(1.0)
-        sched.step()
-        assert opt.lr == pytest.approx(0.1)
-        sched.step()
-        sched.step()
-        assert opt.lr == pytest.approx(0.01)
-
-    def test_cosine_lr_endpoints(self):
-        p = make_param()
-        opt = SGD([p], lr=2.0)
-        sched = CosineLR(opt, total_epochs=10)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-9)
-
-    def test_cosine_lr_midpoint(self):
-        p = make_param()
-        opt = SGD([p], lr=2.0)
-        sched = CosineLR(opt, total_epochs=10)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == pytest.approx(1.0)
-
-    def test_cosine_lr_clamps_past_end(self):
-        p = make_param()
-        opt = SGD([p], lr=1.0)
-        sched = CosineLR(opt, total_epochs=2)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-9)
-
+class TestOptimizer:
     def test_base_optimizer_step_is_abstract(self):
         p = make_param()
         with pytest.raises(NotImplementedError):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.tensor import (Tensor, concatenate, is_grad_enabled, no_grad,
-                             stack, tensor, where)
+from repro.nn.tensor import Tensor, is_grad_enabled, no_grad, tensor
 from tests.conftest import assert_grad_matches
 
 
@@ -176,11 +175,10 @@ class TestArithmetic:
 
 
 class TestElementwiseFunctions:
-    @pytest.mark.parametrize("name", ["exp", "tanh", "sigmoid", "relu",
-                                      "leaky_relu", "abs"])
+    @pytest.mark.parametrize("name", ["exp", "relu"])
     def test_gradients(self, name, rng):
         val = rng.standard_normal((4, 3)).astype(np.float32)
-        # Keep relu/abs kinks away from the FD evaluation points.
+        # Keep the relu kink away from the FD evaluation points.
         val[np.abs(val) < 0.05] = 0.1
         assert_grad_matches(lambda t: getattr(t, name)().sum(), val)
 
@@ -195,21 +193,6 @@ class TestElementwiseFunctions:
     def test_relu_values(self):
         out = Tensor([-1.0, 0.0, 2.0]).relu()
         np.testing.assert_allclose(out.data, [0.0, 0.0, 2.0])
-
-    def test_leaky_relu_values(self):
-        out = Tensor([-10.0, 10.0]).leaky_relu(0.1)
-        np.testing.assert_allclose(out.data, [-1.0, 10.0])
-
-    def test_sigmoid_range(self, rng):
-        out = Tensor(rng.standard_normal(100) * 5).sigmoid()
-        assert out.data.min() > 0.0 and out.data.max() < 1.0
-
-    def test_clip_values_and_gradient_mask(self):
-        t = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
-        out = t.clip(-1.0, 1.0)
-        np.testing.assert_allclose(out.data, [-1.0, 0.5, 1.0])
-        out.sum().backward()
-        np.testing.assert_allclose(t.grad, [0.0, 1.0, 0.0])
 
 
 class TestReductions:
@@ -240,11 +223,6 @@ class TestReductions:
     def test_mean_gradient(self, rng):
         val = rng.standard_normal((3, 4)).astype(np.float32)
         assert_grad_matches(lambda t: (t.mean(axis=1) ** 2).sum(), val)
-
-    def test_var_matches_numpy(self, rng):
-        val = rng.standard_normal((4, 5)).astype(np.float32)
-        np.testing.assert_allclose(Tensor(val).var(axis=1).data,
-                                   val.var(axis=1), rtol=1e-4, atol=1e-6)
 
     def test_max_values(self):
         out = Tensor([[1.0, 5.0], [7.0, 2.0]]).max(axis=1)
@@ -327,37 +305,3 @@ class TestMatmul:
         v = rng.standard_normal(4).astype(np.float32)
         assert_grad_matches(lambda t: ((t @ Tensor(v)) ** 2).sum(), a)
         assert_grad_matches(lambda t: ((Tensor(a) @ t) ** 2).sum(), v)
-
-
-class TestCombinators:
-    def test_concatenate_values_and_gradient(self, rng):
-        a = rng.standard_normal((2, 3)).astype(np.float32)
-        b = rng.standard_normal((1, 3)).astype(np.float32)
-        out = concatenate([Tensor(a), Tensor(b)], axis=0)
-        assert out.shape == (3, 3)
-        assert_grad_matches(
-            lambda t: (concatenate([t, Tensor(b)], axis=0) ** 2).sum(), a)
-
-    def test_concatenate_axis1_gradient(self, rng):
-        a = rng.standard_normal((2, 2)).astype(np.float32)
-        b = rng.standard_normal((2, 3)).astype(np.float32)
-        assert_grad_matches(
-            lambda t: (concatenate([Tensor(a), t], axis=1) ** 2).sum(), b)
-
-    def test_stack_values_and_gradient(self, rng):
-        a = rng.standard_normal((2, 2)).astype(np.float32)
-        b = rng.standard_normal((2, 2)).astype(np.float32)
-        out = stack([Tensor(a), Tensor(b)])
-        assert out.shape == (2, 2, 2)
-        assert_grad_matches(
-            lambda t: (stack([t, Tensor(b)], axis=1) ** 2).sum(), a)
-
-    def test_where_selects_and_routes_gradient(self):
-        cond = np.array([True, False])
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        out = where(cond, a, b)
-        np.testing.assert_allclose(out.data, [1.0, 4.0])
-        out.sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0])

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.obs import (append_history, check_regressions, compare_history,
                        format_regress_report, load_history,
-                       metrics_from_snapshot, seed_history_from_snapshot)
+                       metrics_from_snapshot)
 from repro.obs.regress import (DEFAULT_THRESHOLD, HISTORY_FILENAME,
                                probes_from_snapshot)
 
@@ -117,23 +115,6 @@ class TestHistoryFile:
         report = check_regressions(tmp_path / "nope.jsonl")
         assert report.ok
         assert report.deltas == []
-
-    def test_seed_from_snapshot(self, tmp_path):
-        snapshot = {
-            "meta": {"platform": "test-box", "numpy": "2.0"},
-            "kernels": {"cases": {"conv2d_fwd": {"fast_s": 0.01,
-                                                 "seed_s": 0.05}}},
-            "condense_step": {"fast_s": 0.2},
-        }
-        snap_path = tmp_path / "micro_kernels.json"
-        snap_path.write_text(json.dumps(snapshot))
-        entries = seed_history_from_snapshot(snap_path,
-                                             tmp_path / HISTORY_FILENAME)
-        assert [e["section"] for e in entries] == ["kernels", "condense_step"]
-        loaded, skipped = load_history(tmp_path / HISTORY_FILENAME)
-        assert skipped == 0
-        all_metrics = {name for e in loaded for name in e["metrics"]}
-        assert all_metrics == {"kernels/conv2d_fwd", "condense_step"}
 
     def test_real_repo_history_passes(self):
         # The committed seed history must never itself flag a regression.

@@ -106,16 +106,6 @@ class TestQualityAndHealthTables:
         assert "nonfinite" in row and "record" in row
         assert "nan=2" in row
 
-    def test_divergence_detail(self):
-        ev = {"type": "health", "op": "matcher.matching_loss",
-              "kind": "divergence", "action": "record", "segment": 1,
-              "iteration": 2, "value": 99.0, "ewma_mean": 1.0,
-              "ewma_dev": 0.1}
-        text = summarize_events(_events() + [ev])
-        row = next(line for line in text.splitlines()
-                   if line.startswith("matcher.matching_loss"))
-        assert "value=" in row and "ewma=" in row
-
     def test_no_events_no_tables(self):
         text = summarize_events(_events())
         assert "Condensation quality" not in text

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import tempfile
+import textwrap
 
 import pytest
 
@@ -75,10 +79,11 @@ def test_process_sweep_matches_inline_results():
     assert [o.config for o in fanned] == configs
 
 
-def test_spawn_sweep_matches_inline_results(monkeypatch):
+def test_spawn_sweep_matches_inline_results(monkeypatch, tmp_path):
     # ``spawn`` is the only start method on platforms without ``fork``:
-    # the context is pickled once per worker instead of inherited.
+    # the workers load the context from a file instead of inheriting it.
     monkeypatch.setattr(sweep, "default_start_method", lambda: "spawn")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     configs = [{"i": i} for i in range(4)]
     inline = run_sweep(_square_worker, configs, jobs=1,
                        context={"offset": 5})
@@ -87,6 +92,30 @@ def test_spawn_sweep_matches_inline_results(monkeypatch):
     assert [o.result for o in spawned] == [o.result for o in inline]
     assert [o.config for o in spawned] == configs
     assert all(o.worker_pid != os.getpid() for o in spawned)
+    assert list(tmp_path.iterdir()) == []  # the context file is removed
+
+
+def test_spawn_worker_dying_at_bootstrap_raises_not_hangs(tmp_path):
+    # Without a ``__main__`` guard a spawn worker dies re-running the
+    # script.  With a context larger than a pipe buffer the parent must
+    # still see the death and raise, not block writing the context.
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent("""
+        import numpy as np
+        from repro.parallel import sweep
+
+        sweep.default_start_method = lambda: "spawn"
+
+        def work(config, context):
+            return float(context["x"][config["i"]])
+
+        sweep.run_sweep(work, [{"i": 0}, {"i": 1}], jobs=2,
+                        context={"x": np.zeros(1 << 18)})  # 2 MiB
+    """))
+    result = subprocess.run([sys.executable, str(script)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode != 0
+    assert "SweepTaskError" in result.stderr
 
 
 def test_process_sweep_uses_worker_processes():

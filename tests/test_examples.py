@@ -25,9 +25,14 @@ class TestExamples:
 
     def test_streaming_core50(self):
         out = run_example("streaming_core50.py", "--profile", "micro",
-                          "--ipc", "1")
+                          "--ipc", "1", "--show-buffer")
         assert "learning curve" in out
         assert "final accuracy" in out
+        # The buffer grid: one labelled 8-px cell per class (4 at micro).
+        grid = out.split("condensed buffer")[1].splitlines()[1:]
+        assert grid[0].split() == ["[0]", "[1]", "[2]", "[3]"]
+        assert len(grid) == 1 + 8
+        assert all(len(row) == 4 * 8 + 3 * 2 for row in grid[1:])
 
     def test_condensation_comparison(self):
         out = run_example("condensation_comparison.py", "--profile", "micro",

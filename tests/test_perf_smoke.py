@@ -22,10 +22,10 @@ from repro import obs
 from repro.buffer.buffer import SyntheticBuffer
 from repro.condensation.one_step import OneStepMatcher
 from repro.nn import functional as F
-from repro.nn import reference
 from repro.nn.convnet import ConvNet
 from repro.nn.tensor import Tensor
 from repro.obs import ListSink
+from tests.nn import reference
 
 
 def _timed(fn):

@@ -7,10 +7,9 @@ import pytest
 
 from repro.utils.batching import (MICRO_BATCH_BYTES, iterate_minibatches,
                                   micro_batches)
-from repro.utils.metrics import (RunningMean, confusion_matrix, mean_and_std,
+from repro.utils.metrics import (confusion_matrix, mean_and_std,
                                  relative_improvement)
 from repro.utils.rng import spawn_rngs, to_rng
-from repro.utils.serialization import load_array_dict, save_array_dict
 
 
 class TestRng:
@@ -69,22 +68,6 @@ class TestMetrics:
         assert relative_improvement(1.0, 0.0) == np.inf
         assert relative_improvement(0.0, 0.0) == 0.0
 
-    def test_running_mean(self):
-        rm = RunningMean()
-        rm.update(1.0)
-        rm.update(3.0)
-        assert rm.mean == 2.0
-
-    def test_running_mean_weighted(self):
-        rm = RunningMean()
-        rm.update(1.0, weight=3.0)
-        rm.update(5.0, weight=1.0)
-        assert rm.mean == 2.0
-
-    def test_running_mean_empty_returns_nan_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="no observations"):
-            assert np.isnan(RunningMean().mean)
-
 
 class TestBatching:
     def test_covers_all_indices_in_order(self):
@@ -130,15 +113,3 @@ class TestBatching:
         assert [p.stop - p.start for p in parts] == sizes
         assert all(2 * x[p].nbytes <= MICRO_BATCH_BYTES
                    for p in parts if p.stop - p.start > 1)
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        arrays = {"a": np.arange(6).reshape(2, 3).astype(np.float32),
-                  "b": np.ones(4)}
-        path = tmp_path / "state.npz"
-        save_array_dict(path, arrays)
-        loaded = load_array_dict(path)
-        assert set(loaded) == {"a", "b"}
-        np.testing.assert_array_equal(loaded["a"], arrays["a"])
-        np.testing.assert_array_equal(loaded["b"], arrays["b"])
