@@ -15,7 +15,7 @@ def test_fig3_learning_curves(benchmark, profile, save_report):
         benchmark,
         lambda: run_fig3(datasets=("core50", "imagenet10"),
                          methods=("fifo", "selective_bp", "deco"),
-                         ipc=10, profile=profile, seed=0, eval_every=5))
+                         ipc=10, profile=profile, seeds=(0,), eval_every=5))
     save_report("fig3_learning_curves", format_fig3(result))
 
     for dataset in result.datasets:

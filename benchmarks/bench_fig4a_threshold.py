@@ -5,9 +5,8 @@ raising pseudo-label accuracy; model accuracy peaks at a moderate
 threshold (the paper finds m = 0.4).
 """
 
-import numpy as np
-
 from repro.experiments.fig4 import format_fig4a, run_fig4a
+from repro.utils.metrics import mean_and_std
 
 from .conftest import run_once
 
@@ -18,12 +17,12 @@ def test_fig4a_threshold_tradeoff(benchmark, profile, save_report):
     result = run_once(
         benchmark,
         lambda: run_fig4a(dataset="core50", ipc=10, thresholds=THRESHOLDS,
-                          profile=profile, seed=0))
+                          profile=profile, seeds=(0,)))
     save_report("fig4a_threshold", format_fig4a(result))
 
-    retained = [p.retained_fraction for p in result.points]
-    label_acc = [p.pseudo_label_accuracy for p in result.points
-                 if p.retained_fraction > 0]
+    retained = [mean_and_std(p.retained_fraction)[0] for p in result.points]
+    label_acc = [mean_and_std(p.pseudo_label_accuracy)[0]
+                 for p, kept in zip(result.points, retained) if kept > 0]
 
     # Retention decreases monotonically with m.
     assert all(a >= b - 1e-6 for a, b in zip(retained, retained[1:]))

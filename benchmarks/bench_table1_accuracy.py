@@ -14,6 +14,7 @@ import pytest
 
 from repro.buffer.selection import STRATEGY_NAMES
 from repro.experiments.table1 import format_table1, run_table1
+from repro.utils.metrics import mean_and_std
 
 from .conftest import run_once
 
@@ -32,16 +33,15 @@ def test_table1_dataset(benchmark, profile, save_report, dataset):
 
     wins = 0
     for ipc in IPCS:
-        deco = result.cell(dataset, ipc, "deco").mean
+        deco = result.mean(dataset, ipc, "deco")
         _, best = result.best_baseline(dataset, ipc)
         if deco > best:
             wins += 1
         # DECO never collapses below the weakest baseline.
-        worst = min(result.cell(dataset, ipc, m).mean
-                    for m in STRATEGY_NAMES)
+        worst = min(result.mean(dataset, ipc, m) for m in STRATEGY_NAMES)
         assert deco >= worst - 0.02, (dataset, ipc)
     # DECO wins at (almost) every buffer size.
     assert wins >= len(IPCS) - 1, f"DECO won only {wins}/{len(IPCS)} on {dataset}"
     # And stays below the oracle upper bound.
-    best_deco = max(result.cell(dataset, ipc, "deco").mean for ipc in IPCS)
-    assert best_deco <= result.upper_bounds[dataset] + 0.05
+    best_deco = max(result.mean(dataset, ipc, "deco") for ipc in IPCS)
+    assert best_deco <= mean_and_std(result.upper_bounds[dataset])[0] + 0.05

@@ -9,6 +9,7 @@ Usage::
     python -m repro fig4a
     python -m repro fig4b
     python -m repro ablations
+    python -m repro noise
     python -m repro run --method deco --dataset core50 --ipc 10
     python -m repro checkpoints runs/ckpt
     python -m repro obs summarize runs/trace
@@ -16,9 +17,15 @@ Usage::
     python -m repro obs trace runs/trace
     python -m repro obs regress --dry-run
 
-Every subcommand accepts ``--profile micro|smoke|paper`` and ``--seed`` and
-prints the paper-style report; ``--output`` additionally writes it to a
-file.  ``--telemetry DIR`` records a structured JSONL trace of the run
+Every subcommand accepts ``--profile micro|smoke|paper`` and prints the
+paper-style report; ``--output`` additionally writes it to a file.  Every
+experiment but ``fig2`` is a seeded grid: ``--seeds S [S ...]`` (after the
+subcommand; default: the profile's seeds) picks the trial seeds and the
+report gives mean±std over them, and ``--jobs N`` runs the grid's points in
+N worker processes.  ``run`` and ``fig2`` run one stream or one model and
+take a single ``--seed``.
+
+``--telemetry DIR`` records a structured JSONL trace of the run
 (per-segment events, per-pass span timings, kernel/cache counters) into
 ``DIR/trace.jsonl``, which ``python -m repro obs summarize DIR`` renders
 as tables.  With ``--jobs N`` the sweep workers additionally write
@@ -41,10 +48,13 @@ import pathlib
 import sys
 
 from .experiments import (format_ablations, format_fig2, format_fig3,
-                          format_fig4a, format_fig4b, format_table1,
-                          format_table2, prepare_experiment, run_ablations,
-                          run_fig2, run_fig3, run_fig4a, run_fig4b,
-                          run_method, run_table1, run_table2)
+                          format_fig4a, format_fig4b,
+                          format_noise_robustness, format_table1,
+                          format_table2, get_profile, prepare_experiment,
+                          run_ablations, run_fig2, run_fig3, run_fig4a,
+                          run_fig4b, run_method, run_noise_robustness,
+                          run_table1, run_table2)
+from .experiments.grid import prepared_cache_dir
 
 __all__ = ["main", "build_parser"]
 
@@ -56,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="DECO (DATE 2025) reproduction experiment runner")
     parser.add_argument("--profile", default="smoke",
                         choices=("micro", "smoke", "paper"))
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=pathlib.Path, default=None,
                         help="also write the report to this file")
     parser.add_argument("--telemetry", type=pathlib.Path, default=None,
@@ -71,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "directory unless --telemetry is also given)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for experiment grids "
-                             "(table1/table2/fig4a/fig4b/ablations); "
+                             "(every command but run/fig2); "
                              "1 = run serially in-process (default)")
     parser.add_argument("--checkpoint-dir", type=pathlib.Path, default=None,
                         metavar="DIR",
@@ -85,13 +94,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppress the live per-grid-point progress "
                              "lines grid commands print to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options of every seeded-grid command.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--seeds", nargs="+", type=int, default=None,
+                      help="trial seeds; the report gives mean±std over "
+                           "them (default: the profile's seeds)")
 
-    t1 = sub.add_parser("table1", help="Table I: accuracy comparison")
+    def grid_parser(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[grid], **kwargs)
+
+    t1 = grid_parser("table1", help="Table I: accuracy comparison")
     t1.add_argument("--datasets", nargs="+",
                     default=["icub1", "core50", "cifar100", "imagenet10"])
     t1.add_argument("--ipcs", nargs="+", type=int, default=[1, 5, 10, 50])
-    t1.add_argument("--seeds", nargs="+", type=int, default=None,
-                    help="override the trial seeds (default: profile seeds)")
     t1.add_argument("--decode-factors", nargs="+", type=int, default=None,
                     metavar="F",
                     help="factorized-storage sweep: each F>1 adds a DECO "
@@ -99,30 +114,32 @@ def build_parser() -> argparse.ArgumentParser:
                          "IpC — same bytes, F^2 more images (default: the "
                          "profile's factors)")
 
-    t2 = sub.add_parser("table2", help="Table II: condensation time")
+    t2 = grid_parser("table2", help="Table II: condensation time")
     t2.add_argument("--ipcs", nargs="+", type=int, default=[1, 5, 10, 50])
     t2.add_argument("--condensers", nargs="+",
                     default=["dc", "dsa", "dm", "deco"])
 
-    sub.add_parser("fig2", help="Fig. 2: misclassification structure")
+    f2 = sub.add_parser("fig2", help="Fig. 2: misclassification structure")
+    f2.add_argument("--seed", type=int, default=0)
 
-    f3 = sub.add_parser("fig3", help="Fig. 3: learning curves")
+    f3 = grid_parser("fig3", help="Fig. 3: learning curves")
     f3.add_argument("--ipc", type=int, default=10)
 
-    f4a = sub.add_parser("fig4a", help="Fig. 4a: filter threshold sweep")
+    f4a = grid_parser("fig4a", help="Fig. 4a: filter threshold sweep")
     f4a.add_argument("--ipc", type=int, default=10)
 
-    f4b = sub.add_parser("fig4b", help="Fig. 4b: alpha sweep")
+    f4b = grid_parser("fig4b", help="Fig. 4b: alpha sweep")
     f4b.add_argument("--ipcs", nargs="+", type=int, default=[5, 10])
 
-    sub.add_parser("ablations", help="design-choice ablations")
+    grid_parser("ablations", help="design-choice ablations")
 
-    noise = sub.add_parser("noise", help="pseudo-label noise robustness")
+    noise = grid_parser("noise", help="pseudo-label noise robustness")
     noise.add_argument("--ipc", type=int, default=10)
     noise.add_argument("--noise-rates", nargs="+", type=float,
                        default=[0.0, 0.2, 0.4])
 
     run = sub.add_parser("run", help="run a single method once")
+    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--method", default="deco")
     run.add_argument("--dataset", default="core50")
     run.add_argument("--ipc", type=int, default=10)
@@ -263,56 +280,9 @@ def _dispatch(args: argparse.Namespace) -> str:
             raise SystemExit(f"repro checkpoints: error: {exc}") from exc
     if args.resume and args.checkpoint_dir is None:
         raise SystemExit("repro: error: --resume requires --checkpoint-dir")
-    # Grid commands stream one progress line per completed point to stderr
-    # (config, accuracy, wall time, running ETA); stdout — the report — is
-    # byte-identical with or without it.
-    if args.no_progress:
-        progress = None
-    else:
-        from .obs import SweepProgress
-        progress = SweepProgress()
-    ckpt = dict(checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-                progress=progress)
-    if args.command == "table1":
-        from .experiments.profiles import get_profile
-        seeds = (tuple(args.seeds) if args.seeds is not None
-                 else tuple(range(get_profile(args.profile).num_seeds)))
-        factors = (tuple(args.decode_factors)
-                   if args.decode_factors is not None else None)
-        result = run_table1(datasets=tuple(args.datasets),
-                            ipcs=tuple(args.ipcs), profile=args.profile,
-                            seeds=seeds, decode_factors=factors,
-                            jobs=args.jobs, **ckpt)
-        return format_table1(result)
-    if args.command == "table2":
-        result = run_table2(ipcs=tuple(args.ipcs),
-                            condensers=tuple(args.condensers),
-                            profile=args.profile, seed=args.seed,
-                            jobs=args.jobs, **ckpt)
-        return format_table2(result)
     if args.command == "fig2":
         return format_fig2(run_fig2(profile=args.profile, seed=args.seed))
-    if args.command == "fig3":
-        return format_fig3(run_fig3(ipc=args.ipc, profile=args.profile,
-                                    seed=args.seed))
-    if args.command == "fig4a":
-        return format_fig4a(run_fig4a(ipc=args.ipc, profile=args.profile,
-                                      seed=args.seed, jobs=args.jobs, **ckpt))
-    if args.command == "fig4b":
-        return format_fig4b(run_fig4b(ipcs=tuple(args.ipcs),
-                                      profile=args.profile, seed=args.seed,
-                                      jobs=args.jobs, **ckpt))
-    if args.command == "ablations":
-        return format_ablations(run_ablations(profile=args.profile,
-                                              seeds=(args.seed,),
-                                              jobs=args.jobs, **ckpt))
-    if args.command == "noise":
-        from .experiments import format_noise_robustness, run_noise_robustness
-        return format_noise_robustness(run_noise_robustness(
-            ipc=args.ipc, noise_rates=tuple(args.noise_rates),
-            profile=args.profile, seed=args.seed))
     if args.command == "run":
-        from .experiments.grid import prepared_cache_dir
         prepared = prepare_experiment(
             args.dataset, args.profile, seed=args.seed,
             cache_dir=prepared_cache_dir(args.checkpoint_dir))
@@ -330,6 +300,39 @@ def _dispatch(args: argparse.Namespace) -> str:
                 f"{result.wall_seconds:.1f}s "
                 f"(condensation {result.condense_seconds:.1f}s, "
                 f"{result.condense_passes} passes)")
+    # Grid commands stream one progress line per completed point to stderr
+    # (config, accuracy, wall time, running ETA); stdout — the report — is
+    # byte-identical with or without it.
+    if args.no_progress:
+        progress = None
+    else:
+        from .obs import SweepProgress
+        progress = SweepProgress()
+    seeds = (tuple(args.seeds) if args.seeds is not None
+             else tuple(range(get_profile(args.profile).num_seeds)))
+    grid = dict(profile=args.profile, seeds=seeds, jobs=args.jobs,
+                checkpoint_dir=args.checkpoint_dir, resume=args.resume,
+                progress=progress)
+    if args.command == "table1":
+        factors = (tuple(args.decode_factors)
+                   if args.decode_factors is not None else None)
+        return format_table1(run_table1(
+            datasets=tuple(args.datasets), ipcs=tuple(args.ipcs),
+            decode_factors=factors, **grid))
+    if args.command == "table2":
+        return format_table2(run_table2(
+            ipcs=tuple(args.ipcs), condensers=tuple(args.condensers), **grid))
+    if args.command == "fig3":
+        return format_fig3(run_fig3(ipc=args.ipc, **grid))
+    if args.command == "fig4a":
+        return format_fig4a(run_fig4a(ipc=args.ipc, **grid))
+    if args.command == "fig4b":
+        return format_fig4b(run_fig4b(ipcs=tuple(args.ipcs), **grid))
+    if args.command == "ablations":
+        return format_ablations(run_ablations(**grid))
+    if args.command == "noise":
+        return format_noise_robustness(run_noise_robustness(
+            ipc=args.ipc, noise_rates=tuple(args.noise_rates), **grid))
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
@@ -347,8 +350,7 @@ def main(argv: list[str] | None = None) -> int:
             run_dir = pathlib.Path(tempfile.mkdtemp(prefix="repro-trace-"))
         from . import obs
         obs.enable(run_dir)
-        obs.event("run_start", command=args.command, profile=args.profile,
-                  seed=args.seed)
+        obs.event("run_start", command=args.command, profile=args.profile)
     try:
         report = _dispatch(args)
     finally:

@@ -2,13 +2,14 @@
 
 from .deco import DECOLearner, condense_offline
 from .learner import LearnerConfig, LearnerHistory, OnDeviceLearner
-from .pseudo_label import (MajorityVotePseudoLabeler, PseudoLabelResult,
-                           predict_with_confidence)
+from .pseudo_label import (MajorityVotePseudoLabeler, NoisyPseudoLabeler,
+                           PseudoLabelResult, predict_with_confidence)
 from .replay import ReplayLearner, UpperBoundLearner
 from .training import evaluate_accuracy, predict_logits, train_model
 
 __all__ = [
-    "MajorityVotePseudoLabeler", "PseudoLabelResult", "predict_with_confidence",
+    "MajorityVotePseudoLabeler", "NoisyPseudoLabeler", "PseudoLabelResult",
+    "predict_with_confidence",
     "LearnerConfig", "LearnerHistory", "OnDeviceLearner",
     "DECOLearner", "condense_offline",
     "ReplayLearner", "UpperBoundLearner",

@@ -5,11 +5,13 @@ sliding window (set equal to the segment, as in the paper) counts the
 pseudo-label frequency of every class, and classes whose share exceeds the
 threshold ``m`` are *active* (Eq. 2).  Samples whose pseudo-label is not an
 active class are discarded (Eq. 3) — temporal correlation means such
-minority labels are likely mistakes.
+minority labels are likely mistakes.  :class:`NoisyPseudoLabeler` adds
+controlled label noise after the filter (the noise-robustness study).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,7 @@ from ..nn.layers import Module
 from ..nn.tensor import Tensor, no_grad
 
 __all__ = ["PseudoLabelResult", "predict_with_confidence",
-           "MajorityVotePseudoLabeler"]
+           "MajorityVotePseudoLabeler", "NoisyPseudoLabeler"]
 
 
 @dataclass(frozen=True)
@@ -123,3 +125,44 @@ class MajorityVotePseudoLabeler:
         return PseudoLabelResult(labels=labels, confidences=confidences,
                                  active_classes=tuple(sorted(active)),
                                  keep=keep)
+
+
+class NoisyPseudoLabeler(MajorityVotePseudoLabeler):
+    """Majority-vote labeler that corrupts a fraction of retained labels.
+
+    Flips each retained label with probability ``noise_rate`` to a random
+    *confusable* class (same anchor group, falling back to any other
+    class), emulating the structured mistakes of Fig. 2 at a controlled
+    rate.  The flip happens after the vote (Eq. 2/3), so a flipped sample
+    stays kept: it models noise that slipped past the filter, and its wrong
+    label reaches condensation.
+    """
+
+    def __init__(self, threshold: float = 0.4, *, noise_rate: float,
+                 group_of: np.ndarray,
+                 rng: int | np.random.Generator | None = None) -> None:
+        super().__init__(threshold)
+        if not 0.0 <= noise_rate <= 1.0:
+            raise ValueError("noise_rate must be in [0, 1]")
+        self.noise_rate = float(noise_rate)
+        self.group_of = np.asarray(group_of)
+        self._rng = np.random.default_rng(rng if isinstance(rng, int) or rng is None
+                                          else rng.integers(2 ** 63))
+
+    def _confusable_flip(self, label: int) -> int:
+        same = np.flatnonzero(self.group_of == self.group_of[label])
+        candidates = same[same != label]
+        if candidates.size == 0:
+            candidates = np.flatnonzero(np.arange(len(self.group_of)) != label)
+        return int(self._rng.choice(candidates))
+
+    def label_segment(self, model: Module,
+                      images: np.ndarray) -> PseudoLabelResult:
+        result = super().label_segment(model, images)
+        if self.noise_rate == 0.0 or not result.keep.any():
+            return result
+        labels = result.labels.copy()
+        flip = result.keep & (self._rng.random(len(labels)) < self.noise_rate)
+        for i in np.flatnonzero(flip):
+            labels[i] = self._confusable_flip(int(labels[i]))
+        return dataclasses.replace(result, labels=labels)

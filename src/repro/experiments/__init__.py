@@ -1,5 +1,9 @@
 """Experiment runners that regenerate each paper table and figure.
 
+Every runner but Fig. 2 is a seeded grid: it builds a list of
+:func:`run_method` configs and reads the per-seed results that
+:func:`~repro.experiments.grid.run_grid` returns for them, so every one
+takes ``seeds``, ``jobs``, ``checkpoint_dir``/``resume`` and ``progress``.
 One module per experiment:
 
 * :mod:`.table1` — final accuracy comparison (Table I)
@@ -8,26 +12,27 @@ One module per experiment:
 * :mod:`.fig3` — learning curves (Fig. 3)
 * :mod:`.fig4` — threshold and alpha sweeps (Fig. 4a/4b)
 * :mod:`.ablations` — design-choice ablations (beyond the paper)
+* :mod:`.noise` — pseudo-label noise robustness (beyond the paper)
 """
 
 from .ablations import AblationResult, format_ablations, run_ablations
 from .common import (METHOD_NAMES, MethodResult, PreparedExperiment,
-                     prepare_experiment, run_method, run_seeds)
+                     prepare_experiment, run_method)
 from .fig2 import Fig2Result, format_fig2, run_fig2
 from .fig3 import (Fig3Result, LearningCurve, curve_smoothness, data_to_reach,
                    format_fig3, run_fig3)
 from .fig4 import (Fig4aResult, Fig4bResult, format_fig4a, format_fig4b,
                    run_fig4a, run_fig4b)
-from .grid import run_method_grid
-from .noise import (NoiseRobustnessResult, NoisyPseudoLabeler,
-                    format_noise_robustness, run_noise_robustness)
+from .grid import run_grid, run_method_grid
+from .noise import (NoiseRobustnessResult, format_noise_robustness,
+                    run_noise_robustness)
 from .profiles import (PROFILE_NAMES, ExperimentProfile, get_profile,
                        learning_rate, pretrain_fraction, stream_settings)
 from .table1 import Table1Result, format_table1, run_table1
 from .table2 import Table2Result, format_table2, run_table2
 
 __all__ = [
-    "prepare_experiment", "run_method", "run_seeds", "run_method_grid",
+    "prepare_experiment", "run_method", "run_grid", "run_method_grid",
     "MethodResult",
     "PreparedExperiment", "METHOD_NAMES",
     "ExperimentProfile", "get_profile", "PROFILE_NAMES",
@@ -40,6 +45,6 @@ __all__ = [
     "Fig4aResult", "Fig4bResult", "run_fig4a", "run_fig4b",
     "format_fig4a", "format_fig4b",
     "AblationResult", "run_ablations", "format_ablations",
-    "NoisyPseudoLabeler", "NoiseRobustnessResult", "run_noise_robustness",
+    "NoiseRobustnessResult", "run_noise_robustness",
     "format_noise_robustness",
 ]

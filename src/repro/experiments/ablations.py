@@ -18,11 +18,10 @@ these runners isolate them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .common import prepare_experiment
-from .grid import begin_progress, prepared_cache_dir, run_method_grid
-from .reporting import format_table
+from ..utils.metrics import mean_and_std
+from .grid import run_grid
+from .reporting import format_table, format_trials
 
 __all__ = ["AblationResult", "run_ablations", "format_ablations",
            "DEFAULT_VARIANTS"]
@@ -41,55 +40,46 @@ DEFAULT_VARIANTS: dict[str, dict] = {
 
 @dataclass
 class AblationResult:
-    """Final accuracy per ablation variant."""
+    """Per-seed final accuracy per ablation variant."""
 
     dataset: str
     ipc: int
-    accuracy: dict[str, float] = field(default_factory=dict)
+    accuracy: dict[str, list[float]] = field(default_factory=dict)
+
+    def mean(self, variant: str) -> float:
+        return mean_and_std(self.accuracy[variant])[0]
 
     @property
     def full_accuracy(self) -> float:
-        return self.accuracy["deco (full)"]
+        return self.mean("deco (full)")
 
     def delta(self, variant: str) -> float:
-        """Accuracy change of a variant relative to full DECO."""
-        return self.accuracy[variant] - self.full_accuracy
+        """Mean accuracy change of a variant relative to full DECO."""
+        return self.mean(variant) - self.full_accuracy
 
 
 def run_ablations(*, dataset: str = "core50", ipc: int = 10,
                   variants: dict[str, dict] | None = None,
-                  profile: str = "smoke",
-                  seeds: Sequence[int] = (0,),
-                  jobs: int = 1, checkpoint_dir=None,
-                  resume: bool = False, progress=None) -> AblationResult:
-    """Run DECO variants differing in exactly one design choice."""
+                  profile: str = "smoke", **grid) -> AblationResult:
+    """Run DECO variants differing in exactly one design choice; ``grid``
+    (``seeds``, ``jobs``, ``checkpoint_dir``, ``resume``, ``progress``)
+    goes to :func:`~repro.experiments.grid.run_grid`."""
     variants = variants if variants is not None else DEFAULT_VARIANTS
-    prepared = prepare_experiment(dataset, profile, seed=0,
-                                  cache_dir=prepared_cache_dir(checkpoint_dir))
     result = AblationResult(dataset=dataset, ipc=ipc)
-    grid = [(name, dict(kwargs), s)
-            for name, kwargs in variants.items() for s in seeds]
-    configs = [{"method": "deco", "ipc": ipc, "seed": s,
-                "condenser_kwargs": kwargs} for _, kwargs, s in grid]
-    begin_progress(progress, len(configs), label=f"ablations/{dataset}",
-                   jobs=jobs)
-    runs = run_method_grid(
-        prepared, configs,
-        jobs=jobs, checkpoint_dir=checkpoint_dir, resume=resume,
-        progress=progress)
-    for name in variants:
-        accs = [run.final_accuracy
-                for (gname, _, _), run in zip(grid, runs) if gname == name]
-        result.accuracy[name] = sum(accs) / len(accs)
+    configs = [{"method": "deco", "ipc": ipc, "condenser_kwargs": dict(kwargs)}
+               for kwargs in variants.values()]
+    runs = run_grid(dataset, profile, configs, label="ablations", **grid)
+    for name, seed_runs in zip(variants, runs):
+        result.accuracy[name] = [run.final_accuracy for run in seed_runs]
     return result
 
 
 def format_ablations(result: AblationResult) -> str:
     headers = ["Variant", "Accuracy", "Delta vs full"]
     rows = []
-    for name, acc in result.accuracy.items():
+    for name, accs in result.accuracy.items():
         delta = "" if name == "deco (full)" else f"{result.delta(name):+.2%}"
-        rows.append([name, f"{acc:.2%}", delta])
+        rows.append([name, format_trials(accs), delta])
     return format_table(headers, rows,
                         title=f"Ablations on {result.dataset} "
                               f"(IpC={result.ipc})")

@@ -1,17 +1,21 @@
-"""Shared experiment machinery: prepare → run-method → measure.
+"""Shared experiment machinery: prepare → run-method.
 
-Every table/figure runner builds on the same three steps:
+Every table/figure runner builds on the same two steps, which
+:func:`~repro.experiments.grid.run_grid` runs for it over a grid of
+configs and seeds:
 
 1. :func:`prepare_experiment` — generate the dataset, build the ConvNet,
    pre-train it offline on the labeled fraction (§IV-A1).
 2. :func:`run_method` — run one on-device method (DECO, a selection
    baseline, a condensation baseline, or the upper bound) over a freshly
-   ordered stream, starting from a copy of the pre-trained model.
-3. Aggregate across seeds.
+   ordered stream, starting from a copy of the pre-trained model.  Every
+   knob a runner sweeps is a keyword of this function, so a grid point is
+   a plain config dict.
 
-The dataset is generated once per (dataset, profile); seeds vary the model
-initialization, the stream order, and every stochastic algorithm choice —
-matching how the paper runs "five trials with different random seeds".
+The dataset is generated once per (dataset, profile); seeds vary the stream
+order, the learner's and condenser's randomness, and the injected label
+noise — matching how the paper runs "five trials with different random
+seeds".
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -33,13 +36,15 @@ from ..buffer.selection import (EXTRA_STRATEGY_NAMES, STRATEGY_NAMES,
 from ..condensation import CONDENSER_NAMES, CondensationMethod, make_condenser
 from ..core.deco import DECOLearner, condense_offline
 from ..core.learner import LearnerConfig, LearnerHistory
-from ..core.pseudo_label import MajorityVotePseudoLabeler
+from ..core.pseudo_label import (MajorityVotePseudoLabeler,
+                                 NoisyPseudoLabeler)
 from ..core.replay import ReplayLearner, UpperBoundLearner
-from ..core.training import train_model
+from ..core.training import evaluate_accuracy, train_model
 from ..data.datasets import SyntheticImageDataset
 from ..data.registry import load_dataset
 from ..data.stream import make_stream
 from ..nn.convnet import ConvNet
+from ..persist import load_prepared, prepared_cache_path, save_prepared
 from ..utils.rng import spawn_rngs, to_rng
 from .profiles import (ExperimentProfile, get_profile, learning_rate,
                        pretrain_fraction, stream_settings)
@@ -120,14 +125,12 @@ def prepare_experiment(dataset_name: str, profile_name: str = "smoke", *,
         if cache_dir is not None:
             # Write through: an in-process hit must still leave a disk
             # entry so later processes (workers, resumed runs) find it.
-            from ..persist import prepared_cache_path, save_prepared
             base = prepared_cache_path(cache_dir, dataset_name, profile_name,
                                        seed)
             if not base.with_suffix(".json").is_file():
                 save_prepared(cache_dir, prepared, seed=seed)
         return prepared
     if cache_dir is not None:
-        from ..persist import load_prepared
         prepared = load_prepared(cache_dir, dataset_name, profile_name, seed)
         if prepared is not None:
             if use_cache:
@@ -146,7 +149,6 @@ def prepare_experiment(dataset_name: str, profile_name: str = "smoke", *,
     train_model(model, pre_x, pre_y, epochs=profile.pretrain_epochs,
                 lr=learning_rate(dataset_name), rng=train_rng)
 
-    from ..core.training import evaluate_accuracy
     prepared = PreparedExperiment(
         dataset_name=dataset_name, profile=profile, dataset=dataset,
         model=model, pretrain_x=pre_x, pretrain_y=pre_y,
@@ -154,7 +156,6 @@ def prepare_experiment(dataset_name: str, profile_name: str = "smoke", *,
     if use_cache:
         _PREPARED_CACHE[key] = prepared
     if cache_dir is not None:
-        from ..persist import save_prepared
         save_prepared(cache_dir, prepared, seed=seed)
     return prepared
 
@@ -215,7 +216,7 @@ def run_method(prepared: PreparedExperiment, method: str, ipc: int, *,
                condenser_name: str = "deco",
                condenser_kwargs: dict | None = None,
                labeler_threshold: float = 0.4,
-               labeler: MajorityVotePseudoLabeler | None = None,
+               noise_rate: float = 0.0,
                eval_every: int | None = None,
                config: LearnerConfig | None = None,
                checkpoint_every: int | None = None,
@@ -239,10 +240,10 @@ def run_method(prepared: PreparedExperiment, method: str, ipc: int, *,
         (swapping in ``"dc"``/``"dsa"``/``"dm"`` reproduces Table II).
     labeler_threshold:
         Majority-voting threshold ``m`` (Fig. 4a sweeps this).
-    labeler:
-        Full pseudo-labeler override (e.g. a
-        :class:`~repro.experiments.noise.NoisyPseudoLabeler`); when given,
-        ``labeler_threshold`` is ignored.
+    noise_rate:
+        Share of retained pseudo-labels flipped to a confusable class
+        (:class:`~repro.core.pseudo_label.NoisyPseudoLabeler`, seeded by
+        ``seed``); the noise-robustness study sweeps this.
     eval_every:
         Segment interval for learning-curve evaluations (Fig. 3).
     checkpoint_every / checkpoint_dir / resume:
@@ -267,6 +268,9 @@ def run_method(prepared: PreparedExperiment, method: str, ipc: int, *,
         raise KeyError(f"unknown condenser {condenser_name!r}")
     if ipc < 1:
         raise ValueError("ipc must be >= 1")
+    if noise_rate and method != "deco":
+        raise ValueError("noise_rate requires method='deco', the one "
+                         "method that runs the majority-vote labeler")
 
     # Per-run peak: the ledger's high-water gauge is process-wide, so a
     # serial sweep would otherwise report an earlier, larger configuration's
@@ -303,10 +307,13 @@ def run_method(prepared: PreparedExperiment, method: str, ipc: int, *,
         else:
             buffer = SyntheticBuffer(dataset.num_classes, ipc,
                                      dataset.image_shape())
-        learner = DECOLearner(
-            model, buffer, condenser=timed,
-            labeler=labeler or MajorityVotePseudoLabeler(labeler_threshold),
-            config=config, rng=learner_rng)
+        labeler = (NoisyPseudoLabeler(labeler_threshold,
+                                      noise_rate=noise_rate,
+                                      group_of=dataset.group_of, rng=seed)
+                   if noise_rate else
+                   MajorityVotePseudoLabeler(labeler_threshold))
+        learner = DECOLearner(model, buffer, condenser=timed, labeler=labeler,
+                              config=config, rng=learner_rng)
         condense_offline(buffer, prepared.pretrain_x, prepared.pretrain_y,
                          condenser=timed, model_factory=learner.model_factory,
                          rounds=profile.offline_condense_rounds, rng=init_rng)
@@ -341,9 +348,3 @@ def run_method(prepared: PreparedExperiment, method: str, ipc: int, *,
         condense_passes=timed.total_passes if timed else 0,
         extra={"memory": memory},
     )
-
-
-def run_seeds(prepared: PreparedExperiment, method: str, ipc: int,
-              seeds: Sequence[int], **kwargs) -> list[MethodResult]:
-    """Run the same configuration across several seeds."""
-    return [run_method(prepared, method, ipc, seed=s, **kwargs) for s in seeds]

@@ -2,7 +2,8 @@
 
 Runs DECO against the two most competitive baselines (FIFO and
 Selective-BP) at IpC=10 on CORe50-like and ImageNet-10-like streams,
-evaluating every few segments.  The reproduced shapes: DECO's curve
+evaluating every few segments; with several seeds each curve is the
+per-point mean over them.  The reproduced shapes: DECO's curve
 dominates throughout, reaches the baselines' final accuracy with a fraction
 of the data, and is smoother (lower step-to-step variation).
 """
@@ -14,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import prepare_experiment, run_method
+from ..utils.metrics import mean_and_std
+from .grid import run_grid
 from .reporting import format_series
 
 __all__ = ["LearningCurve", "Fig3Result", "run_fig3", "format_fig3",
@@ -25,7 +27,7 @@ DEFAULT_METHODS = ("fifo", "selective_bp", "deco")
 
 @dataclass
 class LearningCurve:
-    """One method's accuracy trace over the stream."""
+    """One method's accuracy trace over the stream (mean over seeds)."""
 
     method: str
     samples_seen: list[int]
@@ -67,20 +69,27 @@ class Fig3Result:
 
 def run_fig3(*, datasets: Sequence[str] = ("core50", "imagenet10"),
              methods: Sequence[str] = DEFAULT_METHODS, ipc: int = 10,
-             profile: str = "smoke", seed: int = 0,
-             eval_every: int = 5) -> Fig3Result:
-    """Regenerate the Fig. 3 learning curves."""
+             profile: str = "smoke", eval_every: int = 5,
+             **grid) -> Fig3Result:
+    """Regenerate the Fig. 3 learning curves, one grid per dataset;
+    ``grid`` (``seeds``, ``jobs``, ``checkpoint_dir``, ``resume``,
+    ``progress``) goes to :func:`~repro.experiments.grid.run_grid`."""
     result = Fig3Result(datasets=tuple(datasets), methods=tuple(methods),
                         ipc=ipc)
+    configs = [{"method": method, "ipc": ipc, "eval_every": eval_every}
+               for method in methods]
     for dataset in datasets:
-        prepared = prepare_experiment(dataset, profile, seed=0)
-        for method in methods:
-            run = run_method(prepared, method, ipc, seed=seed,
-                             eval_every=eval_every)
+        runs = run_grid(dataset, profile, configs, label="fig3", **grid)
+        for method, seed_runs in zip(methods, runs):
+            samples = [list(run.history.samples_seen) for run in seed_runs]
+            if any(s != samples[0] for s in samples):
+                raise ValueError(f"fig3 {dataset}/{method}: the seeds' curves "
+                                 f"evaluate at different samples_seen and "
+                                 f"cannot be averaged")
+            accuracy = [mean_and_std(point)[0] for point in
+                        zip(*(run.history.accuracy for run in seed_runs))]
             result.curves[(dataset, method)] = LearningCurve(
-                method=method,
-                samples_seen=list(run.history.samples_seen),
-                accuracy=list(run.history.accuracy))
+                method, samples[0], accuracy)
     return result
 
 

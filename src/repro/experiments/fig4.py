@@ -17,9 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import prepare_experiment
-from .grid import begin_progress, prepared_cache_dir, run_method_grid
-from .reporting import format_table
+from ..utils.metrics import mean_and_std
+from .common import MethodResult
+from .grid import run_grid
+from .reporting import format_table, format_trials
 
 __all__ = ["Fig4aPoint", "Fig4aResult", "run_fig4a", "format_fig4a",
            "Fig4bResult", "run_fig4b", "format_fig4b",
@@ -31,12 +32,12 @@ DEFAULT_ALPHAS = (0.0, 0.001, 0.01, 0.1, 0.5, 1.0)
 
 @dataclass
 class Fig4aPoint:
-    """Metrics at one filter threshold."""
+    """Per-seed metrics at one filter threshold."""
 
     threshold: float
-    retained_fraction: float
-    pseudo_label_accuracy: float
-    model_accuracy: float
+    retained_fraction: list[float]
+    pseudo_label_accuracy: list[float]
+    model_accuracy: list[float]
 
 
 @dataclass
@@ -48,44 +49,45 @@ class Fig4aResult:
 
     @property
     def best_threshold(self) -> float:
-        return max(self.points, key=lambda p: p.model_accuracy).threshold
+        return max(self.points,
+                   key=lambda p: mean_and_std(p.model_accuracy)[0]).threshold
+
+
+def _retention(run: MethodResult) -> tuple[float, float]:
+    """A run's mean retained fraction and retained pseudo-label accuracy."""
+    retained = [d["retained_fraction"] for d in run.history.diagnostics
+                if "retained_fraction" in d]
+    label_acc = [d["retained_label_accuracy"] for d in run.history.diagnostics
+                 if "retained_label_accuracy" in d
+                 and not np.isnan(d["retained_label_accuracy"])]
+    return (float(np.mean(retained)) if retained else 0.0,
+            float(np.mean(label_acc)) if label_acc else 0.0)
 
 
 def run_fig4a(*, dataset: str = "core50", ipc: int = 10,
               thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-              profile: str = "smoke", seed: int = 0,
-              jobs: int = 1, checkpoint_dir=None,
-              resume: bool = False, progress=None) -> Fig4aResult:
-    """Sweep the majority-voting threshold ``m``."""
-    prepared = prepare_experiment(dataset, profile, seed=0,
-                                  cache_dir=prepared_cache_dir(checkpoint_dir))
+              profile: str = "smoke", **grid) -> Fig4aResult:
+    """Sweep the majority-voting threshold ``m``; ``grid`` (``seeds``,
+    ``jobs``, ``checkpoint_dir``, ``resume``, ``progress``) goes to
+    :func:`~repro.experiments.grid.run_grid`."""
     result = Fig4aResult(dataset=dataset)
-    configs = [{"method": "deco", "ipc": ipc, "seed": seed,
-                "labeler_threshold": float(m)} for m in thresholds]
-    begin_progress(progress, len(configs), label=f"fig4a/{dataset}",
-                   jobs=jobs)
-    runs = run_method_grid(
-        prepared, configs,
-        jobs=jobs, checkpoint_dir=checkpoint_dir, resume=resume,
-        progress=progress)
-    for m, run in zip(thresholds, runs):
-        retained = [d["retained_fraction"] for d in run.history.diagnostics
-                    if "retained_fraction" in d]
-        label_acc = [d["retained_label_accuracy"] for d in run.history.diagnostics
-                     if "retained_label_accuracy" in d
-                     and not np.isnan(d["retained_label_accuracy"])]
+    configs = [{"method": "deco", "ipc": ipc, "labeler_threshold": float(m)}
+               for m in thresholds]
+    runs = run_grid(dataset, profile, configs, label="fig4a", **grid)
+    for m, seed_runs in zip(thresholds, runs):
+        retained, label_acc = zip(*map(_retention, seed_runs))
         result.points.append(Fig4aPoint(
-            threshold=float(m),
-            retained_fraction=float(np.mean(retained)) if retained else 0.0,
-            pseudo_label_accuracy=float(np.mean(label_acc)) if label_acc else 0.0,
-            model_accuracy=run.final_accuracy))
+            threshold=float(m), retained_fraction=list(retained),
+            pseudo_label_accuracy=list(label_acc),
+            model_accuracy=[run.final_accuracy for run in seed_runs]))
     return result
 
 
 def format_fig4a(result: Fig4aResult) -> str:
     headers = ["m", "data retained", "pseudo-label acc", "model acc"]
-    rows = [[f"{p.threshold:.1f}", f"{p.retained_fraction:.2%}",
-             f"{p.pseudo_label_accuracy:.2%}", f"{p.model_accuracy:.2%}"]
+    rows = [[f"{p.threshold:.1f}", format_trials(p.retained_fraction),
+             format_trials(p.pseudo_label_accuracy),
+             format_trials(p.model_accuracy)]
             for p in result.points]
     return format_table(headers, rows,
                         title=f"Fig. 4a: filter threshold sweep on "
@@ -95,39 +97,33 @@ def format_fig4a(result: Fig4aResult) -> str:
 
 @dataclass
 class Fig4bResult:
-    """Accuracy per (alpha, ipc)."""
+    """Per-seed accuracy per (alpha, ipc)."""
 
     dataset: str
     alphas: tuple[float, ...] = ()
     ipcs: tuple[int, ...] = ()
-    accuracy: dict[tuple[float, int], float] = field(default_factory=dict)
+    accuracy: dict[tuple[float, int], list[float]] = field(default_factory=dict)
 
     def best_alpha(self, ipc: int) -> float:
-        return max(self.alphas, key=lambda a: self.accuracy[(a, ipc)])
+        return max(self.alphas,
+                   key=lambda a: mean_and_std(self.accuracy[(a, ipc)])[0])
 
 
 def run_fig4b(*, dataset: str = "cifar100",
               alphas: Sequence[float] = DEFAULT_ALPHAS,
               ipcs: Sequence[int] = (5, 10),
-              profile: str = "smoke", seed: int = 0,
-              jobs: int = 1, checkpoint_dir=None,
-              resume: bool = False, progress=None) -> Fig4bResult:
-    """Sweep the feature-discrimination weight ``alpha``."""
-    prepared = prepare_experiment(dataset, profile, seed=0,
-                                  cache_dir=prepared_cache_dir(checkpoint_dir))
+              profile: str = "smoke", **grid) -> Fig4bResult:
+    """Sweep the feature-discrimination weight ``alpha``; ``grid``
+    (``seeds``, ``jobs``, ``checkpoint_dir``, ``resume``, ``progress``)
+    goes to :func:`~repro.experiments.grid.run_grid`."""
     result = Fig4bResult(dataset=dataset, alphas=tuple(alphas),
                          ipcs=tuple(ipcs))
-    grid = [(ipc, float(alpha)) for ipc in ipcs for alpha in alphas]
-    configs = [{"method": "deco", "ipc": ipc, "seed": seed,
-                "condenser_kwargs": {"alpha": alpha}} for ipc, alpha in grid]
-    begin_progress(progress, len(configs), label=f"fig4b/{dataset}",
-                   jobs=jobs)
-    runs = run_method_grid(
-        prepared, configs,
-        jobs=jobs, checkpoint_dir=checkpoint_dir, resume=resume,
-        progress=progress)
-    for (ipc, alpha), run in zip(grid, runs):
-        result.accuracy[(alpha, ipc)] = run.final_accuracy
+    keys = [(float(alpha), ipc) for ipc in ipcs for alpha in alphas]
+    configs = [{"method": "deco", "ipc": ipc,
+                "condenser_kwargs": {"alpha": alpha}} for alpha, ipc in keys]
+    runs = run_grid(dataset, profile, configs, label="fig4b", **grid)
+    for key, seed_runs in zip(keys, runs):
+        result.accuracy[key] = [run.final_accuracy for run in seed_runs]
     return result
 
 
@@ -137,7 +133,7 @@ def format_fig4b(result: Fig4bResult) -> str:
     for alpha in result.alphas:
         row = [f"{alpha:g}"]
         for ipc in result.ipcs:
-            row.append(f"{result.accuracy[(alpha, ipc)]:.2%}")
+            row.append(format_trials(result.accuracy[(alpha, ipc)]))
         rows.append(row)
     best = ", ".join(f"IpC={ipc}: alpha={result.best_alpha(ipc):g}"
                      for ipc in result.ipcs)

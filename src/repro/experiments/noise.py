@@ -6,8 +6,10 @@ class purity.  The paper tests this indirectly (Fig. 4b's alpha sweep);
 this experiment tests it directly by injecting *controlled* label noise
 into the pseudo-labels — flipping a fraction of retained labels to a
 random confusable (same anchor group) class, exactly the error mode Fig. 2
-documents — and comparing DECO with and without the discrimination loss
-as the noise rate grows.
+documents (:class:`~repro.core.pseudo_label.NoisyPseudoLabeler`, the
+``noise_rate`` of :func:`~repro.experiments.common.run_method`) — and
+comparing DECO with and without the discrimination loss as the noise rate
+grows.
 
 Expected shape: the accuracy penalty of removing the discrimination loss
 grows with the injected noise rate.
@@ -18,96 +20,50 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
+from ..utils.metrics import mean_and_std
+from .grid import run_grid
+from .reporting import format_table, format_trials
 
-from ..core.pseudo_label import MajorityVotePseudoLabeler, PseudoLabelResult
-from .common import prepare_experiment, run_method
-from .reporting import format_table
-
-__all__ = ["NoisyPseudoLabeler", "NoiseRobustnessResult",
-           "run_noise_robustness", "format_noise_robustness"]
-
-
-class NoisyPseudoLabeler(MajorityVotePseudoLabeler):
-    """Majority-vote labeler that corrupts a fraction of retained labels.
-
-    Flips each retained label with probability ``noise_rate`` to a random
-    *confusable* class (same anchor group, falling back to any other
-    class), emulating the structured mistakes of Fig. 2 at a controlled
-    rate.
-    """
-
-    def __init__(self, threshold: float = 0.4, *, noise_rate: float,
-                 group_of: np.ndarray,
-                 rng: int | np.random.Generator | None = None) -> None:
-        super().__init__(threshold)
-        if not 0.0 <= noise_rate <= 1.0:
-            raise ValueError("noise_rate must be in [0, 1]")
-        self.noise_rate = float(noise_rate)
-        self.group_of = np.asarray(group_of)
-        self._rng = np.random.default_rng(rng if isinstance(rng, int) or rng is None
-                                          else rng.integers(2 ** 63))
-
-    def _confusable_flip(self, label: int) -> int:
-        same = np.flatnonzero(self.group_of == self.group_of[label])
-        candidates = same[same != label]
-        if candidates.size == 0:
-            candidates = np.flatnonzero(np.arange(len(self.group_of)) != label)
-        return int(self._rng.choice(candidates))
-
-    def label_segment(self, model, images) -> PseudoLabelResult:
-        result = super().label_segment(model, images)
-        if self.noise_rate == 0.0 or not result.keep.any():
-            return result
-        labels = result.labels.copy()
-        flip = result.keep & (self._rng.random(len(labels)) < self.noise_rate)
-        for i in np.flatnonzero(flip):
-            labels[i] = self._confusable_flip(int(labels[i]))
-        # Flipped labels stay "active enough" to be condensed: this models
-        # noise that slipped *past* the voting filter.
-        keep = result.keep & np.isin(labels, result.active_classes)
-        return PseudoLabelResult(labels=labels,
-                                 confidences=result.confidences,
-                                 active_classes=result.active_classes,
-                                 keep=keep)
+__all__ = ["NoiseRobustnessResult", "run_noise_robustness",
+           "format_noise_robustness"]
 
 
 @dataclass
 class NoiseRobustnessResult:
-    """Accuracy per (noise_rate, alpha)."""
+    """Per-seed accuracy per (noise_rate, alpha)."""
 
     dataset: str
     ipc: int
     noise_rates: tuple[float, ...] = ()
     alphas: tuple[float, ...] = ()
-    accuracy: dict[tuple[float, float], float] = field(default_factory=dict)
+    accuracy: dict[tuple[float, float], list[float]] = field(
+        default_factory=dict)
 
     def discrimination_gain(self, noise_rate: float) -> float:
-        """Accuracy of alpha=max over alpha=0 at a noise rate."""
+        """Mean accuracy of alpha=max over alpha=0 at a noise rate."""
         best_alpha = max(self.alphas)
-        return (self.accuracy[(noise_rate, best_alpha)]
-                - self.accuracy[(noise_rate, 0.0)])
+        return (mean_and_std(self.accuracy[(noise_rate, best_alpha)])[0]
+                - mean_and_std(self.accuracy[(noise_rate, 0.0)])[0])
 
 
 def run_noise_robustness(*, dataset: str = "core50", ipc: int = 10,
                          noise_rates: Sequence[float] = (0.0, 0.2, 0.4),
                          alphas: Sequence[float] = (0.0, 0.1),
                          profile: str = "smoke",
-                         seed: int = 0) -> NoiseRobustnessResult:
-    """Sweep injected pseudo-label noise against the discrimination weight."""
-    prepared = prepare_experiment(dataset, profile, seed=0)
+                         **grid) -> NoiseRobustnessResult:
+    """Sweep injected pseudo-label noise against the discrimination weight;
+    ``grid`` (``seeds``, ``jobs``, ``checkpoint_dir``, ``resume``,
+    ``progress``) goes to :func:`~repro.experiments.grid.run_grid`."""
     result = NoiseRobustnessResult(dataset=dataset, ipc=ipc,
                                    noise_rates=tuple(noise_rates),
                                    alphas=tuple(alphas))
-    group_of = prepared.dataset.group_of
-    for noise in noise_rates:
-        for alpha in alphas:
-            labeler = NoisyPseudoLabeler(0.4, noise_rate=noise,
-                                         group_of=group_of, rng=seed)
-            run = run_method(prepared, "deco", ipc, seed=seed,
-                             condenser_kwargs={"alpha": float(alpha)},
-                             labeler=labeler)
-            result.accuracy[(float(noise), float(alpha))] = run.final_accuracy
+    keys = [(float(noise), float(alpha))
+            for noise in noise_rates for alpha in alphas]
+    configs = [{"method": "deco", "ipc": ipc, "noise_rate": noise,
+                "condenser_kwargs": {"alpha": alpha}} for noise, alpha in keys]
+    runs = run_grid(dataset, profile, configs, label="noise", **grid)
+    for key, seed_runs in zip(keys, runs):
+        result.accuracy[key] = [run.final_accuracy for run in seed_runs]
     return result
 
 
@@ -118,7 +74,7 @@ def format_noise_robustness(result: NoiseRobustnessResult) -> str:
     for noise in result.noise_rates:
         row = [f"{noise:.0%}"]
         for alpha in result.alphas:
-            row.append(f"{result.accuracy[(noise, alpha)]:.2%}")
+            row.append(format_trials(result.accuracy[(noise, alpha)]))
         row.append(f"{result.discrimination_gain(noise):+.2%}")
         rows.append(row)
     return format_table(headers, rows,

@@ -8,13 +8,22 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "format_series", "format_mean_std", "format_bytes"]
+from ..utils.metrics import mean_and_std
+
+__all__ = ["format_table", "format_series", "format_mean_std",
+           "format_trials", "format_bytes"]
 
 
 def format_mean_std(mean: float, std: float, *, scale: float = 100.0,
                     digits: int = 2) -> str:
     """Render an accuracy as the paper does: ``29.84±0.26`` (percent)."""
     return f"{mean * scale:.{digits}f}±{std * scale:.{digits}f}"
+
+
+def format_trials(values: Sequence[float], *, scale: float = 100.0,
+                  digits: int = 2) -> str:
+    """Render one grid point's per-seed values as ``mean±std``."""
+    return format_mean_std(*mean_and_std(values), scale=scale, digits=digits)
 
 
 def format_bytes(nbytes: float) -> str:

@@ -12,16 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from ..buffer.selection import STRATEGY_NAMES
 from ..utils.metrics import mean_and_std, relative_improvement
-from .common import prepare_experiment
-from .grid import begin_progress, prepared_cache_dir, run_method_grid
+from .grid import run_grid
 from .profiles import get_profile
-from .reporting import format_mean_std, format_table
+from .reporting import format_table, format_trials
 
-__all__ = ["Table1Cell", "Table1Result", "run_table1", "format_table1",
+__all__ = ["Table1Result", "run_table1", "format_table1",
            "DEFAULT_DATASETS", "DEFAULT_IPCS"]
 
 DEFAULT_DATASETS = ("icub1", "core50", "cifar100", "imagenet10")
@@ -29,23 +26,8 @@ DEFAULT_IPCS = (1, 5, 10, 50)
 
 
 @dataclass
-class Table1Cell:
-    """Accuracy of one (dataset, ipc, method) configuration across seeds."""
-
-    accuracies: list[float] = field(default_factory=list)
-
-    @property
-    def mean(self) -> float:
-        return mean_and_std(self.accuracies)[0]
-
-    @property
-    def std(self) -> float:
-        return mean_and_std(self.accuracies)[1]
-
-
-@dataclass
 class Table1Result:
-    """All cells of Table I, keyed (dataset, ipc, method).
+    """All cells of Table I: per-seed accuracies keyed (dataset, ipc, method).
 
     Factorized-storage columns are keyed by the pseudo-method name
     ``deco@f{f}``: the run stores the buffer at ``1/f`` linear resolution
@@ -53,8 +35,8 @@ class Table1Result:
     under the row's base IpC so it reads as a same-budget comparison.
     """
 
-    cells: dict[tuple[str, int, str], Table1Cell] = field(default_factory=dict)
-    upper_bounds: dict[str, float] = field(default_factory=dict)
+    cells: dict[tuple[str, int, str], list[float]] = field(default_factory=dict)
+    upper_bounds: dict[str, list[float]] = field(default_factory=dict)
     #: (dataset, ipc, method) -> persistent footprint in bytes (buffer +
     #: deployed model, from the run's memory accounting).
     memory_bytes: dict[tuple[str, int, str], int] = field(default_factory=dict)
@@ -63,8 +45,12 @@ class Table1Result:
     baselines: tuple[str, ...] = ()
     decode_factors: tuple[int, ...] = (1,)
 
-    def cell(self, dataset: str, ipc: int, method: str) -> Table1Cell:
+    def cell(self, dataset: str, ipc: int, method: str) -> list[float]:
         return self.cells[(dataset, ipc, method)]
+
+    def mean(self, dataset: str, ipc: int, method: str) -> float:
+        """Mean accuracy of a cell over its seeds."""
+        return mean_and_std(self.cell(dataset, ipc, method))[0]
 
     def accuracy_per_mib(self, dataset: str, ipc: int, method: str) -> float:
         """Mean accuracy (%) per MiB of persistent on-device state.
@@ -75,13 +61,13 @@ class Table1Result:
         nbytes = self.memory_bytes.get((dataset, ipc, method))
         if not nbytes:
             return float("nan")
-        return self.cell(dataset, ipc, method).mean * 100.0 / (nbytes / 2 ** 20)
+        return self.mean(dataset, ipc, method) * 100.0 / (nbytes / 2 ** 20)
 
     def best_baseline(self, dataset: str, ipc: int) -> tuple[str, float]:
         """Name and mean accuracy of the strongest baseline for a config."""
         best_name, best_acc = "", -1.0
         for name in self.baselines:
-            acc = self.cell(dataset, ipc, name).mean
+            acc = self.mean(dataset, ipc, name)
             if acc > best_acc:
                 best_name, best_acc = name, acc
         return best_name, best_acc
@@ -89,28 +75,20 @@ class Table1Result:
     def improvement(self, dataset: str, ipc: int) -> float:
         """DECO's % relative improvement over the best baseline."""
         _, best = self.best_baseline(dataset, ipc)
-        return relative_improvement(self.cell(dataset, ipc, "deco").mean, best)
+        return relative_improvement(self.mean(dataset, ipc, "deco"), best)
 
 
 def run_table1(*, datasets: Sequence[str] = DEFAULT_DATASETS,
                ipcs: Sequence[int] = DEFAULT_IPCS,
                baselines: Sequence[str] = STRATEGY_NAMES,
                profile: str = "smoke",
-               seeds: Sequence[int] = (0,),
                include_upper_bound: bool = True,
                decode_factors: Sequence[int] | None = None,
-               jobs: int = 1,
-               checkpoint_dir=None,
-               resume: bool = False,
-               progress=None) -> Table1Result:
-    """Regenerate Table I (or any subset of it); ``jobs>1`` runs each
-    dataset's (ipc, method, seed) grid in parallel worker processes.
+               **grid) -> Table1Result:
+    """Regenerate Table I (or any subset of it), one grid per dataset.
 
-    ``checkpoint_dir`` persists prepared experiments (under ``prepared/``)
-    and journals every completed grid point; ``resume=True`` skips the
-    journaled points of an interrupted earlier run.  ``progress`` (a
-    :class:`repro.obs.SweepProgress`) streams one line per completed grid
-    point, labelled per dataset.
+    ``grid`` (``seeds``, ``jobs``, ``checkpoint_dir``, ``resume``,
+    ``progress``) goes to :func:`~repro.experiments.grid.run_grid`.
 
     ``decode_factors`` (default: the profile's) adds one extra DECO column
     per factor ``f > 1``, run with factorized storage at ``f**2 x`` the
@@ -122,49 +100,35 @@ def run_table1(*, datasets: Sequence[str] = DEFAULT_DATASETS,
     result = Table1Result(datasets=tuple(datasets), ipcs=tuple(ipcs),
                           baselines=tuple(baselines),
                           decode_factors=tuple(sorted({1, *factors})))
-    cache_dir = prepared_cache_dir(checkpoint_dir)
+    keys = [(ipc, method) for ipc in ipcs
+            for method in list(baselines) + ["deco"]]
+    keys += [(ipc, f"deco@f{f}") for ipc in ipcs for f in extra_factors]
+    if include_upper_bound:
+        keys.append((1, "upper_bound"))
+    configs = []
+    for ipc, method in keys:
+        if method.startswith("deco@f"):
+            f = int(method[len("deco@f"):])
+            # Equal byte budget: 1/f**2 the bytes per image buys f**2 times
+            # the images per class.
+            configs.append({"method": "deco", "ipc": ipc * f * f,
+                            "decode_factor": f})
+        else:
+            configs.append({"method": method, "ipc": ipc})
     for dataset in datasets:
-        prepared = prepare_experiment(dataset, profile, seed=0,
-                                      cache_dir=cache_dir)
-        grid = [(ipc, method, seed)
-                for ipc in ipcs
-                for method in list(baselines) + ["deco"]
-                for seed in seeds]
-        grid += [(ipc, f"deco@f{f}", seed)
-                 for ipc in ipcs for f in extra_factors for seed in seeds]
-        if include_upper_bound:
-            grid += [(1, "upper_bound", s) for s in seeds[:1]]
-        configs = []
-        for ipc, method, seed in grid:
-            if method.startswith("deco@f"):
-                f = int(method[len("deco@f"):])
-                # Equal byte budget: 1/f**2 the bytes per image buys f**2
-                # times the images per class.
-                configs.append({"method": "deco", "ipc": ipc * f * f,
-                                "seed": seed, "decode_factor": f})
-            else:
-                configs.append({"method": method, "ipc": ipc, "seed": seed})
-        begin_progress(progress, len(configs), label=f"table1/{dataset}",
-                       jobs=jobs)
-        runs = run_method_grid(
-            prepared, configs,
-            jobs=jobs, checkpoint_dir=checkpoint_dir, resume=resume,
-            progress=progress)
-        ub_accs = []
-        for (ipc, method, seed), run in zip(grid, runs):
-            memory = (run.extra or {}).get("memory")
+        runs = run_grid(dataset, profile, configs, label="table1", **grid)
+        for (ipc, method), seed_runs in zip(keys, runs):
+            accs = [run.final_accuracy for run in seed_runs]
             if method == "upper_bound":
-                ub_accs.append(run.final_accuracy)
+                result.upper_bounds[dataset] = accs
                 continue
-            cell = result.cells.setdefault((dataset, ipc, method), Table1Cell())
-            cell.accuracies.append(run.final_accuracy)
+            result.cells[(dataset, ipc, method)] = accs
+            memory = seed_runs[0].extra.get("memory")
             if memory and memory.get("total_bytes"):
                 # The footprint is structural (buffer geometry + model),
-                # identical across seeds — keep the last one seen.
+                # identical across seeds.
                 result.memory_bytes[(dataset, ipc, method)] = int(
                     memory["total_bytes"])
-        if include_upper_bound:
-            result.upper_bounds[dataset] = float(np.mean(ub_accs))
     return result
 
 
@@ -185,21 +149,18 @@ def format_table1(result: Table1Result) -> str:
     for dataset in result.datasets:
         for i, ipc in enumerate(result.ipcs):
             row = [dataset if i == 0 else "", str(ipc)]
-            for method in result.baselines:
-                cell = result.cell(dataset, ipc, method)
-                row.append(format_mean_std(cell.mean, cell.std))
-            deco = result.cell(dataset, ipc, "deco")
-            row.append(format_mean_std(deco.mean, deco.std))
+            for method in list(result.baselines) + ["deco"]:
+                row.append(format_trials(result.cell(dataset, ipc, method)))
             row.append(f"{result.improvement(dataset, ipc):+.1f}%")
             per_mib = result.accuracy_per_mib(dataset, ipc, "deco")
             row.append("-" if per_mib != per_mib else f"{per_mib:.1f}")
             for f in extra_factors:
                 cell = result.cells.get((dataset, ipc, f"deco@f{f}"))
-                row.append("-" if cell is None
-                           else format_mean_std(cell.mean, cell.std))
+                row.append("-" if cell is None else format_trials(cell))
                 per_mib = result.accuracy_per_mib(dataset, ipc, f"deco@f{f}")
                 row.append("-" if per_mib != per_mib else f"{per_mib:.1f}")
             ub = result.upper_bounds.get(dataset)
-            row.append(f"{ub * 100:.2f}%" if (i == 0 and ub is not None) else "")
+            row.append(format_trials(ub) if (i == 0 and ub is not None)
+                       else "")
             rows.append(row)
     return format_table(headers, rows, title="Table I: final average accuracy")

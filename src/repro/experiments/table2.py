@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .common import prepare_experiment
-from .grid import begin_progress, prepared_cache_dir, run_method_grid
-from .reporting import format_table
+from ..utils.metrics import mean_and_std
+from .grid import run_grid
+from .reporting import format_table, format_trials
 
 __all__ = ["Table2Entry", "Table2Result", "run_table2", "format_table2",
            "DEFAULT_CONDENSERS"]
@@ -24,13 +24,13 @@ DEFAULT_CONDENSERS = ("dc", "dsa", "dm", "deco")
 
 @dataclass
 class Table2Entry:
-    """Time/accuracy of one condensation method at one IpC."""
+    """Per-seed time/accuracy of one condensation method at one IpC."""
 
     condenser: str
     ipc: int
-    seconds: float
-    accuracy: float
-    passes: int
+    seconds: list[float]
+    accuracy: list[float]
+    passes: list[int]
 
 
 @dataclass
@@ -46,40 +46,32 @@ class Table2Result:
         return self.entries[(condenser, ipc)]
 
     def speedup(self, slow: str, fast: str, ipc: int) -> float:
-        """Wall-clock ratio between two methods at an IpC."""
-        return self.entry(slow, ipc).seconds / max(self.entry(fast, ipc).seconds,
-                                                   1e-12)
+        """Ratio of two methods' mean condensation times at an IpC."""
+        slow_s = mean_and_std(self.entry(slow, ipc).seconds)[0]
+        fast_s = mean_and_std(self.entry(fast, ipc).seconds)[0]
+        return slow_s / max(fast_s, 1e-12)
 
 
 def run_table2(*, dataset: str = "core50",
                ipcs: Sequence[int] = (1, 5, 10, 50),
                condensers: Sequence[str] = DEFAULT_CONDENSERS,
-               profile: str = "smoke", seed: int = 0,
-               jobs: int = 1, checkpoint_dir=None,
-               resume: bool = False, progress=None) -> Table2Result:
-    """Regenerate Table II (or a subset); ``jobs>1`` runs grid points in
-    parallel worker processes.  ``checkpoint_dir``/``resume`` journal
-    completed points and skip them on re-run (see :func:`run_method_grid`).
+               profile: str = "smoke", **grid) -> Table2Result:
+    """Regenerate Table II (or a subset); ``grid`` (``seeds``, ``jobs``,
+    ``checkpoint_dir``, ``resume``, ``progress``) goes to
+    :func:`~repro.experiments.grid.run_grid`.
     """
-    prepared = prepare_experiment(dataset, profile, seed=0,
-                                  cache_dir=prepared_cache_dir(checkpoint_dir))
     result = Table2Result(condensers=tuple(condensers), ipcs=tuple(ipcs),
                           dataset=dataset)
-    grid = [(condenser, ipc) for condenser in condensers for ipc in ipcs]
-    configs = [{"method": "deco", "ipc": ipc, "seed": seed,
-                "condenser_name": condenser} for condenser, ipc in grid]
-    begin_progress(progress, len(configs), label=f"table2/{dataset}",
-                   jobs=jobs)
-    runs = run_method_grid(
-        prepared, configs,
-        jobs=jobs, checkpoint_dir=checkpoint_dir, resume=resume,
-        progress=progress)
-    for (condenser, ipc), run in zip(grid, runs):
+    keys = [(condenser, ipc) for condenser in condensers for ipc in ipcs]
+    configs = [{"method": "deco", "ipc": ipc, "condenser_name": condenser}
+               for condenser, ipc in keys]
+    runs = run_grid(dataset, profile, configs, label="table2", **grid)
+    for (condenser, ipc), seed_runs in zip(keys, runs):
         result.entries[(condenser, ipc)] = Table2Entry(
             condenser=condenser, ipc=ipc,
-            seconds=run.condense_seconds,
-            accuracy=run.final_accuracy,
-            passes=run.condense_passes)
+            seconds=[run.condense_seconds for run in seed_runs],
+            accuracy=[run.final_accuracy for run in seed_runs],
+            passes=[run.condense_passes for run in seed_runs])
     return result
 
 
@@ -93,7 +85,8 @@ def format_table2(result: Table2Result) -> str:
         row = [condenser.upper() if condenser != "deco" else "DECO"]
         for ipc in result.ipcs:
             entry = result.entry(condenser, ipc)
-            row += [f"{entry.seconds:.1f}", f"{entry.accuracy * 100:.1f}"]
+            row += [format_trials(entry.seconds, scale=1.0, digits=1),
+                    format_trials(entry.accuracy, digits=1)]
         rows.append(row)
     return format_table(headers, rows,
                         title=f"Table II: condensation time on {result.dataset}")

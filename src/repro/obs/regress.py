@@ -23,6 +23,10 @@ slower.  This module adds the missing time axis:
 * ``python -m repro obs regress`` renders the verdict table and exits
   non-zero on regressions (``--dry-run`` reports without failing), so a
   recorded bench run gets a trajectory verdict instead of just a file.
+  It judges live metrics only — those the newest row of a section that
+  :func:`metrics_from_snapshot` still extracts carries — and lists the
+  rest of the history's metrics once as retired, without a verdict; the
+  history file itself stays a complete record.
 
 History lines are loaded tolerantly (a run killed mid-append leaves at
 most one truncated line, which is skipped) and unknown metrics simply
@@ -35,6 +39,7 @@ import json
 import os
 import pathlib
 import statistics
+import textwrap
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
@@ -46,6 +51,7 @@ __all__ = [
     "DEFAULT_WINDOW",
     "DEFAULT_THRESHOLD",
     "DEFAULT_MATCH_TAGS",
+    "LIVE_SECTIONS",
     "MetricDelta",
     "RegressionReport",
     "default_history_path",
@@ -62,6 +68,9 @@ HISTORY_FILENAME = "bench_history.jsonl"
 DEFAULT_WINDOW = 5
 DEFAULT_THRESHOLD = 0.20
 DEFAULT_MATCH_TAGS = ("platform", "threads")
+#: The snapshot sections :func:`metrics_from_snapshot` extracts.  History
+#: rows of any other section record benchmarks that no longer run.
+LIVE_SECTIONS = ("kernels", "condense_step")
 
 
 def default_history_path() -> pathlib.Path:
@@ -89,8 +98,8 @@ def metrics_from_snapshot(data: Mapping[str, Any],
 
     Names are path-like and stable: ``kernels/conv2d_fwd``,
     ``condense_step``, ``condense_step/<case>``,
-    ``condense_step/peak_traced_bytes``,
-    ``factorized/<case>/mib_per_acc``.
+    ``condense_step/peak_traced_bytes``.  Only the
+    :data:`LIVE_SECTIONS` are read.
     """
     metrics: dict[str, float] = {}
 
@@ -115,20 +124,6 @@ def metrics_from_snapshot(data: Mapping[str, Any],
         if "peak_traced_bytes" in condense:
             metrics["condense_step/peak_traced_bytes"] = float(
                 condense["peak_traced_bytes"])
-    factorized = data.get("factorized") or {}
-    if want("factorized"):
-        # Factorized condensed storage: accuracy-per-byte is the paper's
-        # axis, but compare_history flags metrics that *increase*, so the
-        # tracked metric is the inverse — MiB per accuracy point
-        # (``mib_per_acc``): storage efficiency regressing makes it rise.
-        # The per-case run seconds ride along as plain timings.
-        for case, row in (factorized.get("cases") or {}).items():
-            if isinstance(row, Mapping):
-                if "mib_per_acc" in row:
-                    metrics[f"factorized/{case}/mib_per_acc"] = float(
-                        row["mib_per_acc"])
-                if "run_s" in row:
-                    metrics[f"factorized/{case}/run_s"] = float(row["run_s"])
     return metrics
 
 
@@ -214,6 +209,8 @@ class RegressionReport:
     """All metric verdicts of one comparison pass."""
 
     deltas: list[MetricDelta] = field(default_factory=list)
+    #: Metrics of the history that no live bench emits; never judged.
+    retired: list[str] = field(default_factory=list)
     window: int = DEFAULT_WINDOW
     threshold: float = DEFAULT_THRESHOLD
     skipped_lines: int = 0
@@ -289,12 +286,28 @@ def check_regressions(history_path: str | os.PathLike | None = None, *,
                       threshold: float = DEFAULT_THRESHOLD,
                       match_tags: Sequence[str] = DEFAULT_MATCH_TAGS
                       ) -> RegressionReport:
-    """Load a history file and compare it (the ``repro obs regress`` core)."""
+    """Load a history file and compare its live metrics (the ``repro obs
+    regress`` core).
+
+    A metric is live if the newest history row of a :data:`LIVE_SECTIONS`
+    section carries it; every other metric of the file is reported as
+    retired, without a verdict.
+    """
     path = (pathlib.Path(history_path) if history_path is not None
             else default_history_path())
     entries, skipped = load_history(path)
-    report = compare_history(entries, window=window, threshold=threshold,
+    newest = {entry.get("section"): entry for entry in entries
+              if entry.get("section") in LIVE_SECTIONS}
+    live = {name for entry in newest.values()
+            for name in entry.get("metrics") or {}}
+    recorded = {name for entry in entries for name in entry.get("metrics") or {}}
+    judged = [dict(entry, metrics={name: value for name, value
+                                   in (entry.get("metrics") or {}).items()
+                                   if name in live})
+              for entry in entries]
+    report = compare_history(judged, window=window, threshold=threshold,
                              match_tags=match_tags)
+    report.retired = sorted(recorded - live)
     report.skipped_lines = skipped
     return report
 
@@ -308,8 +321,6 @@ def _format_metric_value(name: str, value: float) -> str:
         # Lazy import: repro.experiments transitively imports repro.obs.
         from ..experiments.reporting import format_bytes
         return format_bytes(value)
-    if name.endswith("mib_per_acc"):  # storage-efficiency gauge, not a timing
-        return f"{value:.4f}"
     return f"{value * 1e3:.2f}ms"
 
 
@@ -335,10 +346,14 @@ def format_regress_report(report: RegressionReport,
     if report.skipped_lines:
         header.append(f"({report.skipped_lines} malformed history "
                       f"line(s) skipped)")
+    retired = ([textwrap.fill(
+        f"retired, not judged ({len(report.retired)} metrics no live bench "
+        f"emits): " + ", ".join(report.retired), width=79)]
+        if report.retired else [])
     if not report.deltas:
         header.append("no bench history yet — run the micro-benchmarks "
                       "to record a first entry")
-        return "\n".join(header)
+        return "\n".join(header + retired)
     table = format_table(
         ["benchmark", "newest", f"baseline (median of <= "
          f"{report.window})", "n", "delta", "verdict"],
@@ -348,4 +363,4 @@ def format_regress_report(report: RegressionReport,
                if not report.ok else
                f"trajectory ok (no metric >= {report.threshold:.0%} "
                f"slower than its baseline)")
-    return "\n".join(header + [table, summary])
+    return "\n".join(header + [table, summary] + retired)

@@ -26,7 +26,8 @@ from .checkpoint import (SCHEMA_VERSION, Checkpoint, CheckpointError,
 from .journal import ResumeJournal
 from .learner_io import (latest_learner_checkpoint, list_learner_checkpoints,
                          restore_learner, save_learner_checkpoint)
-from .prepared_cache import load_prepared, prepared_cache_path, save_prepared
+from .prepared_cache import (load_prepared, pack_prepared, prepared_cache_path,
+                             rebuild_prepared, save_prepared)
 from .results import (load_method_result, method_result_store,
                       save_method_result)
 from .summary import summarize_checkpoint_dir
@@ -51,6 +52,8 @@ __all__ = [
     "prepared_cache_path",
     "save_prepared",
     "load_prepared",
+    "pack_prepared",
+    "rebuild_prepared",
     "save_method_result",
     "load_method_result",
     "method_result_store",

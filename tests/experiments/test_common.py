@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import (METHOD_NAMES, prepare_experiment,
-                                      run_method, run_seeds)
+                                      run_method)
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +92,9 @@ class TestRunMethod:
         b = run_method(prepared, "deco", 1, seed=3)
         assert a.final_accuracy == b.final_accuracy
 
-    def test_run_seeds_returns_one_result_per_seed(self, prepared):
-        results = run_seeds(prepared, "fifo", 1, seeds=(0, 1, 2))
-        assert [r.seed for r in results] == [0, 1, 2]
+    def test_noise_rate_requires_deco(self, prepared):
+        with pytest.raises(ValueError, match="noise_rate"):
+            run_method(prepared, "fifo", 1, noise_rate=0.2)
 
     def test_method_names_constant_is_complete(self):
         assert "deco" in METHOD_NAMES

@@ -121,6 +121,28 @@ class TestHistoryFile:
         report = check_regressions()
         assert report.ok, [d.name for d in report.regressions]
 
+    def test_retired_metrics_are_listed_not_judged(self, tmp_path):
+        path = tmp_path / HISTORY_FILENAME
+        for value in (1.0, 1.0, 2.0):
+            # A section no bench writes any more ...
+            append_history(path, "fd_fuse", {"fd_fuse/segment": value}, TAGS)
+            # ... and a kernel the newest kernels row no longer carries.
+            append_history(path, "kernels", {"kernels/max_pool": value,
+                                              "kernels/conv2d_fwd": 1.0}, TAGS)
+        append_history(path, "kernels", {"kernels/conv2d_fwd": 1.0}, TAGS)
+        report = check_regressions(path)
+        assert report.ok
+        assert [d.name for d in report.deltas] == ["kernels/conv2d_fwd"]
+        assert report.retired == ["fd_fuse/segment", "kernels/max_pool"]
+        assert "kernels/max_pool" in format_regress_report(report)
+
+    def test_real_repo_history_judges_live_metrics_only(self):
+        report = check_regressions()
+        assert all(d.name.split("/")[0] in ("kernels", "condense_step")
+                   for d in report.deltas)
+        # Deleted in an engine cleanup; its old rows must not read "improved".
+        assert "kernels/max_pool2d_fwd_bwd" in report.retired
+
 
 # ----------------------------------------------------------------------
 # metrics_from_snapshot / rendering

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import prepare_experiment
-from repro.experiments.grid import pack_prepared
-from repro.persist import (content_hash, load_prepared, prepared_cache_path,
-                           save_prepared)
+from repro.persist import (content_hash, load_prepared, pack_prepared,
+                           prepared_cache_path, save_prepared)
 
 DATASET, PROFILE = "core50", "micro"
 

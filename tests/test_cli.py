@@ -36,6 +36,13 @@ class TestParser:
         assert args.command == "obs"
         assert args.action == "summarize"
 
+    def test_seeds_on_grid_commands_seed_on_single_runs(self):
+        args = build_parser().parse_args(["fig3", "--seeds", "0", "1"])
+        assert args.seeds == [0, 1]
+        assert build_parser().parse_args(["noise"]).seeds is None
+        assert build_parser().parse_args(["fig2", "--seed", "3"]).seed == 3
+        assert build_parser().parse_args(["run", "--seed", "3"]).seed == 3
+
     def test_checkpoint_flags(self):
         args = build_parser().parse_args(
             ["--checkpoint-dir", "/tmp/ck", "--resume", "table2"])
@@ -130,3 +137,74 @@ class TestMain:
         assert "Runtime counters" in out
         assert "health.checks" in out
         assert "memory.high_water_bytes" in out
+
+
+GRID_COMMANDS = [
+    ["table2", "--ipcs", "1", "--condensers", "dm", "deco"],
+    ["fig3", "--ipc", "1"],
+    ["fig4a", "--ipc", "1"],
+    ["fig4b", "--ipcs", "1"],
+    ["ablations"],
+    ["noise", "--ipc", "1", "--noise-rates", "0.0", "0.4"],
+]
+
+
+def without_table2_times(report: str) -> str:
+    """Table II minus its wall-clock column, the one cell a rerun changes."""
+    lines = report.splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    return "\n".join(" ".join(line.split()[:1] + line.split()[2::2])
+                     for line in lines[rule + 1:])
+
+
+class TestSeededGrids:
+    """Every grid command runs seeds through one path: mean±std over
+    ``--seeds``, the same report at any ``--jobs``, resumable."""
+
+    def test_every_grid_command_prints_same_bytes_at_two_jobs(self, capsys):
+        for cmd in GRID_COMMANDS:
+            reports = []
+            for jobs in ("1", "2"):
+                assert main(["--profile", "micro", "--no-progress",
+                             "--jobs", jobs] + cmd + ["--seeds", "0", "1"]) == 0
+                reports.append(capsys.readouterr().out)
+            # fig3 prints the mean curve; the tables print mean±std.
+            assert cmd[0] == "fig3" or "±" in reports[0], cmd[0]
+            if cmd[0] == "table2":
+                reports = [without_table2_times(r) for r in reports]
+            assert reports[0] == reports[1], cmd[0]
+
+    def test_interrupted_noise_grid_resumes_to_same_bytes(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.experiments import grid
+        from repro.parallel import SweepTaskError
+
+        cmd = ["noise", "--ipc", "1", "--noise-rates", "0.0", "0.4",
+               "--seeds", "0", "1"]
+        assert main(["--profile", "micro", "--no-progress"] + cmd) == 0
+        uninterrupted = capsys.readouterr().out
+
+        real_run_method, calls = grid.run_method, []
+
+        def crash_on_third_point(prepared, **config):
+            calls.append(config)
+            if len(calls) == 3:
+                raise RuntimeError("killed mid-grid")
+            return real_run_method(prepared, **config)
+
+        monkeypatch.setattr(grid, "run_method", crash_on_third_point)
+        base = ["--profile", "micro", "--no-progress",
+                "--checkpoint-dir", str(tmp_path)]
+        with pytest.raises(SweepTaskError):
+            main(base + cmd)
+
+        calls.clear()
+        monkeypatch.setattr(
+            grid, "run_method",
+            lambda prepared, **config: (calls.append(config),
+                                        real_run_method(prepared, **config))[1])
+        assert main(base + ["--resume"] + cmd) == 0
+        assert capsys.readouterr().out == uninterrupted
+        # 4 configs x 2 seeds: the sweep finished and journaled the other
+        # seven points before raising, so only the killed one re-runs.
+        assert len(calls) == 1
